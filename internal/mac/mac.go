@@ -32,7 +32,6 @@ import (
 	"braidio/internal/faults"
 	"braidio/internal/frame"
 	"braidio/internal/linkcache"
-	"braidio/internal/modem"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
 	"braidio/internal/rng"
@@ -369,10 +368,8 @@ func (s *Session) estimatedSNRAt(m phy.Mode, r units.BitRate) units.DB {
 	ref := refRate(m)
 	// SNR(r) − SNR(ref) = noise(ref) − noise(r), and each noise floor is
 	// the calibrated sensitivity minus the scheme's decode requirement.
-	needRef := units.DBFromRatio(modem.SNRForBER(phy.SchemeAt(m, ref), phy.RangeBERTarget))
-	needR := units.DBFromRatio(modem.SNRForBER(phy.SchemeAt(m, r), phy.RangeBERTarget))
-	noiseRef := phy.Sensitivity(m, ref).Sub(needRef)
-	noiseR := phy.Sensitivity(m, r).Sub(needR)
+	noiseRef := phy.Sensitivity(m, ref).Sub(phy.SNRTarget(m, ref))
+	noiseR := phy.Sensitivity(m, r).Sub(phy.SNRTarget(m, r))
 	return units.DB(est) + units.DB(noiseRef-noiseR)
 }
 
@@ -386,8 +383,7 @@ func (s *Session) adaptRate(m phy.Mode) (units.BitRate, bool) {
 		rates = []units.BitRate{units.Rate1M}
 	}
 	for _, r := range rates {
-		need := units.DBFromRatio(modem.SNRForBER(phy.SchemeAt(m, r), phy.RangeBERTarget))
-		if float64(s.estimatedSNRAt(m, r)) >= float64(need)+headroom {
+		if float64(s.estimatedSNRAt(m, r)) >= float64(phy.SNRTarget(m, r))+headroom {
 			return r, true
 		}
 	}
@@ -707,8 +703,7 @@ func (s *Session) maybeFallback(mode phy.Mode, rate units.BitRate) {
 	}
 	// The decode requirement in dB for the mode's scheme at the range
 	// target; estimates below (requirement − margin) trigger fallback.
-	need := units.DBFromRatio(modem.SNRForBER(phy.SchemeAt(mode, rate), phy.RangeBERTarget))
-	if s.snrEWMA[mode] < float64(need)-float64(s.cfg.FallbackSNRMargin) {
+	if s.snrEWMA[mode] < float64(phy.SNRTarget(mode, rate))-float64(s.cfg.FallbackSNRMargin) {
 		if err := s.fallback(); err != nil {
 			s.fatal = err
 		}

@@ -190,6 +190,15 @@ var applyLatencyBounds = []float64{
 	1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 1e7, 1e8, 1e9,
 }
 
+// planLatencyBounds buckets serve epoch plan-phase wall-clock latency in
+// nanoseconds. A plan characterizes and solves the epoch's whole dirty
+// set, from a handful of drifted members to a cold plan of every member
+// of a million-member daemon, so the range runs from 10 µs to 10 s.
+var planLatencyBounds = []float64{
+	1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7,
+	1e8, 2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10,
+}
+
 // Recorder is the full metric set the engines report into. All fields
 // are safe for concurrent use; record through them only when the
 // Recorder pointer is non-nil (every instrumented site guards on that,
@@ -238,8 +247,8 @@ type Recorder struct {
 	// EnergyPerBit distributes per-run delivered-energy efficiency,
 	// (Drain1+Drain2)/Bits in J/bit, over log buckets.
 	EnergyPerBit Histogram
-	// LPSolveLatency distributes offload-solve wall-clock latency in
-	// nanoseconds. Wall-clock, so excluded from Canonical snapshots.
+	// LPSolveLatency distributes single offload-solve wall-clock latency
+	// in nanoseconds. Wall-clock, so excluded from Canonical snapshots.
 	LPSolveLatency Histogram
 
 	// MAC session series (internal/mac) — frame-level protocol events.
@@ -331,6 +340,11 @@ type Recorder struct {
 	// latency (queue drain through per-shard op apply) in nanoseconds.
 	// Wall-clock, so excluded from Canonical snapshots.
 	ServeApplyLatency Histogram
+	// ServePlanLatency distributes serve epoch plan-phase wall-clock
+	// latency (characterize and solve the dirty set, build and commit
+	// plans; the slowest shard) in nanoseconds, once per epoch that
+	// planned. Wall-clock, so excluded from Canonical snapshots.
+	ServePlanLatency Histogram
 
 	// Tracer, when non-nil, receives mode-switch/fallback/replan/
 	// quarantine/hub-death events from sequential engine contexts. Nil
@@ -351,6 +365,7 @@ func NewRecorder() *Recorder {
 	r.EnergyPerBit.init(energyPerBitBounds, 1e12)
 	r.LPSolveLatency.init(lpLatencyBounds, 1)
 	r.ServeApplyLatency.init(applyLatencyBounds, 1)
+	r.ServePlanLatency.init(planLatencyBounds, 1)
 	for i := range r.ModeBits {
 		r.ModeBits[i].scale = bitScale
 		r.ModeTime[i].scale = timeScale

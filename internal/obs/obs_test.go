@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -176,13 +177,19 @@ func TestCanonicalZeroesNondeterministicSections(t *testing.T) {
 	r := NewRecorder()
 	r.Tracer = NewTracer(8)
 	r.LPSolveLatency.Observe(1234)
+	r.ServeApplyLatency.Observe(5678)
+	r.ServePlanLatency.Observe(2.5e9)
 	r.Trace(Event{Kind: EvReplan})
 	s := r.Snapshot().Canonical()
-	if s.LPSolveLatency.Counts != nil || s.LPSolveLatency.Sum != 0 {
-		t.Fatal("Canonical must drop latency buckets and sum")
-	}
-	if s.LPSolveLatency.Count != 1 {
-		t.Fatalf("Canonical must keep the latency observation count, got %d", s.LPSolveLatency.Count)
+	for name, h := range map[string]HistogramSnapshot{
+		"LPSolveLatency": s.LPSolveLatency, "ServeApplyLatency": s.ServeApplyLatency, "ServePlanLatency": s.ServePlanLatency,
+	} {
+		if h.Bounds != nil || h.Counts != nil || h.Sum != 0 {
+			t.Fatalf("Canonical must drop %s bounds, buckets and sum", name)
+		}
+		if h.Count != 1 {
+			t.Fatalf("Canonical must keep the %s observation count, got %d", name, h.Count)
+		}
 	}
 	if s.Cache != (CacheSnapshot{}) {
 		t.Fatal("Canonical must zero the cache section")
@@ -198,6 +205,7 @@ func TestWriters(t *testing.T) {
 	r.Bits.Add(1e6)
 	r.ModeBits[phy.ModePassive].Add(1e6)
 	r.EnergyPerBit.Observe(2e-7)
+	r.ServePlanLatency.Observe(3e9)
 	s := r.Snapshot()
 
 	var tbl bytes.Buffer
@@ -206,6 +214,9 @@ func TestWriters(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "passive") || !strings.Contains(tbl.String(), "braid runs") {
 		t.Fatalf("table output missing sections:\n%s", tbl.String())
+	}
+	if want := `plan mean \(ms\)\s+3000\n`; !regexp.MustCompile(want).MatchString(tbl.String()) {
+		t.Fatalf("table output missing %q:\n%s", want, tbl.String())
 	}
 
 	var js bytes.Buffer
@@ -226,6 +237,9 @@ func TestWriters(t *testing.T) {
 		`braidio_mode_bits{mode="passive"} 1e+06`,
 		`braidio_energy_per_bit_joules_bucket{le="3e-07"} 1`,
 		"braidio_energy_per_bit_joules_count 1",
+		// A 3 s plan lands in a finite bucket (the bounds reach 10 s).
+		`braidio_serve_plan_latency_nanoseconds_bucket{le="5e+09"} 1`,
+		"braidio_serve_plan_latency_nanoseconds_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

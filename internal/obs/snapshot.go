@@ -81,9 +81,9 @@ type Snapshot struct {
 	// indexed by phy.Mode.
 	ModeBits, ModeTime [NumModes]float64
 
-	// EnergyPerBit, LPSolveLatency, and ServeApplyLatency are the frozen
-	// histograms.
-	EnergyPerBit, LPSolveLatency, ServeApplyLatency HistogramSnapshot
+	// EnergyPerBit, LPSolveLatency, ServeApplyLatency, and
+	// ServePlanLatency are the frozen histograms.
+	EnergyPerBit, LPSolveLatency, ServeApplyLatency, ServePlanLatency HistogramSnapshot
 	// Cache is the process-global link-cache state.
 	Cache CacheSnapshot
 	// TraceTotal and TraceRetained describe the attached tracer (zero
@@ -146,6 +146,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		EnergyPerBit:        r.EnergyPerBit.snapshot(),
 		LPSolveLatency:      r.LPSolveLatency.snapshot(),
 		ServeApplyLatency:   r.ServeApplyLatency.snapshot(),
+		ServePlanLatency:    r.ServePlanLatency.snapshot(),
 	}
 	for i := range s.ModeBits {
 		s.ModeBits[i] = r.ModeBits[i].Load()
@@ -165,17 +166,14 @@ func (r *Recorder) Snapshot() Snapshot {
 
 // Canonical returns the snapshot with the non-deterministic sections
 // zeroed: wall-clock latency buckets (machine-speed dependent; the
-// observation *count* is kept, since it equals LPSolves) and the
+// observation *count* is kept, since it counts solves or epochs) and the
 // process-global cache counters (racing planners can split a miss).
 // Canonical snapshots are bit-identical at any worker count — the
 // determinism contract the golden tests pin.
 func (s Snapshot) Canonical() Snapshot {
-	s.LPSolveLatency.Bounds = nil
-	s.LPSolveLatency.Counts = nil
-	s.LPSolveLatency.Sum = 0
-	s.ServeApplyLatency.Bounds = nil
-	s.ServeApplyLatency.Counts = nil
-	s.ServeApplyLatency.Sum = 0
+	for _, h := range []*HistogramSnapshot{&s.LPSolveLatency, &s.ServeApplyLatency, &s.ServePlanLatency} {
+		h.Bounds, h.Counts, h.Sum = nil, nil, 0
+	}
 	s.Cache = CacheSnapshot{}
 	s.TraceTotal, s.TraceRetained = 0, 0
 	return s
@@ -294,6 +292,7 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"recoveries", fmt.Sprint(s.ServeRecoveries)},
 		{"torn records", fmt.Sprint(s.ServeTornRecords)},
 		{"journal errors", fmt.Sprint(s.ServeJournalErrors)},
+		{"plan mean (ms)", meanMillis(&s.ServePlanLatency)},
 	}
 	if err := ascii.Table(w, []string{"Counter", "Value"}, rows); err != nil {
 		return err
@@ -311,6 +310,15 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"hub deaths", fmt.Sprint(s.HubDeaths)},
 	}
 	return ascii.Table(w, []string{"Event", "Count"}, rows)
+}
+
+// meanMillis renders a nanosecond latency histogram's mean in
+// milliseconds, or "-" when it holds no observation.
+func meanMillis(h *HistogramSnapshot) string {
+	if h.Count == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.4g", h.Sum/float64(h.Count)/1e6)
 }
 
 // promLabel maps a mode index to its Prometheus label value.
@@ -401,5 +409,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	writeHist(w, "braidio_energy_per_bit_joules", "Per-run delivered energy per bit.", &s.EnergyPerBit)
 	writeHist(w, "braidio_lp_solve_latency_nanoseconds", "Offload solve wall-clock latency.", &s.LPSolveLatency)
 	writeHist(w, "braidio_serve_apply_latency_nanoseconds", "Serve epoch apply-phase wall-clock latency.", &s.ServeApplyLatency)
+	writeHist(w, "braidio_serve_plan_latency_nanoseconds", "Serve epoch plan-phase wall-clock latency.", &s.ServePlanLatency)
 	return nil
 }

@@ -175,11 +175,27 @@ func (m *Model) ReceivedPower(mode Mode, d units.Meter) units.DBm {
 	return rx.Sub(m.FadeMargin)
 }
 
-// snrTargetDB returns the SNR (dB) a scheme needs to hit RangeBERTarget;
-// the effective noise floor of a mode/rate sits that far below its
-// sensitivity.
-func snrTargetDB(mode Mode, r units.BitRate) units.DB {
-	return units.DBFromRatio(modem.SNRForBER(SchemeAt(mode, r), RangeBERTarget))
+// snrTargets holds, per scheme, the SNR (dB) that meets RangeBERTarget:
+// modem.SNRForBER's own float64s (a bisection for the coherent schemes),
+// solved once at package init.
+var snrTargets = func() (t [modem.QAM16Coherent + 1]units.DB) {
+	for s := range t {
+		t[s] = units.DBFromRatio(modem.SNRForBER(modem.Scheme(s), RangeBERTarget))
+	}
+	return t
+}()
+
+// SNRTarget returns the SNR (dB) a mode's scheme needs at a rate to hit
+// RangeBERTarget; the effective noise floor of a mode/rate sits that far
+// below its sensitivity.
+func SNRTarget(mode Mode, r units.BitRate) units.DB {
+	return snrTargets[SchemeAt(mode, r)]
+}
+
+// sinr is the effective per-bit SINR (dB) of a mode/rate given the
+// received signal power rx.
+func (m *Model) sinr(mode Mode, r units.BitRate, rx units.DBm) units.DB {
+	return rf.SINR(rx, Sensitivity(mode, r).Sub(SNRTarget(mode, r)), m.Interference)
 }
 
 // SNR returns the effective per-bit SINR (dB) for a mode/rate at distance
@@ -188,8 +204,7 @@ func snrTargetDB(mode Mode, r units.BitRate) units.DB {
 // zero Interference this is the plain SNR, bit-identical to the
 // pre-interference model.
 func (m *Model) SNR(mode Mode, r units.BitRate, d units.Meter) units.DB {
-	noise := Sensitivity(mode, r).Sub(snrTargetDB(mode, r))
-	return rf.SINR(m.ReceivedPower(mode, d), noise, m.Interference)
+	return m.sinr(mode, r, m.ReceivedPower(mode, d))
 }
 
 // BER returns the analytic bit error rate for a mode/rate at distance d.
@@ -208,18 +223,30 @@ func (m *Model) Available(mode Mode, d units.Meter) bool {
 // RangeBERTarget, and whether any does. The active link only runs at
 // 1 Mbps.
 func (m *Model) BestRate(mode Mode, d units.Meter) (units.BitRate, bool) {
+	r, _, _, ok := m.bestLink(mode, d)
+	return r, ok
+}
+
+// activeRates is the active link's only rate.
+var activeRates = [1]units.BitRate{units.Rate1M}
+
+// bestLink is the per-mode step every characterization shares: it
+// computes the received power at d once, then each candidate rate's SINR
+// and BER once, fastest first, and returns the first rate meeting
+// RangeBERTarget with that SNR and BER.
+func (m *Model) bestLink(mode Mode, d units.Meter) (r units.BitRate, snr units.DB, ber float64, ok bool) {
+	rates := Rates[:]
 	if mode == ModeActive {
-		if m.BER(mode, units.Rate1M, d) <= RangeBERTarget {
-			return units.Rate1M, true
-		}
-		return 0, false
+		rates = activeRates[:]
 	}
-	for _, r := range Rates {
-		if m.BER(mode, r, d) <= RangeBERTarget {
-			return r, true
+	rx := m.ReceivedPower(mode, d)
+	for _, r = range rates {
+		snr = m.sinr(mode, r, rx)
+		if ber = modem.BERFromDB(SchemeAt(mode, r), snr); ber <= RangeBERTarget {
+			return r, snr, ber, true
 		}
 	}
-	return 0, false
+	return 0, 0, 0, false
 }
 
 // Range returns the maximum distance at which a mode/rate meets
@@ -231,7 +258,7 @@ func (m *Model) Range(mode Mode, r units.BitRate) units.Meter {
 	rx := func(d units.Meter) units.DBm { return m.ReceivedPower(mode, d) }
 	sens := Sensitivity(mode, r)
 	if m.Interference > 0 {
-		noiseMW := math.Pow(10, float64(sens.Sub(snrTargetDB(mode, r)))/10)
+		noiseMW := math.Pow(10, float64(sens.Sub(SNRTarget(mode, r)))/10)
 		sens = sens.Add(units.DB(10 * math.Log10(1+m.Interference/noiseMW)))
 	}
 	d, ok := rf.RangeForSensitivity(rx, sens, 0.01, 10000)
@@ -314,48 +341,36 @@ func (m *Model) goodput(mode Mode, r units.BitRate, ber float64) units.BitRate {
 	return units.BitRate(g)
 }
 
-// costs computes per-useful-bit costs for a mode/rate/BER.
-func (m *Model) costs(mode Mode, r units.BitRate, ber float64) (tx, rx units.JoulesPerBit) {
-	good := m.goodput(mode, r, ber)
-	if good <= 0 {
-		return units.JoulesPerBit(math.Inf(1)), units.JoulesPerBit(math.Inf(1))
+// link completes a mode/rate/BER into a ModeLink: goodput and the
+// per-useful-bit costs at both ends (+Inf on a link that delivers
+// nothing).
+func (m *Model) link(mode Mode, r units.BitRate, ber float64) ModeLink {
+	l := ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber)}
+	if l.Good <= 0 {
+		l.T, l.R = units.JoulesPerBit(math.Inf(1)), units.JoulesPerBit(math.Inf(1))
+	} else {
+		l.T, l.R = units.PerBit(TXPower(mode, r), l.Good), units.PerBit(RXPower(mode, r), l.Good)
 	}
-	return units.PerBit(TXPower(mode, r), good), units.PerBit(RXPower(mode, r), good)
+	return l
 }
 
 // Characterize returns the available modes at distance d with their best
 // rates and per-bit costs, in canonical mode order. Unavailable modes are
 // omitted.
 func (m *Model) Characterize(d units.Meter) []ModeLink {
-	var out []ModeLink
-	for _, mode := range Modes {
-		r, ok := m.BestRate(mode, d)
-		if !ok {
-			continue
-		}
-		ber := m.BER(mode, r, d)
-		t, rx := m.costs(mode, r, ber)
-		out = append(out, ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber), T: t, R: rx})
-	}
-	return out
+	return m.CharacterizeInto(nil, d)
 }
 
 // CharacterizeInto is Characterize appending into caller-owned storage:
 // dst is truncated and refilled, so a caller reusing one buffer across
 // distances characterizes without heap allocation once the buffer has
-// grown to NumModes capacity. The entries are bit-identical to
-// Characterize's (both run the same per-mode computations in canonical
-// order).
+// grown to NumModes capacity.
 func (m *Model) CharacterizeInto(dst []ModeLink, d units.Meter) []ModeLink {
 	dst = dst[:0]
 	for _, mode := range Modes {
-		r, ok := m.BestRate(mode, d)
-		if !ok {
-			continue
+		if r, _, ber, ok := m.bestLink(mode, d); ok {
+			dst = append(dst, m.link(mode, r, ber))
 		}
-		ber := m.BER(mode, r, d)
-		t, rx := m.costs(mode, r, ber)
-		dst = append(dst, ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber), T: t, R: rx})
 	}
 	return dst
 }
@@ -442,20 +457,19 @@ func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
 	base := k * NumModes
 	n := 0
 	for _, mode := range Modes {
-		r, ok := m.BestRate(mode, d)
+		r, snr, ber, ok := m.bestLink(mode, d)
 		if !ok {
 			continue
 		}
-		ber := m.BER(mode, r, d)
-		t, rx := m.costs(mode, r, ber)
+		l := m.link(mode, r, ber)
 		i := base + n
 		cols.Mode[i] = mode
 		cols.Rate[i] = r
-		cols.SNR[i] = m.SNR(mode, r, d)
+		cols.SNR[i] = snr
 		cols.BER[i] = ber
-		cols.Good[i] = m.goodput(mode, r, ber)
-		cols.T[i] = t
-		cols.R[i] = rx
+		cols.Good[i] = l.Good
+		cols.T[i] = l.T
+		cols.R[i] = l.R
 		n++
 	}
 	cols.Len[k] = int32(n)
@@ -474,10 +488,9 @@ func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
 // SNR. Returns ok=false when no rate meets RangeBERTarget over the
 // bistatic path.
 func (m *Model) SharedCarrierLink(dForward, dReverse units.Meter) (ModeLink, bool) {
+	rx := m.RoundTrip.Received(CarrierPower, dForward, dReverse).Sub(m.FadeMargin)
 	for _, r := range Rates {
-		rx := m.RoundTrip.Received(CarrierPower, dForward, dReverse).Sub(m.FadeMargin)
-		noise := BackscatterSensitivity(r).Sub(snrTargetDB(ModeBackscatter, r))
-		ber := modem.BERFromDB(SchemeAt(ModeBackscatter, r), rf.SINR(rx, noise, m.Interference))
+		ber := modem.BERFromDB(SchemeAt(ModeBackscatter, r), m.sinr(ModeBackscatter, r, rx))
 		if ber > RangeBERTarget {
 			continue
 		}
@@ -500,9 +513,7 @@ func (m *Model) SharedCarrierLink(dForward, dReverse units.Meter) (ModeLink, boo
 // LinkAt characterizes one specific mode/rate at a distance regardless of
 // whether it meets the range target (used for BER sweeps).
 func (m *Model) LinkAt(mode Mode, r units.BitRate, d units.Meter) ModeLink {
-	ber := m.BER(mode, r, d)
-	t, rx := m.costs(mode, r, ber)
-	return ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber), T: t, R: rx}
+	return m.link(mode, r, m.BER(mode, r, d))
 }
 
 // CommercialReaderBER returns the AS3993 baseline's BER at 100 kbps and

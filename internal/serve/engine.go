@@ -608,7 +608,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	}
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
-			e.cfg.Rec.LPSolveLatency.Observe(planNs)
+			e.cfg.Rec.ServePlanLatency.Observe(planNs)
 			e.cfg.Rec.BatchRounds.Add(1)
 		}
 		e.latMu.Lock()

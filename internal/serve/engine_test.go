@@ -342,3 +342,40 @@ func TestUpdateUnknownMember(t *testing.T) {
 		t.Fatal("ghost member acquired a plan")
 	}
 }
+
+// TestPlanLatencyMetric checks that serve reports each epoch's plan-phase
+// time in its own histogram, once per epoch that planned, and leaves the
+// single-solve histogram to core.Braid.
+func TestPlanLatencyMetric(t *testing.T) {
+	rec := obs.NewRecorder()
+	e := NewEngine(testConfig(rec))
+	for i := 0; i < 4; i++ {
+		if err := e.Register(fmt.Sprintf("m%d", i), 1, units.Meter(0.5+float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planned, idle := 0, 0
+	for i := 0; i < 6; i++ {
+		if i%2 == 1 {
+			// Alternately halve and restore one battery: the ratio
+			// crosses the tolerance and that member re-plans.
+			if err := e.Update("m0", units.Joule(0.5+0.5*float64(i/2%2)), 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res := mustEpoch(t, e); res.Planned > 0 {
+			planned++
+		} else {
+			idle++
+		}
+	}
+	if planned == 0 || idle == 0 {
+		t.Fatalf("want planning and idle epochs, got %d and %d", planned, idle)
+	}
+	if got := rec.LPSolveLatency.Count(); got != 0 {
+		t.Errorf("LPSolveLatency.Count = %d, want 0 (serve runs no single solves)", got)
+	}
+	if got := rec.ServePlanLatency.Count(); got != uint64(planned) {
+		t.Errorf("ServePlanLatency.Count = %d, want %d planning epochs", got, planned)
+	}
+}

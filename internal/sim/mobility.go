@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"braidio/internal/rng"
 	"braidio/internal/units"
@@ -78,23 +79,26 @@ func NewRandomWaypoint(min, max units.Meter, speed float64, pause units.Second, 
 
 // DistanceAt implements Walk, extending the trace lazily and caching it
 // so repeated queries are consistent.
+//
+// Each segment starts exactly where the previous one ends (extend
+// computes both from the same sum), so the segments tile [0, end) in
+// order with non-decreasing ends, and the segment holding t is the first
+// whose end lies after t — found by binary search once the trace reaches
+// past t. Zero-length segments never hold a time.
 func (w *RandomWaypoint) DistanceAt(t units.Second) units.Meter {
 	if t < 0 {
 		panic(fmt.Sprintf("sim: negative time %v", float64(t)))
 	}
-	for {
-		for _, seg := range w.segments {
-			if t >= seg.start && t < seg.start+seg.duration {
-				if seg.duration == 0 {
-					return seg.to
-				}
-				f := float64((t - seg.start) / seg.duration)
-				return seg.from + units.Meter(f)*(seg.to-seg.from)
-			}
-		}
+	for len(w.segments) == 0 || w.segments[len(w.segments)-1].end() <= t {
 		w.extend()
 	}
+	seg := w.segments[sort.Search(len(w.segments), func(i int) bool { return t < w.segments[i].end() })]
+	f := float64((t - seg.start) / seg.duration)
+	return seg.from + units.Meter(f)*(seg.to-seg.from)
 }
+
+// end is the time the segment ends (exclusive).
+func (s segment) end() units.Second { return s.start + s.duration }
 
 // extend appends one move segment and one pause segment.
 func (w *RandomWaypoint) extend() {
@@ -102,7 +106,7 @@ func (w *RandomWaypoint) extend() {
 	from := w.Min
 	if n := len(w.segments); n > 0 {
 		last := w.segments[n-1]
-		start = last.start + last.duration
+		start = last.end()
 		from = last.to
 	}
 	target := w.Min + units.Meter(w.stream.Float64())*(w.Max-w.Min)

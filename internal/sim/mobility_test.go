@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"braidio/internal/rng"
@@ -74,6 +75,84 @@ func TestRandomWaypointDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// linearDistanceAt is the reference lookup: rescan every segment from
+// the first one after each extension.
+func linearDistanceAt(w *RandomWaypoint, t units.Second) units.Meter {
+	for {
+		for _, seg := range w.segments {
+			if t >= seg.start && t < seg.start+seg.duration {
+				if seg.duration == 0 {
+					return seg.to
+				}
+				f := float64((t - seg.start) / seg.duration)
+				return seg.from + units.Meter(f)*(seg.to-seg.from)
+			}
+		}
+		w.extend()
+	}
+}
+
+// TestRandomWaypointMatchesLinearScan pins the binary-search lookup to
+// the linear-scan reference bit for bit — with and without pauses (Pause
+// 0 makes every other segment zero-length) — over random, monotone,
+// repeated, out-of-order and exactly-on-a-boundary query times, and
+// checks both walks leave their streams in the same state.
+func TestRandomWaypointMatchesLinearScan(t *testing.T) {
+	for _, pause := range []units.Second{0, 20} {
+		const seed = 11
+		// Segment boundaries, from a third walk on the same seed.
+		bounds := NewRandomWaypoint(0.2, 2, 0.4, pause, rng.New(seed))
+		bounds.DistanceAt(4000)
+		var onEdge []units.Second
+		for _, seg := range bounds.segments {
+			onEdge = append(onEdge, seg.start, units.Second(math.Nextafter(float64(seg.start), 0)), seg.start+seg.duration)
+		}
+		q := rng.New(99)
+		queries := map[string][]units.Second{"boundary": onEdge}
+		for i := 0; i < 400; i++ {
+			queries["random"] = append(queries["random"], units.Second(4000*q.Float64()))
+			queries["monotone"] = append(queries["monotone"], units.Second(i)*9.75)
+			tm := units.Second(3600 * q.Float64())
+			queries["repeated"] = append(queries["repeated"], tm, tm, tm)
+			queries["out-of-order"] = append(queries["out-of-order"], units.Second(4000-i*10), units.Second(i*7))
+		}
+		for _, name := range []string{"random", "monotone", "repeated", "out-of-order", "boundary"} {
+			fast := NewRandomWaypoint(0.2, 2, 0.4, pause, rng.New(seed))
+			ref := NewRandomWaypoint(0.2, 2, 0.4, pause, rng.New(seed))
+			for _, tm := range queries[name] {
+				got, want := fast.DistanceAt(tm), linearDistanceAt(ref, tm)
+				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Fatalf("pause %v %s t=%v: %v, want %v", float64(pause), name, float64(tm), got, want)
+				}
+			}
+			if len(fast.segments) != len(ref.segments) {
+				t.Errorf("pause %v %s: %d segments, want %d", float64(pause), name, len(fast.segments), len(ref.segments))
+			}
+			if a, b := fast.stream.Float64(), ref.stream.Float64(); a != b {
+				t.Errorf("pause %v %s: next stream draw %v, want %v", float64(pause), name, a, b)
+			}
+		}
+	}
+}
+
+// BenchmarkRandomWaypointHour is one fleet member's walk over a hub
+// hour: a fresh walk queried at the start of each of 12 rounds over
+// 3600 s, as hub.Run queries it.
+func BenchmarkRandomWaypointHour(b *testing.B) {
+	const horizon, rounds = 3600, 12
+	st := rng.New(1)
+	var sink units.Meter
+	for i := 0; i < b.N; i++ {
+		w := NewRandomWaypoint(0.2, 2, 0.4, 20, st.Split())
+		for r := 0; r < rounds; r++ {
+			sink += w.DistanceAt(units.Second(r) * (horizon / rounds))
+		}
+	}
+	walkSink = sink
+}
+
+var walkSink units.Meter
 
 func TestRandomWaypointValidation(t *testing.T) {
 	for name, f := range map[string]func(){
