@@ -10,8 +10,12 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any file, so the test gate
+# keeps the tree formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needs to be run on:"; echo "$$unformatted"; exit 1; fi
 
 # Default test gate: vet everything, run the full suite, then re-run the
 # concurrency-sensitive internal packages under the race detector.

@@ -13,7 +13,7 @@ import (
 
 // BatchScratch is the shared per-round column arena of the batched
 // columnar solver: one flat structure-of-arrays workspace a round owner
-// (the hub's plan phase, the serve daemon's epoch planner) resets once
+// (net's round engine, the serve daemon's epoch planner) resets once
 // per round instead of round-tripping M per-member buffers through a
 // pool. Every per-slot array is either a scalar column (one entry per
 // member) or a stride-phy.NumModes row block, so batch kernels iterate

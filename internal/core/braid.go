@@ -59,9 +59,9 @@ type Braid struct {
 	// the PHY directly on every run.
 	DisableLinkCache bool
 	// Links, when non-nil, supplies the run's characterized links
-	// directly and skips per-run characterization — the hub's plan
-	// phase batch-characterizes every member up front and presets each
-	// braid with the result. Callers must pass the canonical shared
+	// directly and skips per-run characterization — the round engine
+	// (internal/net) batch-characterizes every member up front and
+	// presets each braid with the result. Callers must pass the canonical shared
 	// slices linkcache returns for (Model, Distance): the cross-run
 	// allocation memo compares slice identity to detect moved members,
 	// and a private copy would defeat (or, if mutated in place, corrupt)
@@ -85,8 +85,8 @@ func NewBraid(m *phy.Model, d units.Meter) *Braid {
 }
 
 // DefaultBraid is NewBraid returning the braid by value, for callers
-// (the hub's pooled per-member scratch) that embed the braid in their
-// own storage instead of heap-allocating one per round.
+// (the round engine's pooled per-member scratch) that embed the braid
+// in their own storage instead of heap-allocating one per round.
 func DefaultBraid(m *phy.Model, d units.Meter) Braid {
 	return Braid{
 		Model:                 m,
@@ -178,8 +178,9 @@ type RunScratch struct {
 
 // Reset invalidates the cross-run allocation memo while keeping the
 // scratch buffers for reuse. Engines that recycle scratch across
-// logically independent runs (the hub's sync.Pool) must call it so a
-// run's results never depend on what the recycled scratch last solved.
+// logically independent runs (internal/net's sync.Pool) must call it so
+// a run's results never depend on what the recycled scratch last
+// solved.
 func (s *RunScratch) Reset() { s.memoValid = false }
 
 // Run drains the two batteries (b1 at the data transmitter, b2 at the
@@ -197,9 +198,9 @@ func (b *Braid) Run(b1, b2 *energy.Battery) (*Result, error) {
 // reset in place and s, when non-nil,
 // supplies the schedule/optimizer buffers and carries the allocation
 // memo across calls. A nil s uses throwaway scratch, making RunInto
-// byte-identical to Run. The hub's fleet engine calls this once per
-// member per round with persistent per-member scratch, which is what
-// takes the steady-state round to zero heap allocations.
+// byte-identical to Run. The round engine (internal/net) calls this
+// once per member per round with persistent per-member scratch, which
+// is what takes the steady-state round to zero heap allocations.
 func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) error {
 	if b.Model == nil || b1 == nil || b2 == nil {
 		return errors.New("core: braid needs a model and two batteries")

@@ -3,15 +3,15 @@
 // population-level questions need — "across a building of N phones each
 // serving M wearables, what fraction of hubs survive the day?" — and
 // the unit the engine's performance work targets: shards are
-// embarrassingly parallel, each shard reuses one pooled scratch for its
-// whole run, and the sharded link cache keeps concurrent planners from
-// serializing on one lock.
+// embarrassingly parallel, each shard's run takes its working set from
+// net's scratch pool, and the sharded link cache keeps concurrent
+// planners from serializing on one lock.
 //
 // Determinism: shard i draws every randomized parameter from
 // rng.Substreams(Seed, Shards)[i], whose layout depends only on (Seed,
 // Shards); shards write only their own result slot and are merged in
 // shard order. A fleet run is therefore bit-identical at any Workers
-// count, extending the two-phase engine's guarantee one level up.
+// count, extending the round engine's guarantee one level up.
 
 package hub
 

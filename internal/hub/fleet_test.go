@@ -48,7 +48,7 @@ func runFleetAt(t *testing.T, workers int) *FleetResult {
 
 // TestFleetBitIdenticalAcrossWorkers: a fleet run is bit-identical at
 // any worker count — per-shard substreams plus shard-order merge, the
-// same contract the two-phase hub engine gives one level down.
+// same contract the two-phase round engine gives one level down.
 func TestFleetBitIdenticalAcrossWorkers(t *testing.T) {
 	ref := runFleetAt(t, 1)
 	if ref.TotalBits() <= 0 {
@@ -113,6 +113,47 @@ func TestFleetShardErrorIsolated(t *testing.T) {
 	}
 	if healthy != 3 {
 		t.Errorf("%d healthy shards survived, want 3", healthy)
+	}
+}
+
+// TestFleetAggregates: the fleet-wide hub drain, exhausted-hub count
+// and quarantine count sum the shards' results, skipping failed shards.
+func TestFleetAggregates(t *testing.T) {
+	f := &Fleet{
+		Shards: 4, Workers: 2, Seed: 3,
+		Build: func(shard int, stream *rng.Stream) (*Hub, error) {
+			switch shard {
+			case 1:
+				return dyingHub(t), nil
+			case 2:
+				return nil, errors.New("boom")
+			case 3:
+				h := bodyNetwork(t)
+				err := h.Add(Member{
+					Device: dev(t, "Apple Watch"), Distance: 0.6, Load: 5000,
+					Walk: sim.LinearWalk{Start: 0.6, End: 2000, Duration: 900},
+				})
+				return h, err
+			}
+			return bodyNetwork(t), nil
+		},
+	}
+	res, err := f.Run(1800, 6)
+	if err == nil {
+		t.Fatal("failed shard reported no error")
+	}
+	var drain units.Joule
+	for _, i := range []int{0, 1, 3} {
+		drain += res.Shards[i].HubDrain
+	}
+	if got := res.HubDrain(); got != drain || drain <= 0 {
+		t.Errorf("HubDrain = %v, want the shards' sum %v", got, drain)
+	}
+	if got := res.Exhausted(); got != 1 || !res.Shards[1].HubExhausted {
+		t.Errorf("Exhausted = %d, want 1 (the dying hub)", got)
+	}
+	if got := res.Quarantines(); got != 1 || res.Shards[3].Quarantines != 1 {
+		t.Errorf("Quarantines = %d, want 1 (the wanderer)", got)
 	}
 }
 

@@ -18,40 +18,26 @@
 // and the cause — while the round-robin keeps serving healthy members.
 // Pre-quarantine, one degraded member could sink the whole run.
 //
-// # Two-phase rounds
+// # One engine
 //
-// Run is a deterministic parallel engine. Each round is two phases:
-//
-//  1. Plan: every eligible member solves and executes its braid against
-//     an immutable snapshot of the hub's round-start energy and a copy
-//     of its own battery, concurrently over the shared worker pool
-//     (internal/par). Plans write only per-member scratch.
-//  2. Commit: in registration order, each plan's drains are applied to
-//     the real batteries, strikes/quarantines are charged, and totals
-//     are accumulated. If earlier commits drained the hub below what a
-//     later plan assumed, that member is re-solved against the true
-//     remaining energies (counted in Result.Replans).
-//
-// Because plans touch only state owned by their member index and the
-// commit order is fixed, the Result is bit-identical at any Workers
-// count — the same discipline as modem.MonteCarloBERParallel. The one
-// obligation on callers: a Member's Walk and Faults state must be
-// private to that member (they are advanced once per round from
-// whatever goroutine plans the member; sharing one stateful injector
-// across members would race).
+// A star is the one-hub case of a network, so Run has no round engine
+// of its own: it runs the hub as a one-hub net.Topology with every
+// network coupling disabled. Rounds are net's two-phase rounds, and a
+// Result is bit-identical at any Workers count. A Member's Walk and
+// Faults state must be private to that member: it advances once per
+// round.
 package hub
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math"
 
-	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/faults"
 	"braidio/internal/linkcache"
+	"braidio/internal/net"
 	"braidio/internal/obs"
-	"braidio/internal/par"
 	"braidio/internal/phy"
 	"braidio/internal/sim"
 	"braidio/internal/units"
@@ -112,13 +98,8 @@ type Hub struct {
 
 	device  energy.Device
 	model   *phy.Model
-	view    *linkcache.View
 	members []Member
 }
-
-// defaultQuarantineStrikes is the strike budget when the caller leaves
-// QuarantineStrikes at zero.
-const defaultQuarantineStrikes = 3
 
 // New creates a hub on the given device using the calibrated model when
 // m is nil.
@@ -126,16 +107,17 @@ func New(device energy.Device, m *phy.Model) *Hub {
 	if m == nil {
 		m = phy.NewModel()
 	}
-	return &Hub{device: device, model: m, view: linkcache.NewView(m)}
+	return &Hub{device: device, model: m}
 }
 
-// Add registers a member. It returns an error if no link mode reaches
-// the member or the load is not positive.
+// Add registers a member. It returns an error wrapping net.ErrBadLoad if
+// the load is not positive and finite, and an error if no link mode
+// reaches the member.
 func (h *Hub) Add(m Member) error {
-	if m.Load <= 0 {
-		return fmt.Errorf("hub: member %s has non-positive load", m.Device.Name)
+	if l := float64(m.Load); !(l > 0) || math.IsInf(l, 1) {
+		return fmt.Errorf("hub: member %s: %w %v", m.Device.Name, net.ErrBadLoad, l)
 	}
-	if len(h.view.Characterize(m.Distance)) == 0 {
+	if len(linkcache.Characterize(h.model, m.Distance)) == 0 {
 		return fmt.Errorf("hub: member %s at %v m is out of range", m.Device.Name, float64(m.Distance))
 	}
 	h.members = append(h.members, m)
@@ -149,8 +131,8 @@ func (h *Hub) Members() []Member { return h.members }
 // round-robin after exhausting its strike budget. MemberResult.Err wraps
 // it together with the final failure's cause, so both
 // errors.Is(err, ErrMemberQuarantined) and errors.Is against the cause
-// (e.g. core.ErrOutOfRange) hold.
-var ErrMemberQuarantined = errors.New("hub: member quarantined")
+// (e.g. core.ErrOutOfRange) hold. It is net.ErrMemberQuarantined.
+var ErrMemberQuarantined = net.ErrMemberQuarantined
 
 // MemberResult is one member's share of a hub run.
 type MemberResult struct {
@@ -219,75 +201,14 @@ func (r *Result) TotalBits() float64 {
 // ErrNoMembers reports an empty hub.
 var ErrNoMembers = errors.New("hub: no members")
 
-// strikeLimit returns the configured quarantine strike budget.
-func (h *Hub) strikeLimit() int {
-	if h.QuarantineStrikes > 0 {
-		return h.QuarantineStrikes
-	}
-	return defaultQuarantineStrikes
-}
-
-// memberScratch is one member's slot in the pooled run scratch: its
-// persistent braid (re-pointed at the round's distance and bit budget),
-// the braid's allocation scratch and reusable result, the plan-phase
-// battery copies, and the plan verdict the commit phase consumes.
-type memberScratch struct {
-	braid  core.Braid
-	scr    core.RunScratch
-	plan   core.Result
-	planB1 energy.Battery // copy of the member battery
-	planB2 energy.Battery // copy of the hub's round-start snapshot
-
-	err              error
-	outage           bool
-	skipQuarantined  bool
-	skipStarved      bool
-	active           bool
-	dist             units.Meter
-	txScale, rxScale float64
-}
-
-// runScratch is the per-Run working set recycled through a sync.Pool so
-// that repeated runs — a fleet shard simulating thousands of hub
-// rounds — stop churning braids, schedule buffers, and result slots.
-// batch is the round's shared column arena: one reset per round feeds
-// the batched characterization instead of M per-member cache lookups.
-type runScratch struct {
-	members []memberScratch
-	strikes []int
-	batch   core.BatchScratch
-}
-
-// scratchPool recycles runScratch values across Run calls.
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-// acquireScratch returns a scratch sized for n members with every slot
-// reset: stale allocation memos are invalidated so a run's results can
-// never depend on what a recycled scratch last solved.
-func acquireScratch(n int) *runScratch {
-	s := scratchPool.Get().(*runScratch)
-	if cap(s.members) < n {
-		s.members = make([]memberScratch, n)
-		s.strikes = make([]int, n)
-	}
-	s.members = s.members[:n]
-	s.strikes = s.strikes[:n]
-	for i := range s.members {
-		ms := &s.members[i]
-		ms.scr.Reset()
-		ms.err = nil
-		s.strikes[i] = 0
-	}
-	return s
-}
-
 // Run simulates the star for a wall-clock horizon, delivering each
-// member's offered load in rounds. Each round plans every member's
-// braid concurrently against the hub's round-start energy snapshot,
-// then commits the drains in registration order (see the package
-// comment for the two-phase determinism contract). Run stops early —
-// mid-round, after the fatal commit — if the hub dies, recording the
-// round in Result.HubDiedRound.
+// member's offered load in rounds. It runs the hub as a one-hub
+// net.Topology with interference, carrier sharing and relays disabled;
+// see the package comment. Run stops early — mid-round, after the fatal
+// commit — if the hub dies, recording the round in Result.HubDiedRound.
+// Malformed inputs are typed errors: a device without positive finite
+// capacity wraps net.ErrBadDevice, a bad load net.ErrBadLoad, and a bad
+// horizon or round count net.ErrBadRun.
 //
 // Member failures do not abort the run: a round that errors (the member
 // walked out of range, its QoS floor is infeasible, its carrier dropped)
@@ -298,245 +219,64 @@ func (h *Hub) Run(horizon units.Second, rounds int) (*Result, error) {
 	if len(h.members) == 0 {
 		return nil, ErrNoMembers
 	}
-	if horizon <= 0 || rounds < 1 {
-		return nil, fmt.Errorf("hub: invalid horizon %v / rounds %d", float64(horizon), rounds)
-	}
-	hubBatt := h.device.NewBattery()
-	memberBatts := make([]*energy.Battery, len(h.members))
+	// Every member is a walker — a static member walks in place — so the
+	// walk sets its distance to the hub, and members may share a
+	// position.
+	static := make([]sim.StaticWalk, len(h.members))
+	members := make([]net.Member, len(h.members))
 	for i, m := range h.members {
-		memberBatts[i] = m.Device.NewBattery()
+		members[i] = net.Member{Device: m.Device, Walk: m.Walk, Faults: m.Faults, Load: m.Load, MinRate: m.MinRate}
+		if m.Walk == nil {
+			static[i] = sim.StaticWalk(m.Distance)
+			members[i].Walk = &static[i]
+		}
 	}
+	n, err := net.New(&net.Topology{Hubs: []net.Hub{{Device: h.device, Members: members}}}, net.Config{
+		Model:               h.model,
+		Workers:             h.Workers,
+		QuarantineStrikes:   h.QuarantineStrikes,
+		AllocationTolerance: h.AllocationTolerance,
+		DisableInterference: true,
+		DisableCarrierShare: true,
+		DisableRelay:        true,
+		Obs:                 h.Obs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("hub: %w", err)
+	}
+	nr, err := n.Run(horizon, rounds)
+	if err != nil {
+		return nil, fmt.Errorf("hub: %w", err)
+	}
+	hr := &nr.Hubs[0]
 	res := &Result{
 		Horizon:      horizon,
-		Members:      make([]MemberResult, len(h.members)),
-		HubDiedRound: -1,
+		HubDrain:     hr.Drain,
+		HubExhausted: hr.Exhausted,
+		Members:      make([]MemberResult, len(hr.Members)),
+		Quarantines:  nr.Quarantines,
+		LPSolves:     hr.LPSolves,
+		AllocReuses:  hr.AllocReuses,
+		HubDiedRound: hr.DiedRound,
+		Replans:      hr.Replans,
 	}
-	for i, m := range h.members {
-		res.Members[i] = MemberResult{Member: m}
+	for i := range hr.Members {
+		m := &hr.Members[i]
+		res.Members[i] = MemberResult{
+			Member:           h.members[i],
+			Bits:             m.Bits,
+			MemberDrain:      m.MemberDrain,
+			HubDrain:         m.HubDrain,
+			ModeBits:         m.ModeBits,
+			Starved:          m.Starved,
+			Quarantined:      m.Quarantined,
+			QuarantinedRound: m.QuarantinedRound,
+			Err:              m.Err,
+			OutageRounds:     m.OutageRounds,
+		}
+		res.OutageRounds += m.OutageRounds
 	}
-	scr := acquireScratch(len(h.members))
-	defer scratchPool.Put(scr)
-	rec := obs.Active(h.Obs)
-	for i, m := range h.members {
-		ms := &scr.members[i]
-		ms.braid = core.DefaultBraid(h.model, m.Distance)
-		ms.braid.Obs = h.Obs
-		ms.braid.AllocationTolerance = h.AllocationTolerance
-		if m.MinRate > 0 {
-			minRate := m.MinRate
-			ms.braid.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*core.Allocation, error) {
-				return core.OptimizeQoS(links, e1, e2, minRate)
-			}
-		}
-	}
-
-	slice := horizon / units.Second(rounds)
-	// The plan closure reads the round state through these variables so
-	// par.For gets one closure for the whole run, not one per round.
-	var (
-		now     units.Second
-		hubSnap energy.Battery
-	)
-	plan := func(i int) { h.planMember(i, scr, memberBatts, &hubSnap, slice) }
-
-	for round := 0; round < rounds && !hubBatt.Empty(); round++ {
-		now = units.Second(round) * slice
-		hubSnap = *hubBatt
-		if rec != nil {
-			rec.HubRounds.Add(1)
-			rec.BatchRounds.Add(1)
-		}
-
-		// Phase 0: advance each member's walk and fault state
-		// sequentially (each injector is advanced exactly once per
-		// round, same as the old in-plan advancement), decide round
-		// eligibility, and collect the eligible distances into the
-		// round arena.
-		scr.batch.Reset(len(h.members))
-		nb := 0
-		for i := range h.members {
-			ms := &scr.members[i]
-			mr := &res.Members[i]
-			m := &h.members[i]
-			ms.err = nil
-			ms.outage = false
-			ms.active = false
-			ms.braid.Links = nil
-			ms.skipQuarantined = mr.Quarantined
-			ms.skipStarved = !mr.Quarantined && memberBatts[i].Empty()
-			ms.txScale, ms.rxScale = 1, 1
-			if ms.skipQuarantined || ms.skipStarved {
-				continue
-			}
-			d := m.Distance
-			if m.Walk != nil {
-				d = m.Walk.DistanceAt(now)
-			}
-			if m.Faults != nil {
-				var env faults.Env
-				env.Reset(now, phy.ModeActive, units.Rate1M, 0)
-				m.Faults.Impair(&env)
-				if env.CarrierLost {
-					ms.outage = true
-					continue
-				}
-				ms.txScale, ms.rxScale = env.TXDrain, env.RXDrain
-			}
-			ms.dist = d
-			ms.active = true
-			scr.batch.Dists[nb] = d
-			scr.batch.Idx[nb] = i
-			nb++
-		}
-		// Batched link characterization: one striped pass fills every
-		// eligible member's canonical link slice (the same shared
-		// slices linkcache.Characterize returns, so the braids'
-		// allocation memos keep their slice-identity semantics).
-		h.view.CharacterizeBatch(h.Workers, scr.batch.Dists[:nb], scr.batch.Links[:nb])
-		for r := 0; r < nb; r++ {
-			scr.members[scr.batch.Idx[r]].braid.Links = scr.batch.Links[r]
-		}
-
-		// Phase 1: plan all members against the immutable snapshot.
-		par.For(h.Workers, len(h.members), plan)
-
-		// Phase 2: commit in registration order.
-		for i := range h.members {
-			ms := &scr.members[i]
-			mr := &res.Members[i]
-			m := &h.members[i]
-			if ms.skipQuarantined {
-				continue
-			}
-			if ms.skipStarved {
-				mr.Starved = true
-				continue
-			}
-			if ms.outage {
-				mr.OutageRounds++
-				res.OutageRounds++
-				if rec != nil {
-					rec.OutageRounds.Add(1)
-					rec.Trace(obs.Event{Kind: obs.EvOutage, Round: round, Member: i, Time: float64(now)})
-				}
-				h.strikeMember(mr, &scr.strikes[i], round, i, rec, now,
-					fmt.Errorf("hub: member %s: carrier lost at t=%vs", m.Device.Name, float64(now)), res)
-				continue
-			}
-			if ms.err == nil {
-				run := &ms.plan
-				hubNeed := run.Drain2
-				if ms.rxScale > 1 {
-					hubNeed += run.Drain2 * units.Joule(ms.rxScale-1)
-				}
-				if hubBatt.Remaining() < hubNeed {
-					// Earlier commits this round drained the hub below
-					// what the snapshot promised: re-solve against the
-					// true remaining energies. RunInto drains the real
-					// batteries directly in this path.
-					res.Replans++
-					if rec != nil {
-						rec.Replans.Add(1)
-						rec.Trace(obs.Event{Kind: obs.EvReplan, Round: round, Member: i, Time: float64(now)})
-					}
-					ms.err = ms.braid.RunInto(&ms.plan, &ms.scr, memberBatts[i], hubBatt)
-				} else {
-					memberBatts[i].Drain(run.Drain1)
-					hubBatt.Drain(run.Drain2)
-				}
-			}
-			if ms.err != nil {
-				h.strikeMember(mr, &scr.strikes[i], round, i, rec, now,
-					fmt.Errorf("hub: member %s: %w", m.Device.Name, ms.err), res)
-				continue
-			}
-			run := &ms.plan
-			scr.strikes[i] = 0
-			if rec != nil {
-				rec.MemberRounds.Add(1)
-			}
-			mr.Bits += run.Bits
-			res.LPSolves += run.LPSolves
-			res.AllocReuses += run.AllocReuses
-			mr.MemberDrain += run.Drain1
-			mr.HubDrain += run.Drain2
-			res.HubDrain += run.Drain2
-			if ms.txScale > 1 {
-				extra := run.Drain1 * units.Joule(ms.txScale-1)
-				memberBatts[i].Drain(extra)
-				mr.MemberDrain += extra
-			}
-			if ms.rxScale > 1 {
-				extra := run.Drain2 * units.Joule(ms.rxScale-1)
-				hubBatt.Drain(extra)
-				mr.HubDrain += extra
-				res.HubDrain += extra
-			}
-			for mode, b := range run.ModeBits {
-				mr.ModeBits[mode] += b
-			}
-			bits := float64(m.Load) * float64(slice)
-			if run.Bits < bits*0.999 && memberBatts[i].Empty() {
-				mr.Starved = true
-			}
-			// Hub-death accounting: checked after *every* commit, not
-			// only on under-delivery — a dead hub must not keep serving
-			// the rest of the round.
-			if hubBatt.Empty() {
-				if res.HubDiedRound < 0 {
-					res.HubDiedRound = round
-					if rec != nil {
-						rec.HubDeaths.Add(1)
-						rec.Trace(obs.Event{Kind: obs.EvHubDeath, Round: round, Member: -1, Time: float64(now)})
-					}
-				}
-				break
-			}
-		}
-	}
-	res.HubExhausted = hubBatt.Empty()
 	return res, nil
-}
-
-// planMember runs one member's plan phase: solve and execute its braid
-// — links preset by the round's batched characterization — against a
-// copy of its battery and the hub's round-start snapshot. Eligibility,
-// walks, and fault state were already decided in the sequential
-// phase 0, so this writes only to the member's scratch slot (and reads
-// only member-owned state), which is what makes the phase safe and
-// deterministic under par.For at any worker count.
-func (h *Hub) planMember(i int, scr *runScratch, memberBatts []*energy.Battery,
-	hubSnap *energy.Battery, slice units.Second) {
-	ms := &scr.members[i]
-	m := &h.members[i]
-	if !ms.active {
-		return
-	}
-	ms.braid.Distance = ms.dist
-	ms.braid.MaxBits = float64(m.Load) * float64(slice)
-	ms.planB1 = *memberBatts[i]
-	ms.planB2 = *hubSnap
-	ms.err = ms.braid.RunInto(&ms.plan, &ms.scr, &ms.planB1, &ms.planB2)
-}
-
-// strikeMember records one failed round for a member and quarantines it
-// once the strike budget is exhausted, wrapping ErrMemberQuarantined
-// around the final cause. member and now feed the quarantine trace
-// event; rec may be nil.
-func (h *Hub) strikeMember(mr *MemberResult, strikes *int, round, member int, rec *obs.Recorder,
-	now units.Second, cause error, res *Result) {
-	*strikes++
-	if *strikes < h.strikeLimit() {
-		return
-	}
-	mr.Quarantined = true
-	mr.QuarantinedRound = round
-	mr.Err = fmt.Errorf("%w after %d consecutive failed rounds: %w", ErrMemberQuarantined, *strikes, cause)
-	res.Quarantines++
-	if rec != nil {
-		rec.Quarantines.Add(1)
-		rec.Trace(obs.Event{Kind: obs.EvQuarantine, Round: round, Member: member, Time: float64(now)})
-	}
 }
 
 // HubShare returns the fraction of the joint radio bill the hub paid

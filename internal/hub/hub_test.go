@@ -8,6 +8,7 @@ import (
 	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/faults"
+	"braidio/internal/net"
 	"braidio/internal/phy"
 	"braidio/internal/sim"
 	"braidio/internal/units"
@@ -208,6 +209,42 @@ func TestHubValidation(t *testing.T) {
 	}
 	if got := len(h.Members()); got != 1 {
 		t.Errorf("members = %d", got)
+	}
+}
+
+// TestHubDegenerateInputs: a zero-capacity hub or member and a NaN or
+// infinite load are typed errors, never a panic or an unbounded round.
+func TestHubDegenerateInputs(t *testing.T) {
+	dead := energy.Device{Name: "dead", Capacity: 0, Class: "custom"}
+	watch := Member{Device: dev(t, "Apple Watch"), Distance: 0.4, Load: 5000}
+
+	h := New(dead, nil)
+	if err := h.Add(watch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(3600, 12); !errors.Is(err, net.ErrBadDevice) {
+		t.Errorf("zero-capacity hub: err = %v, want net.ErrBadDevice", err)
+	}
+	h = New(dev(t, "iPhone 6S"), nil)
+	if err := h.Add(Member{Device: dead, Distance: 0.4, Load: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(3600, 12); !errors.Is(err, net.ErrBadDevice) {
+		t.Errorf("zero-capacity member: err = %v, want net.ErrBadDevice", err)
+	}
+
+	for _, load := range []units.BitRate{units.BitRate(math.NaN()), units.BitRate(math.Inf(1))} {
+		m := watch
+		m.Load = load
+		if err := New(dev(t, "iPhone 6S"), nil).Add(m); !errors.Is(err, net.ErrBadLoad) {
+			t.Errorf("Add with load %v: err = %v, want net.ErrBadLoad", float64(load), err)
+		}
+		// A member that bypasses Add still cannot run uncapped.
+		h := New(dev(t, "iPhone 6S"), nil)
+		h.members = append(h.members, m)
+		if _, err := h.Run(3600, 12); !errors.Is(err, net.ErrBadLoad) {
+			t.Errorf("Run with load %v: err = %v, want net.ErrBadLoad", float64(load), err)
+		}
 	}
 }
 

@@ -65,6 +65,7 @@ func TestHubMetricsGolden(t *testing.T) {
 		"Replans":      {s.Replans, 0},
 		"Quarantines":  {s.Quarantines, 0},
 		"HubDeaths":    {s.HubDeaths, 0},
+		"NetRounds":    {s.NetRounds, 0},
 		"RawBits":      {s.RawBits, 189849600000},
 		"EPBCount":     {s.EnergyPerBit.Count, 36},
 	}

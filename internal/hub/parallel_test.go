@@ -77,8 +77,8 @@ func normalize(r *Result) (*Result, []string) {
 	return &cp, errs
 }
 
-// TestHubRunParallelBitIdentical is the tentpole's golden test: the
-// two-phase engine must produce bit-identical Results at any worker
+// TestHubRunParallelBitIdentical is the engine's worker-invariance test:
+// the two-phase engine must produce bit-identical Results at any worker
 // count, across static, mobile, fault-injected, and QoS members. This
 // is what licenses every parallel-speedup claim the fleet engine makes.
 func TestHubRunParallelBitIdentical(t *testing.T) {

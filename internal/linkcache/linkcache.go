@@ -297,8 +297,8 @@ const batchParThreshold = 64
 // dists[i] for a whole round, striping the lookups over the worker pool
 // for large batches (each index writes only its own slot, so results
 // are identical at any worker count). This is the batched link
-// characterization the hub's plan phase and the serve daemon's epoch
-// planner feed their solve kernels from.
+// characterization the round engine's phase 0 (internal/net) and the
+// serve daemon's epoch planner feed their solve kernels from.
 func (v *View) CharacterizeBatch(workers int, dists []units.Meter, out [][]phy.ModeLink) {
 	if len(dists) != len(out) {
 		panic(fmt.Sprintf("linkcache: %d distances but %d output slots", len(dists), len(out)))

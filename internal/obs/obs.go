@@ -272,7 +272,7 @@ type Recorder struct {
 
 	// Hub engine series (internal/hub) — committed round accounting.
 
-	// HubRounds counts hub scheduling rounds started.
+	// HubRounds counts scheduling rounds started, once per live hub.
 	HubRounds Counter
 	// MemberRounds counts successfully committed member-rounds.
 	MemberRounds Counter
@@ -288,7 +288,8 @@ type Recorder struct {
 	// Network engine series (internal/net) — multi-hub scheduling with
 	// carrier sharing, interference, and 2-hop relays.
 
-	// NetRounds counts network scheduling rounds planned.
+	// NetRounds counts scheduling rounds of topologies with more than
+	// one hub. A one-hub run — every hub.Run — counts only HubRounds.
 	NetRounds Counter
 	// RelayRounds counts member-rounds committed through a 2-hop relay
 	// (member → neighbor hub → home hub).

@@ -371,7 +371,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_quarantines_total", "Members quarantined.", s.Quarantines)
 	counter("braidio_outage_rounds_total", "Member-rounds lost to injected outages.", s.OutageRounds)
 	counter("braidio_hub_deaths_total", "Hub batteries exhausted mid-run.", s.HubDeaths)
-	counter("braidio_net_rounds_total", "Network scheduling rounds planned.", s.NetRounds)
+	counter("braidio_net_rounds_total", "Scheduling rounds of multi-hub networks.", s.NetRounds)
 	counter("braidio_relay_rounds_total", "Member-rounds committed through a 2-hop relay.", s.RelayRounds)
 	counter("braidio_carrier_shares_total", "Member-rounds committed on a borrowed carrier.", s.CarrierShares)
 	counter("braidio_interfered_rounds_total", "Member-rounds planned under co-channel interference.", s.InterferedRounds)
