@@ -171,6 +171,9 @@ func Decode(buf []byte) (*Frame, error) {
 		return nil, ErrTooShort
 	}
 	length := int(body[4])
+	if length > MaxPayload {
+		return nil, ErrOversized
+	}
 	if len(body) < HeaderLen+length+CRCLen {
 		return nil, ErrBadLength
 	}

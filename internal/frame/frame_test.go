@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -127,6 +128,24 @@ func TestDecodeErrors(t *testing.T) {
 func TestEncodeOversized(t *testing.T) {
 	if _, err := Encode(Header{}, make([]byte, MaxPayload+1)); !errors.Is(err, ErrOversized) {
 		t.Errorf("oversized payload: %v", err)
+	}
+}
+
+// TestDecodeOversized: a frame whose length field exceeds MaxPayload
+// could never have been encoded, so Decode refuses it even when its CRC
+// checks out.
+func TestDecodeOversized(t *testing.T) {
+	buf, err := Encode(Header{Type: TypeData}, make([]byte, MaxPayload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header and payload, one byte longer, with the length field to match.
+	msg := append(append([]byte(nil), buf[PreambleLen+SyncLen:len(buf)-CRCLen]...), 0)
+	msg[4] = MaxPayload + 1
+	long := append(append([]byte(nil), buf[:PreambleLen+SyncLen]...), msg...)
+	long = binary.BigEndian.AppendUint16(long, CRC16(msg))
+	if _, err := Decode(long); !errors.Is(err, ErrOversized) {
+		t.Errorf("length %d frame: err = %v, want ErrOversized", MaxPayload+1, err)
 	}
 }
 
