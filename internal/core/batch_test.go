@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"braidio/internal/obs"
 	"braidio/internal/phy"
 	"braidio/internal/units"
 )
@@ -72,7 +71,7 @@ func checkSlot(t *testing.T, s *BatchScratch, k int, want *Allocation, wantErr e
 }
 
 // TestOptimizeBatchDifferential pins the batch kernel's golden
-// contract: OptimizeBatch over the SoA arena is bit-identical to
+// contract: OptimizeBatch over the arena is bit-identical to
 // per-member Optimize over the equivalent []ModeLink — for every slot,
 // at every worker count, including out-of-range and extreme-asymmetry
 // slots.
@@ -93,67 +92,6 @@ func TestOptimizeBatchDifferential(t *testing.T) {
 		for k := 0; k < n; k++ {
 			checkSlot(t, &s, k, want[k], wantErr[k])
 		}
-	}
-}
-
-// TestSolveEq1BatchDifferential pins the simplex batch kernel: every
-// slot agrees bit for bit with per-member SolveEq1, across rounds of
-// budget drift where slots re-solve warm from their retained bases, at
-// every worker count. The recorder cross-check asserts the warm path is
-// genuinely exercised and that a first-ever solve counts as neither a
-// warm start nor a cold fallback.
-func TestSolveEq1BatchDifferential(t *testing.T) {
-	m := phy.NewModel()
-	rng := batchRNG(0xbadcaffe)
-	var s BatchScratch
-	const n = 100
-	refLinks := fillBatch(&s, m, &rng, n)
-	rec := obs.NewRecorder()
-
-	const rounds = 5
-	for round := 0; round < rounds; round++ {
-		if round > 0 {
-			// Drift budgets a fraction of a decade — consecutive solves
-			// stay structurally close, the warm-start regime.
-			for k := 0; k < n; k++ {
-				s.E1[k] = units.Joule(float64(s.E1[k]) * math.Pow(10, 0.3*(rng.next()-0.5)))
-				s.E2[k] = units.Joule(float64(s.E2[k]) * math.Pow(10, 0.3*(rng.next()-0.5)))
-			}
-		}
-		workers := []int{1, 2, 8}[round%3]
-		SolveEq1Batch(&s, workers, rec)
-		if round == 0 {
-			snap := rec.Snapshot()
-			if snap.LPWarmStarts != 0 || snap.LPColdFallbacks != 0 {
-				t.Fatalf("first round recorded warm=%d cold=%d, want 0/0 (no retained bases yet)",
-					snap.LPWarmStarts, snap.LPColdFallbacks)
-			}
-		}
-		for k := 0; k < n; k++ {
-			want, wantErr := SolveEq1(refLinks[k], s.E1[k], s.E2[k])
-			checkSlot(t, &s, k, want, wantErr)
-		}
-	}
-	snap := rec.Snapshot()
-	if snap.LPWarmStarts == 0 {
-		t.Fatal("drift rounds never exercised the warm path")
-	}
-	t.Logf("warm starts: %d, cold fallbacks: %d over %d rounds × %d slots",
-		snap.LPWarmStarts, snap.LPColdFallbacks, rounds, n)
-
-	// InvalidateWarm drops the retained bases: the next round must count
-	// neither warm starts nor cold fallbacks beyond the tally so far.
-	s.InvalidateWarm()
-	warmBefore, coldBefore := snap.LPWarmStarts, snap.LPColdFallbacks
-	SolveEq1Batch(&s, 1, rec)
-	snap = rec.Snapshot()
-	if snap.LPWarmStarts != warmBefore || snap.LPColdFallbacks != coldBefore {
-		t.Errorf("post-invalidate round recorded warm %d→%d cold %d→%d, want unchanged",
-			warmBefore, snap.LPWarmStarts, coldBefore, snap.LPColdFallbacks)
-	}
-	for k := 0; k < n; k++ {
-		want, wantErr := SolveEq1(refLinks[k], s.E1[k], s.E2[k])
-		checkSlot(t, &s, k, want, wantErr)
 	}
 }
 

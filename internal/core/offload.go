@@ -21,6 +21,11 @@
 //     and bit-maximization agree in the interior — the paper's point P
 //     on line BC of Fig. 9).
 //
+// Every planner runs Optimize's closed form: Optimize, OptimizeInto and
+// the batch arena's OptimizeBatch share one validating enumeration, so
+// the three agree bit for bit. SolveEq1 is the reference that the
+// property tests and the ablation-solver table check it against.
+//
 // Fractions are fractions of delivered bits, which at equal mode bitrates
 // equal the paper's fractions of time.
 package core
@@ -119,18 +124,36 @@ func Optimize(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
 }
 
 // OptimizeInto is Optimize solving into caller-owned storage: dst's P
-// slice is resized in place. scratch is retained for API compatibility
-// and no longer used — the enumeration tracks the winning candidate by
-// index instead of materializing fraction vectors. core.Braid's
-// default-optimizer path and the serve daemon's epoch planner call this
-// with persistent dst buffers so a solve performs no heap allocation.
+// slice is resized in place, so a caller reusing one dst solves without
+// heap allocation. scratch is ignored. net's planner calls this with
+// persistent per-slot dst values.
 func OptimizeInto(dst *Allocation, scratch []float64, links []phy.ModeLink, e1, e2 units.Joule) error {
 	_ = scratch
 	return optimizeInto(dst, links, e1, e2)
 }
 
 // optimizeInto is Optimize solving into caller-owned storage: dst's P
-// slice is resized in place.
+// slice is resized in place. On error dst is left unchanged.
+func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) error {
+	p := dst.P
+	if cap(p) < len(links) {
+		p = make([]float64, len(links))
+	}
+	p = p[:len(links)]
+	tx, rx, bits, err := optimizeRow(links, e1, e2, p)
+	if err != nil {
+		return err
+	}
+	dst.Links, dst.P = links, p
+	dst.TX, dst.RX, dst.Bits = tx, rx, bits
+	return nil
+}
+
+// optimizeRow is the validation and enumeration behind Optimize and
+// OptimizeBatch: it writes the winning fractions into p (len(links)
+// long) and returns the mixture's per-bit costs and deliverable bits. It
+// keeps no reference to links or p, so a caller's row stays wherever
+// the caller put it.
 //
 // The enumeration tracks the winner by candidate index instead of
 // materializing each candidate's fraction vector. This is bit-identical
@@ -138,19 +161,14 @@ func OptimizeInto(dst *Allocation, scratch []float64, links []phy.ModeLink, e1, 
 // and a two-mode mix has exactly two nonzero terms, and in IEEE
 // arithmetic 0·x = +0 and y + (+0) = y exactly (all costs are positive),
 // so the zero terms of the generic dot product never change a bit.
-// Candidate order (pure modes first, then pairs i<j) and the strict
-// improvement comparison are preserved, so the winner — and every output
-// bit — matches the generic enumeration. The hub's golden metrics pin
-// this equivalence.
-func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) error {
+// Candidates run pure modes first, then pairs i<j, and only a strict
+// improvement replaces the winner. The hub's golden metrics pin this
+// equivalence.
+func optimizeRow(links []phy.ModeLink, e1, e2 units.Joule, p []float64) (units.JoulesPerBit, units.JoulesPerBit, float64, error) {
 	if err := validateInputs(links, e1, e2); err != nil {
-		return err
+		return 0, 0, 0, err
 	}
 	ratio := float64(e1) / float64(e2)
-	if cap(dst.P) < len(links) {
-		dst.P = make([]float64, len(links))
-	}
-	dst.Links, dst.P = links, dst.P[:len(links)]
 
 	bestI, bestJ := -1, -1
 	bestQ := 0.0
@@ -192,16 +210,15 @@ func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) err
 			}
 		}
 	}
-	for k := range dst.P {
-		dst.P[k] = 0
+	for k := range p {
+		p[k] = 0
 	}
 	if bestJ < 0 {
-		dst.P[bestI] = 1
+		p[bestI] = 1
 	} else {
-		dst.P[bestI], dst.P[bestJ] = bestQ, 1-bestQ
+		p[bestI], p[bestJ] = bestQ, 1-bestQ
 	}
-	dst.TX, dst.RX, dst.Bits = bestTX, bestRX, bestBits
-	return nil
+	return bestTX, bestRX, bestBits, nil
 }
 
 // scaleRowMax normalizes a matrix row by its largest magnitude. Per-bit
@@ -209,9 +226,8 @@ func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) err
 // proportionality row's entries near the simplex solver's absolute
 // pivot tolerance and lets a near-eps pivot corrupt the well-scaled
 // Σp = 1 row. Both the row (= 0) and the objective are invariant under
-// positive scaling, so SolveEq1 and SolveEq1Batch normalize each by its
-// largest magnitude — through this one function, so the two paths stay
-// bit-identical.
+// positive scaling, so SolveEq1 normalizes each by its largest
+// magnitude.
 func scaleRowMax(row []float64) {
 	maxAbs := 0.0
 	for _, v := range row {

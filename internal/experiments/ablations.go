@@ -137,17 +137,7 @@ func AblationSolver() (*Report, error) {
 		ID:    "ablation-solver",
 		Title: "Closed-form vertex optimizer vs simplex LP (Eq. 1)",
 	}
-	model := phy.NewModel()
-	links := model.Characterize(0.3)
-	// One-slot batch arena reused across the sweep: each ratio's simplex
-	// solve warm-starts from the previous ratio's final basis (falling
-	// back to a cold two-phase solve when that basis is infeasible at
-	// the new ratio), which exercises the warm path on the same numbers
-	// the per-call SolveEq1 produces — warm and cold are bit-identical.
-	var batch core.BatchScratch
-	batch.Reset(1)
-	batch.Cols.Reset(1)
-	model.CharacterizeColumns(&batch.Cols, 0, 0.3)
+	links := phy.NewModel().Characterize(0.3)
 	rows := [][]string{}
 	worst := 0.0
 	for _, ratio := range []float64{0.001, 0.01, 0.1, 1, 10, 100, 1000} {
@@ -155,13 +145,10 @@ func AblationSolver() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		batch.E1[0], batch.E2[0] = units.Joule(1000*ratio), 1000
-		core.SolveEq1Batch(&batch, 1, nil)
-		lpErr := batch.Errs[0]
 		lpBits := math.NaN()
 		status := "infeasible (clamped regime)"
-		if lpErr == nil {
-			lpBits = batch.Bits[0]
+		if viaLP, err := core.SolveEq1(links, units.Joule(1000*ratio), 1000); err == nil {
+			lpBits = viaLP.Bits
 			status = "agrees"
 			if rel := math.Abs(direct.Bits-lpBits) / direct.Bits; rel > worst {
 				worst = rel

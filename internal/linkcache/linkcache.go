@@ -30,13 +30,13 @@
 package linkcache
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 
 	"braidio/internal/par"
 	"braidio/internal/phy"
+	"braidio/internal/rng"
 	"braidio/internal/units"
 )
 
@@ -102,13 +102,6 @@ func init() {
 	}
 }
 
-// mix64 is SplitMix64's finalizer — a cheap, high-quality 64-bit mixer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // shardFor selects the stripe for a lookup. Distance is the
 // high-cardinality dimension (mobility sweeps thousands of distinct
 // separations), so it must dominate the spread; mode/rate and a cheap
@@ -118,11 +111,11 @@ func mix64(z uint64) uint64 {
 // most capacity sharing, never correctness, because the full model
 // value is still part of the map key.
 func shardFor(m *phy.Model, mode phy.Mode, rate units.BitRate, d units.Meter) *shard {
-	h := mix64(math.Float64bits(float64(d)))
-	h ^= mix64(uint64(mode)<<32 ^ math.Float64bits(float64(rate)))
-	h ^= mix64(uint64(m.PayloadLen)<<1 ^ math.Float64bits(float64(m.FadeMargin)))
+	h := rng.Mix64(math.Float64bits(float64(d)))
+	h ^= rng.Mix64(uint64(mode)<<32 ^ math.Float64bits(float64(rate)))
+	h ^= rng.Mix64(uint64(m.PayloadLen)<<1 ^ math.Float64bits(float64(m.FadeMargin)))
 	if m.Retransmit {
-		h = mix64(h)
+		h = rng.Mix64(h)
 	}
 	return &shards[h>>(64-shardBits)]
 }
@@ -288,36 +281,18 @@ func (v *View) Characterize(d units.Meter) []phy.ModeLink {
 	return ls
 }
 
-// batchParThreshold is the batch size below which CharacterizeBatch
-// stays sequential: striping a handful of map hits over the pool costs
-// more in goroutine fan-out than it saves.
+// batchParThreshold is the batch size below which CharacterizeColumns
+// stays sequential: striping a handful of rows over the pool costs more
+// in goroutine fan-out than it saves.
 const batchParThreshold = 64
 
-// CharacterizeBatch fills out[i] with the canonical characterization at
-// dists[i] for a whole round, striping the lookups over the worker pool
-// for large batches (each index writes only its own slot, so results
-// are identical at any worker count). This is the batched link
-// characterization the round engine's phase 0 (internal/net) and the
-// serve daemon's epoch planner feed their solve kernels from.
-func (v *View) CharacterizeBatch(workers int, dists []units.Meter, out [][]phy.ModeLink) {
-	if len(dists) != len(out) {
-		panic(fmt.Sprintf("linkcache: %d distances but %d output slots", len(dists), len(out)))
-	}
-	if len(dists) >= batchParThreshold && workers != 1 {
-		par.For(workers, len(dists), func(i int) { out[i] = v.Characterize(dists[i]) })
-		return
-	}
-	for i, d := range dists {
-		out[i] = v.Characterize(d)
-	}
-}
-
 // CharacterizeColumns fills member k's row of cols for every k with the
-// structure-of-arrays characterization at dists[k] — the flat-column
-// twin of CharacterizeBatch for kernels that never need []ModeLink
-// slices. Column rows are computed directly (they carry the SNR column,
-// which the AoS cache does not); values are bit-identical to
-// Characterize's because both run the same per-mode computations.
+// characterization at dists[k], striping rows over the worker pool for
+// large batches (each index writes only its own row, so results are
+// identical at any worker count). Rows are computed directly, not read
+// from the cache; values are bit-identical to Characterize's because
+// both run CharacterizeInto. The serve daemon's epoch planner feeds
+// core.OptimizeBatch from this.
 func (v *View) CharacterizeColumns(workers int, dists []units.Meter, cols *phy.LinkColumns) {
 	cols.Reset(len(dists))
 	fill := func(i int) { v.model.CharacterizeColumns(cols, i, dists[i]) }

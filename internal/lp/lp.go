@@ -1,6 +1,7 @@
-// Package lp implements a small dense linear-program solver used by the
-// carrier-offload engine to solve the mode-fraction program of Eq. (1) in
-// the paper, and by tests to cross-check the closed-form solution.
+// Package lp implements a small dense linear-program solver. Through
+// core.SolveEq1 it solves the mode-fraction program of Eq. (1) in the
+// paper: the reference that the property tests and the ablation-solver
+// table check the closed-form optimizer against. No planner runs it.
 //
 // The solver handles problems in standard form:
 //
@@ -37,11 +38,6 @@ type Solution struct {
 	X []float64
 	// Objective is cᵀx at the optimum.
 	Objective float64
-	// Basis is the final simplex basis: for each constraint row, the
-	// index of the variable basic in that row, or -1 for a redundant row
-	// zeroed in phase 1. Feed it to SolveWarm to warm-start a related
-	// problem (the same structure with drifted coefficients).
-	Basis []int
 }
 
 // Errors returned by Solve.
@@ -265,7 +261,7 @@ func Solve(p *Problem) (*Solution, error) {
 	for j := 0; j < n; j++ {
 		obj += p.C[j] * x[j]
 	}
-	return &Solution{X: x, Objective: obj, Basis: append([]int(nil), t.basis...)}, nil
+	return &Solution{X: x, Objective: obj}, nil
 }
 
 // extract reconstructs the solution a basis determines directly from the
@@ -274,10 +270,8 @@ func Solve(p *Problem) (*Solution, error) {
 // square system A_B·x_B = b_B by Gaussian elimination with partial
 // pivoting, and prices the objective off the original costs. The
 // arithmetic depends only on (p, the basis *set*) — never on the pivot
-// path that reached the basis — so a cold two-phase solve and a
-// warm-started solve that finish in the same basis return bit-identical
-// solutions. That is the keystone of the SolveWarm differential
-// contract.
+// path that reached the basis — so the answer carries none of the
+// rounding the tableau accumulated along that path.
 func extract(p *Problem, basis []int) (*Solution, error) {
 	n := len(p.C)
 	var rows, cols []int
@@ -345,90 +339,5 @@ func extract(p *Problem, basis []int) (*Solution, error) {
 	for j := 0; j < n; j++ {
 		obj += p.C[j] * x[j]
 	}
-	return &Solution{X: x, Objective: obj, Basis: append([]int(nil), basis...)}, nil
-}
-
-// validBasis reports whether a caller-supplied warm basis is structurally
-// usable: one entry per row, every entry a distinct original variable.
-// Bases carrying redundant-row markers (-1) are rejected — the warm path
-// has no phase 1 to re-derive which rows are redundant for the *new*
-// coefficients, so those problems take the cold path.
-func validBasis(basis []int, m, n int) bool {
-	if len(basis) != m || m > n {
-		return false
-	}
-	for i, bi := range basis {
-		if bi < 0 || bi >= n {
-			return false
-		}
-		for j := 0; j < i; j++ {
-			if basis[j] == bi {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SolveWarm solves the linear program starting from the final basis of a
-// previous, related solve (Solution.Basis): it canonicalizes the basis
-// against the new coefficients and runs phase 2 directly, skipping
-// phase 1's artificial variables entirely. When the supplied basis is
-// structurally invalid, numerically singular for the new A, or no longer
-// primal feasible for the new b (the inputs drifted too far), SolveWarm
-// falls back to a cold Solve — warm reports which path produced the
-// solution, so callers can count warm starts against cold fallbacks.
-//
-// Warm and cold solves that finish in the same basis return bit-identical
-// solutions: both extract the final answer from the original problem data
-// and the basis set alone (see extract).
-func SolveWarm(p *Problem, basis []int) (sol *Solution, warm bool, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, false, err
-	}
-	n := len(p.C)
-	m := len(p.B)
-	cold := func() (*Solution, bool, error) {
-		s, err := Solve(p)
-		return s, false, err
-	}
-	if !validBasis(basis, m, n) {
-		return cold()
-	}
-	// Rebuild the tableau from the new coefficients and canonicalize the
-	// basic columns into unit vectors row by row.
-	t := &tableau{
-		a:     make([][]float64, m),
-		b:     make([]float64, m),
-		basis: append([]int(nil), basis...),
-		m:     m,
-		n:     n,
-	}
-	for i := range t.a {
-		t.a[i] = append([]float64(nil), p.A[i]...)
-		t.b[i] = p.B[i]
-	}
-	for i := 0; i < m; i++ {
-		if math.Abs(t.a[i][t.basis[i]]) <= eps {
-			return cold() // basis singular for the new coefficients
-		}
-		t.pivot(i, t.basis[i])
-	}
-	for i := 0; i < m; i++ {
-		if t.b[i] < 0 {
-			return cold() // basis no longer primal feasible
-		}
-	}
-	t.c = append([]float64(nil), p.C...)
-	if err := t.iterate(); err != nil {
-		// A genuinely unbounded problem is unbounded from any feasible
-		// start, so let the cold path deliver the verdict (or, for a
-		// near-degenerate start, a clean answer).
-		return cold()
-	}
-	s, err := extract(p, t.basis)
-	if err != nil {
-		return cold()
-	}
-	return s, true, nil
+	return &Solution{X: x, Objective: obj}, nil
 }

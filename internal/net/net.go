@@ -335,7 +335,6 @@ type slot struct {
 type scratch struct {
 	slots []slot
 	hubs  []hubState
-	batch core.BatchScratch
 	env   faults.Env
 }
 

@@ -146,9 +146,8 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 // set), the emission census, donor selection, per-receiver interference
 // aggregation, and link construction. A member whose carrier drops out
 // is an outage: inactive for the round. Slots on the isolated path (no
-// interference, no donor) get their canonical linkcache slices via one
-// batched characterization, which keeps the braids' allocation memos
-// effective. Interfered or carrier-shared slots get a private link
+// interference, no donor) get their canonical linkcache slices, which
+// keeps the braids' allocation memos effective. Interfered or carrier-shared slots get a private link
 // build with the braid's allocation memo disabled for the round (see
 // slot.priv).
 func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*energy.Battery, now units.Second, impair bool) {
@@ -198,8 +197,6 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 		sc.hubs[s.hub].emitting = true
 	}
 	// Pass B: donors, interference, and the canonical/private split.
-	sc.batch.Reset(len(sc.slots))
-	nb := 0
 	for i := range sc.slots {
 		s := &sc.slots[i]
 		if !s.active {
@@ -211,14 +208,8 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 		}
 		s.private = s.mw > 0 || s.sharedOK
 		if !s.private {
-			sc.batch.Dists[nb] = s.dist
-			sc.batch.Idx[nb] = i
-			nb++
+			s.links = n.view.Characterize(s.dist)
 		}
-	}
-	n.view.CharacterizeBatch(n.cfg.Workers, sc.batch.Dists[:nb], sc.batch.Links[:nb])
-	for r := 0; r < nb; r++ {
-		sc.slots[sc.batch.Idx[r]].links = sc.batch.Links[r]
 	}
 	for i := range sc.slots {
 		s := &sc.slots[i]

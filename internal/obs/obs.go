@@ -217,14 +217,8 @@ type Recorder struct {
 	// LPSolves counts epochs whose allocation came from an actual
 	// optimizer solve.
 	LPSolves Counter
-	// LPWarmStarts counts simplex solves that succeeded starting from a
-	// caller-supplied basis (the previous round's) without a phase-1 pass.
-	LPWarmStarts Counter
-	// LPColdFallbacks counts warm-start attempts that fell back to a
-	// cold two-phase solve (stale, infeasible, or degenerate basis).
-	LPColdFallbacks Counter
-	// BatchRounds counts planning rounds solved through the batched
-	// columnar path (one per hub round or serve epoch, not per member).
+	// BatchRounds counts planning rounds, not members: one per net or
+	// hub round, and one per serve epoch that planned members.
 	BatchRounds Counter
 	// AllocReuses counts epochs served from the ratio-keyed memo.
 	AllocReuses Counter

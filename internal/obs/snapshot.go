@@ -61,8 +61,7 @@ type CacheSnapshot struct {
 type Snapshot struct {
 	// BraidRuns..HubDeaths mirror the Recorder counters; see Recorder
 	// for per-field semantics.
-	BraidRuns, Epochs, LPSolves, AllocReuses, Switches                            uint64
-	LPWarmStarts, LPColdFallbacks, BatchRounds                                    uint64
+	BraidRuns, Epochs, LPSolves, AllocReuses, Switches, BatchRounds               uint64
 	FramesDelivered, FramesLost, Retransmissions, Probes, Recomputes              uint64
 	Fallbacks, FallbacksSuppressed, BackoffWaits, LinkDeaths                      uint64
 	HubRounds, MemberRounds, Replans, Quarantines, OutageRounds, HubDeaths        uint64
@@ -101,8 +100,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		BraidRuns:           r.BraidRuns.Load(),
 		Epochs:              r.Epochs.Load(),
 		LPSolves:            r.LPSolves.Load(),
-		LPWarmStarts:        r.LPWarmStarts.Load(),
-		LPColdFallbacks:     r.LPColdFallbacks.Load(),
 		BatchRounds:         r.BatchRounds.Load(),
 		AllocReuses:         r.AllocReuses.Load(),
 		Switches:            r.Switches.Load(),
@@ -260,8 +257,6 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"braid runs", fmt.Sprint(s.BraidRuns)},
 		{"epochs", fmt.Sprint(s.Epochs)},
 		{"LP solves", fmt.Sprint(s.LPSolves)},
-		{"LP warm starts", fmt.Sprint(s.LPWarmStarts)},
-		{"LP cold fallbacks", fmt.Sprint(s.LPColdFallbacks)},
 		{"batch rounds", fmt.Sprint(s.BatchRounds)},
 		{"alloc memo reuses", fmt.Sprint(s.AllocReuses)},
 		{"mode switches", fmt.Sprint(s.Switches)},
@@ -351,9 +346,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_braid_runs_total", "Completed braid engine executions.", s.BraidRuns)
 	counter("braidio_epochs_total", "Allocation epochs.", s.Epochs)
 	counter("braidio_lp_solves_total", "Offload optimizer solves.", s.LPSolves)
-	counter("braidio_lp_warm_starts_total", "Simplex solves warm-started from a prior basis.", s.LPWarmStarts)
-	counter("braidio_lp_cold_fallbacks_total", "Warm-start attempts that fell back to a cold solve.", s.LPColdFallbacks)
-	counter("braidio_batch_rounds_total", "Planning rounds solved through the batched columnar path.", s.BatchRounds)
+	counter("braidio_batch_rounds_total", "Planning rounds: one per net or hub round, and one per serve epoch that planned members.", s.BatchRounds)
 	counter("braidio_alloc_reuses_total", "Allocations served from the ratio memo.", s.AllocReuses)
 	counter("braidio_mode_switches_total", "Radio mode transitions.", s.Switches)
 	counter("braidio_frames_delivered_total", "MAC data frames delivered.", s.FramesDelivered)

@@ -35,8 +35,7 @@ const (
 var Modes = [3]Mode{ModeActive, ModePassive, ModeBackscatter}
 
 // NumModes is the number of operating modes — the stride of the
-// structure-of-arrays link columns and of per-mode accounting arrays
-// indexed by Mode.
+// LinkColumns buffer and of per-mode accounting arrays indexed by Mode.
 const NumModes = len(Modes)
 
 // String implements fmt.Stringer.
@@ -223,7 +222,7 @@ func (m *Model) Available(mode Mode, d units.Meter) bool {
 // RangeBERTarget, and whether any does. The active link only runs at
 // 1 Mbps.
 func (m *Model) BestRate(mode Mode, d units.Meter) (units.BitRate, bool) {
-	r, _, _, ok := m.bestLink(mode, d)
+	r, _, ok := m.bestLink(mode, d)
 	return r, ok
 }
 
@@ -233,20 +232,19 @@ var activeRates = [1]units.BitRate{units.Rate1M}
 // bestLink is the per-mode step every characterization shares: it
 // computes the received power at d once, then each candidate rate's SINR
 // and BER once, fastest first, and returns the first rate meeting
-// RangeBERTarget with that SNR and BER.
-func (m *Model) bestLink(mode Mode, d units.Meter) (r units.BitRate, snr units.DB, ber float64, ok bool) {
+// RangeBERTarget with its BER.
+func (m *Model) bestLink(mode Mode, d units.Meter) (r units.BitRate, ber float64, ok bool) {
 	rates := Rates[:]
 	if mode == ModeActive {
 		rates = activeRates[:]
 	}
 	rx := m.ReceivedPower(mode, d)
 	for _, r = range rates {
-		snr = m.sinr(mode, r, rx)
-		if ber = modem.BERFromDB(SchemeAt(mode, r), snr); ber <= RangeBERTarget {
-			return r, snr, ber, true
+		if ber = modem.BERFromDB(SchemeAt(mode, r), m.sinr(mode, r, rx)); ber <= RangeBERTarget {
+			return r, ber, true
 		}
 	}
-	return 0, 0, 0, false
+	return 0, 0, false
 }
 
 // Range returns the maximum distance at which a mode/rate meets
@@ -368,111 +366,51 @@ func (m *Model) Characterize(d units.Meter) []ModeLink {
 func (m *Model) CharacterizeInto(dst []ModeLink, d units.Meter) []ModeLink {
 	dst = dst[:0]
 	for _, mode := range Modes {
-		if r, _, ber, ok := m.bestLink(mode, d); ok {
+		if r, ber, ok := m.bestLink(mode, d); ok {
 			dst = append(dst, m.link(mode, r, ber))
 		}
 	}
 	return dst
 }
 
-// LinkColumns is the structure-of-arrays projection of a batch of link
-// characterizations: one row of NumModes-stride columns per member, flat
-// float64 (and small scalar) arrays instead of per-member []ModeLink
-// slices. Batch kernels iterate columns linearly — no per-member pointer
-// chasing, no per-member allocation — while Len records how many of the
-// row's leading slots are live (modes are in canonical order, unavailable
-// modes omitted exactly as Characterize omits them).
+// LinkColumns is a batch of link characterizations in one flat buffer:
+// member k's links live at Links[k*NumModes : k*NumModes+Len[k]], in
+// canonical mode order with unavailable modes omitted, exactly as
+// Characterize returns them. Batch kernels walk the buffer linearly with
+// no per-member slice or allocation.
 type LinkColumns struct {
-	// N is the number of members the columns currently describe.
-	N int
-	// Len[k] is the number of available modes for member k; member k's
-	// values live at [k*NumModes, k*NumModes+Len[k]).
+	// Len[k] is the number of available modes for member k.
 	Len []int32
-	// Mode and Rate identify each link slot.
-	Mode []Mode
-	Rate []units.BitRate
-	// SNR and BER are the link-quality columns (SNR in dB at the slot's
-	// operating rate).
-	SNR []units.DB
-	BER []float64
-	// Good is the delivered payload bitrate column.
-	Good []units.BitRate
-	// T and R are the per-useful-bit energy columns — the (T_i, R_i) of
-	// Eq. 1 — at the transmitter and receiver.
-	T, R []units.JoulesPerBit
+	// Links is the stride-NumModes link buffer.
+	Links []ModeLink
 }
 
-// Reset sizes the columns for n members, reusing the underlying arrays
+// Reset sizes the buffer for n members, reusing the underlying arrays
 // when capacity allows (one amortized allocation per growth, zero in
 // steady state).
 func (c *LinkColumns) Reset(n int) {
-	c.N = n
-	flat := n * NumModes
 	if cap(c.Len) < n {
 		c.Len = make([]int32, n)
-		c.Mode = make([]Mode, flat)
-		c.Rate = make([]units.BitRate, flat)
-		c.SNR = make([]units.DB, flat)
-		c.BER = make([]float64, flat)
-		c.Good = make([]units.BitRate, flat)
-		c.T = make([]units.JoulesPerBit, flat)
-		c.R = make([]units.JoulesPerBit, flat)
+		c.Links = make([]ModeLink, n*NumModes)
 	}
 	c.Len = c.Len[:n]
-	c.Mode = c.Mode[:flat]
-	c.Rate = c.Rate[:flat]
-	c.SNR = c.SNR[:flat]
-	c.BER = c.BER[:flat]
-	c.Good = c.Good[:flat]
-	c.T = c.T[:flat]
-	c.R = c.R[:flat]
+	c.Links = c.Links[:n*NumModes]
 }
 
-// Row copies member k's live slots into dst (len ≥ NumModes) as
-// ModeLinks and returns the filled prefix — the bridge back from
-// columnar storage to the slice-shaped APIs.
-func (c *LinkColumns) Row(k int, dst []ModeLink) []ModeLink {
-	base := k * NumModes
-	n := int(c.Len[k])
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		dst[i] = ModeLink{
-			Mode: c.Mode[base+i],
-			Rate: c.Rate[base+i],
-			BER:  c.BER[base+i],
-			Good: c.Good[base+i],
-			T:    c.T[base+i],
-			R:    c.R[base+i],
-		}
-	}
-	return dst
+// Row returns member k's live links. The row aliases the buffer and is
+// capacity-clamped, so an append can never spill into member k+1.
+func (c *LinkColumns) Row(k int) []ModeLink {
+	lo, hi := k*NumModes, k*NumModes+int(c.Len[k])
+	return c.Links[lo:hi:hi]
 }
 
-// CharacterizeColumns fills member k's row of cols from this model at
-// distance d: the same per-mode computations as Characterize, plus the
-// SNR column, written straight into the flat arrays. Each call touches
-// only row k, so a batch characterization can stripe calls across a
-// worker pool with index-owned writes.
+// CharacterizeColumns fills member k's row of cols with
+// CharacterizeInto at distance d. Each call touches only row k, so a
+// batch characterization can stripe calls across a worker pool with
+// index-owned writes.
 func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
-	base := k * NumModes
-	n := 0
-	for _, mode := range Modes {
-		r, snr, ber, ok := m.bestLink(mode, d)
-		if !ok {
-			continue
-		}
-		l := m.link(mode, r, ber)
-		i := base + n
-		cols.Mode[i] = mode
-		cols.Rate[i] = r
-		cols.SNR[i] = snr
-		cols.BER[i] = ber
-		cols.Good[i] = l.Good
-		cols.T[i] = l.T
-		cols.R[i] = l.R
-		n++
-	}
-	cols.Len[k] = int32(n)
+	lo := k * NumModes
+	cols.Len[k] = int32(len(m.CharacterizeInto(cols.Links[lo:lo:lo+NumModes], d)))
 }
 
 // SharedCarrierLink characterizes the backscatter mode when the carrier

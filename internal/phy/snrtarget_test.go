@@ -13,8 +13,8 @@ import (
 // The reference implementations below are the link model as it was
 // before the SNR-target table and the single per-rate evaluation: every
 // SNR solves its target with modem.SNRForBER, and a characterization
-// evaluates the chosen rate again for its BER and its SNR column. The
-// tests pin the production paths to them bit for bit.
+// evaluates the chosen rate again for its BER. The tests pin the
+// production paths to them bit for bit.
 
 func refSNRTarget(mode Mode, r units.BitRate) units.DB {
 	return units.DBFromRatio(modem.SNRForBER(SchemeAt(mode, r), RangeBERTarget))
@@ -52,20 +52,17 @@ func refLink(m *Model, mode Mode, r units.BitRate, ber float64) ModeLink {
 	return ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber), T: t, R: rx}
 }
 
-// refCharacterize returns the old Characterize's links and, per link,
-// the old CharacterizeColumns' SNR column value.
-func refCharacterize(m *Model, d units.Meter) ([]ModeLink, []units.DB) {
+// refCharacterize returns the old Characterize's links.
+func refCharacterize(m *Model, d units.Meter) []ModeLink {
 	var out []ModeLink
-	var snrs []units.DB
 	for _, mode := range Modes {
 		r, ok := refBestRate(m, mode, d)
 		if !ok {
 			continue
 		}
 		out = append(out, refLink(m, mode, r, refBER(m, mode, r, d)))
-		snrs = append(snrs, refSNR(m, mode, r, d))
 	}
-	return out, snrs
+	return out
 }
 
 func refSharedCarrierLink(m *Model, dForward, dReverse units.Meter) (ModeLink, bool) {
@@ -204,9 +201,9 @@ func TestUnknownModePanics(t *testing.T) {
 }
 
 // TestCharacterizeMatchesReference pins every characterization entry
-// point to the per-call reference over the whole grid: BestRate, every
-// ModeLink field of Characterize, CharacterizeInto and LinkAt, and every
-// column of CharacterizeColumns including the SNR bits.
+// point to the per-call reference over the whole grid: BestRate, and
+// every ModeLink field of Characterize, CharacterizeInto, LinkAt and
+// each CharacterizeColumns row.
 func TestCharacterizeMatchesReference(t *testing.T) {
 	dists := gridDistances()
 	var cols LinkColumns
@@ -214,20 +211,17 @@ func TestCharacterizeMatchesReference(t *testing.T) {
 	for mi, m := range gridModels() {
 		cols.Reset(len(dists))
 		for k, d := range dists {
-			want, wantSNR := refCharacterize(m, d)
+			want := refCharacterize(m, d)
 			got := m.Characterize(d)
 			buf = m.CharacterizeInto(buf, d)
 			m.CharacterizeColumns(&cols, k, d)
 			if len(got) != len(want) || len(buf) != len(want) || int(cols.Len[k]) != len(want) {
 				t.Fatalf("model %d d=%v: %d/%d/%d links, want %d", mi, float64(d), len(got), len(buf), cols.Len[k], len(want))
 			}
-			row := cols.Row(k, make([]ModeLink, NumModes))
+			row := cols.Row(k)
 			for i := range want {
 				if !sameLink(got[i], want[i]) || !sameLink(buf[i], want[i]) || !sameLink(row[i], want[i]) {
 					t.Fatalf("model %d d=%v link %d: got %+v / %+v / %+v, want %+v", mi, float64(d), i, got[i], buf[i], row[i], want[i])
-				}
-				if s := cols.SNR[k*NumModes+i]; !sameBits(float64(s), float64(wantSNR[i])) {
-					t.Fatalf("model %d d=%v link %d: SNR column %v, want %v", mi, float64(d), i, s, wantSNR[i])
 				}
 			}
 			for _, mode := range Modes {

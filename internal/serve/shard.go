@@ -27,9 +27,8 @@ import (
 	"time"
 
 	"braidio/internal/core"
-	"braidio/internal/obs"
 	"braidio/internal/par"
-	"braidio/internal/phy"
+	"braidio/internal/rng"
 	"braidio/internal/units"
 )
 
@@ -47,8 +46,7 @@ type shard struct {
 
 	// Epoch-stage scratch, reused across epochs. ops is this epoch's
 	// routed admission slice; jobs the dirty set in shard order; batch
-	// the shard's private column arena (its warm state survives epochs,
-	// which is exactly what a stable shard assignment wants).
+	// the shard's private column arena.
 	ops   []op
 	jobs  []planJob
 	batch core.BatchScratch
@@ -65,16 +63,8 @@ type shard struct {
 	planNs      float64
 }
 
-// mix64 is SplitMix64's finalizer — the same cheap high-quality mixer
-// internal/linkcache stripes its lock shards with.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // shardFor selects a member id's owning shard: FNV-1a over the id
-// bytes, finalized through mix64 so sequential ids ("m1", "m2", ...)
+// bytes, finalized through rng.Mix64 so sequential ids ("m1", "m2", ...)
 // spread evenly, masked into the power-of-two shard table.
 func (e *Engine) shardFor(id string) *shard {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
@@ -83,7 +73,7 @@ func (e *Engine) shardFor(id string) *shard {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return e.shards[mix64(h)&e.shardMask]
+	return e.shards[rng.Mix64(h)&e.shardMask]
 }
 
 // dirtyAgainst reports whether fresh inputs have drifted out of
@@ -250,9 +240,8 @@ func (s *shard) buildPlan(e *Engine, i int, epoch uint64, hubE units.Joule) {
 	copy(p.Fractions, s.batch.PRow(i))
 	copy(p.Blocks, s.batch.BlockCountsRow(i, e.cfg.Window))
 	mask := 0
-	base := i * phy.NumModes
-	for sl := 0; sl < n; sl++ {
-		mask |= 1 << uint(s.batch.Cols.Mode[base+sl])
+	for _, l := range s.batch.Cols.Row(i) {
+		mask |= 1 << uint(l.Mode)
 	}
 	p.Modes = modeNames[mask]
 	j.plan = p
@@ -288,13 +277,4 @@ func (r *latRing) observe(ns float64) {
 	}
 	r.count++
 	r.last = ns
-}
-
-// observeInto records the ring's state into a histogram as well; a nil
-// histogram (no recorder) skips that half.
-func observeLatency(r *latRing, h *obs.Histogram, ns float64) {
-	if h != nil {
-		h.Observe(ns)
-	}
-	r.observe(ns)
 }

@@ -1,16 +1,13 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"braidio/internal/baseline"
 	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/linkcache"
+	"braidio/internal/par"
 	"braidio/internal/phy"
 	"braidio/internal/stats"
 	"braidio/internal/units"
@@ -119,68 +116,29 @@ func (m *Matrix) Diagonal() []float64 {
 }
 
 // gainFn computes one cell's gain for a tx→rx pair. Implementations
-// must be safe for concurrent use (each cell runs on its own goroutine
-// with its own batteries and braid state).
+// must be safe for concurrent use (cells run concurrently, each with
+// its own batteries and braid state).
 type gainFn func(tx, rx energy.Device) (float64, error)
 
-// buildMatrix computes every cell through a worker pool bounded by
-// GOMAXPROCS (one goroutine per row both oversubscribes small machines
-// and load-balances poorly — cell costs vary by orders of magnitude with
-// battery size). Dispatch stops at the first error; errors from cells
-// already in flight are aggregated with errors.Join.
+// buildMatrix computes every cell on par's GOMAXPROCS-bounded pool
+// (cell costs vary by orders of magnitude with battery size, so cells,
+// not rows, are the unit of work). Each cell writes only its own slot.
+// Cell errors are joined in row-major cell order and the matrix is
+// withheld.
 func buildMatrix(devices []energy.Device, f gainFn) (*Matrix, error) {
 	n := len(devices)
 	m := &Matrix{Devices: devices, Cells: make([][]float64, n)}
 	for row := range m.Cells {
 		m.Cells[row] = make([]float64, n)
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n*n {
-		workers = n * n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	type cell struct{ row, col int }
-	jobs := make(chan cell)
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		errMu  sync.Mutex
-		errs   []error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				g, err := f(devices[c.col], devices[c.row])
-				if err != nil {
-					failed.Store(true)
-					errMu.Lock()
-					errs = append(errs, err)
-					errMu.Unlock()
-					continue
-				}
-				m.Cells[c.row][c.col] = g
-			}
-		}()
-	}
-dispatch:
-	for row := 0; row < n; row++ {
-		for col := 0; col < n; col++ {
-			if failed.Load() {
-				break dispatch
-			}
-			jobs <- cell{row: row, col: col}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	err := par.ForErr(0, n*n, func(i int) error {
+		row, col := i/n, i%n
+		g, err := f(devices[col], devices[row])
+		m.Cells[row][col] = g
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
