@@ -27,31 +27,36 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the frame codec, the line-coding round trip,
-# and the network planner (extend -fuzztime for deeper runs). FuzzDecode
-# covers arbitrary buffers; FuzzDecodeMutated covers single-mutation
-# corruption of valid frames (bit flips and truncations at the
-# validation boundaries); FuzzPlan covers adversarial topologies
-# (NaN/infinite positions, negative loads, degenerate batteries) against
-# net.Plan's typed-error contract.
+# the network planner and the serve journal's line decoder (extend
+# -fuzztime for deeper runs). FuzzDecode covers arbitrary buffers;
+# FuzzDecodeMutated covers single-mutation corruption of valid frames
+# (bit flips and truncations at the validation boundaries); FuzzPlan
+# covers adversarial topologies (NaN/infinite positions, negative loads,
+# degenerate batteries) against net.Plan's typed-error contract;
+# FuzzDecodeJournalLine feeds arbitrary lines, framed or bare, to the
+# journal decoder that recovery and replay run on files from disk.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode$$ -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMutated -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/linecode
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=10s ./internal/net
+	$(GO) test -run=NONE -fuzz=FuzzDecodeJournalLine -fuzztime=10s ./internal/serve
 
 # Coverage floors for the paper-critical packages (offload solver, hub
-# engine, MAC, network scheduler). Set a few points below current
-# measurements (92.1 / 86.8 / 90.4 as of PR 5; 87.0 for net as of PR 10)
-# so refactors have headroom but coverage cannot silently erode; raise
-# the floors when coverage improves.
+# engine, MAC, network scheduler, and lp, the Eq. (1) reference the
+# offload property tests check against). Each is set a few points below
+# the coverage measured when it was set (core 92.1, hub 86.8, mac 90.4,
+# net 87.0, lp 92.5) so refactors have headroom but coverage cannot
+# silently erode; raise the floors when coverage improves.
 COVER_FLOOR_CORE ?= 90.0
 COVER_FLOOR_HUB  ?= 84.0
 COVER_FLOOR_MAC  ?= 88.0
 COVER_FLOOR_NET  ?= 85.0
+COVER_FLOOR_LP   ?= 90.0
 
 cover:
 	@set -e; \
-	for spec in core:$(COVER_FLOOR_CORE) hub:$(COVER_FLOOR_HUB) mac:$(COVER_FLOOR_MAC) net:$(COVER_FLOOR_NET); do \
+	for spec in core:$(COVER_FLOOR_CORE) hub:$(COVER_FLOOR_HUB) mac:$(COVER_FLOOR_MAC) net:$(COVER_FLOOR_NET) lp:$(COVER_FLOOR_LP); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		out=$$($(GO) test -count=1 -coverprofile=cover_$$pkg.out ./internal/$$pkg); \
 		echo "$$out"; \

@@ -125,8 +125,9 @@ func Optimize(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
 
 // OptimizeInto is Optimize solving into caller-owned storage: dst's P
 // slice is resized in place, so a caller reusing one dst solves without
-// heap allocation. scratch is ignored. net's planner calls this with
-// persistent per-slot dst values.
+// heap allocation. net's planner calls this with persistent per-slot dst
+// values, and the benchmark's core.optimize_ns probe times it. scratch
+// is ignored; it stays because that probe calls this five-argument form.
 func OptimizeInto(dst *Allocation, scratch []float64, links []phy.ModeLink, e1, e2 units.Joule) error {
 	_ = scratch
 	return optimizeInto(dst, links, e1, e2)

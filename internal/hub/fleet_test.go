@@ -199,11 +199,10 @@ func TestFleetRaceSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetHour is the batched-solver headline workload: 8 hubs ×
-// 8 members × a simulated hour, every member on a random-waypoint walk
-// so distances drift each round — consecutive plans stay structurally
-// close, exactly the regime the warm-started columnar solver targets.
-// make bench diffs this against the committed baseline.
+// BenchmarkFleetHour is the fleet headline workload: 8 hubs × 8 members
+// × a simulated hour, every member on a random-waypoint walk so
+// distances drift each round. make bench diffs this against the
+// committed baseline.
 func BenchmarkFleetHour(b *testing.B) {
 	build := func(shard int, stream *rng.Stream) (*Hub, error) {
 		h := New(dev(b, "iPhone 6S"), nil)

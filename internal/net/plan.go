@@ -147,9 +147,9 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 // aggregation, and link construction. A member whose carrier drops out
 // is an outage: inactive for the round. Slots on the isolated path (no
 // interference, no donor) get their canonical linkcache slices, which
-// keeps the braids' allocation memos effective. Interfered or carrier-shared slots get a private link
-// build with the braid's allocation memo disabled for the round (see
-// slot.priv).
+// keeps the braids' allocation memos effective. Interfered or
+// carrier-shared slots get a private link build with the braid's
+// allocation memo disabled for the round (see slot.priv).
 func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*energy.Battery, now units.Second, impair bool) {
 	for h := range sc.hubs {
 		hs := &sc.hubs[h]
