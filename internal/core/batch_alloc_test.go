@@ -11,12 +11,10 @@ import (
 
 // TestOptimizeBatchZeroAlloc gates the batch hot path: once an arena is
 // warmed to capacity, a full round of Reset + re-characterize +
-// OptimizeBatch + block counting must allocate nothing — the columnar
-// layout exists precisely so fleet-hour rounds stop round-tripping the
-// allocator. Excluded under -race (the detector instruments
-// allocations) and run at Workers=1 (par.For's worker goroutines
-// allocate; their bounded per-round cost is gated by the hub-level
-// alloc tests, not here).
+// OptimizeBatch + block counting must allocate nothing — the arena
+// exists precisely so serve epochs stop round-tripping the allocator.
+// Excluded under -race (the detector instruments allocations) and run
+// at Workers=1 (par.For's worker goroutines allocate).
 func TestOptimizeBatchZeroAlloc(t *testing.T) {
 	m := phy.NewModel()
 	const n = 32

@@ -373,16 +373,15 @@ func (m *Model) CharacterizeInto(dst []ModeLink, d units.Meter) []ModeLink {
 	return dst
 }
 
-// LinkColumns is a batch of link characterizations in one flat buffer:
-// member k's links live at Links[k*NumModes : k*NumModes+Len[k]], in
-// canonical mode order with unavailable modes omitted, exactly as
-// Characterize returns them. Batch kernels walk the buffer linearly with
-// no per-member slice or allocation.
+// LinkColumns is a batch of link characterizations in one flat
+// stride-NumModes buffer: Row(k) is member k's links, in canonical mode
+// order with unavailable modes omitted, exactly as Characterize returns
+// them. Batch kernels walk the buffer linearly with no per-member slice
+// or allocation.
 type LinkColumns struct {
 	// Len[k] is the number of available modes for member k.
-	Len []int32
-	// Links is the stride-NumModes link buffer.
-	Links []ModeLink
+	Len   []int32
+	links []ModeLink
 }
 
 // Reset sizes the buffer for n members, reusing the underlying arrays
@@ -391,17 +390,17 @@ type LinkColumns struct {
 func (c *LinkColumns) Reset(n int) {
 	if cap(c.Len) < n {
 		c.Len = make([]int32, n)
-		c.Links = make([]ModeLink, n*NumModes)
+		c.links = make([]ModeLink, n*NumModes)
 	}
 	c.Len = c.Len[:n]
-	c.Links = c.Links[:n*NumModes]
+	c.links = c.links[:n*NumModes]
 }
 
 // Row returns member k's live links. The row aliases the buffer and is
 // capacity-clamped, so an append can never spill into member k+1.
 func (c *LinkColumns) Row(k int) []ModeLink {
 	lo, hi := k*NumModes, k*NumModes+int(c.Len[k])
-	return c.Links[lo:hi:hi]
+	return c.links[lo:hi:hi]
 }
 
 // CharacterizeColumns fills member k's row of cols with
@@ -410,7 +409,7 @@ func (c *LinkColumns) Row(k int) []ModeLink {
 // index-owned writes.
 func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
 	lo := k * NumModes
-	cols.Len[k] = int32(len(m.CharacterizeInto(cols.Links[lo:lo:lo+NumModes], d)))
+	cols.Len[k] = int32(len(m.CharacterizeInto(cols.links[lo:lo:lo+NumModes], d)))
 }
 
 // SharedCarrierLink characterizes the backscatter mode when the carrier
