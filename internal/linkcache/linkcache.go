@@ -8,9 +8,16 @@
 // identical answers thousands of times per run.
 //
 // Keys embed the model *by value*: mutating a model (fade margin, ARQ
-// accounting, payload length) simply keys a different entry, so stale
-// reads are impossible. Cached slices are shared between callers and
-// must be treated as read-only.
+// accounting, payload length, co-channel interference) simply keys a
+// different entry, so stale reads are impossible. Cached slices are
+// shared between callers and must be treated as read-only.
+//
+// A View pins one model for an engine's lifetime and keys a private
+// table by distance and added co-channel interference, the two inputs
+// that vary between an engine's lookups; misses resolve through the
+// global tables. The network scheduler reads every slot's and relay
+// leg's links there, so a static topology characterizes each
+// interfered link once instead of every round.
 //
 // The cache is process-global and safe for concurrent use. To keep a
 // fleet of parallel hub engines from serializing on one lock, it is
@@ -106,14 +113,18 @@ func init() {
 // high-cardinality dimension (mobility sweeps thousands of distinct
 // separations), so it must dominate the spread; mode/rate and a cheap
 // fingerprint of the model's scalar knobs are folded in so distinct
-// models and link points do not pile onto one stripe. Models differing
-// only in deep rf.Link internals may share a stripe — that costs at
-// most capacity sharing, never correctness, because the full model
-// value is still part of the map key.
+// models and link points do not pile onto one stripe. Interference is
+// one of those knobs, so the interfered rows a View resolves spread like
+// any other key; Mix64(0) == 0, so an interference-free model hashes
+// exactly as if the field were not folded in. Models differing only in
+// deep rf.Link internals may share a stripe — that costs at most
+// capacity sharing, never correctness, because the full model value is
+// still part of the map key.
 func shardFor(m *phy.Model, mode phy.Mode, rate units.BitRate, d units.Meter) *shard {
 	h := rng.Mix64(math.Float64bits(float64(d)))
 	h ^= rng.Mix64(uint64(mode)<<32 ^ math.Float64bits(float64(rate)))
 	h ^= rng.Mix64(uint64(m.PayloadLen)<<1 ^ math.Float64bits(float64(m.FadeMargin)))
+	h ^= rng.Mix64(math.Float64bits(m.Interference))
 	if m.Retransmit {
 		h = rng.Mix64(h)
 	}
@@ -220,21 +231,36 @@ func BER(m *phy.Model, mode phy.Mode, r units.BitRate, d units.Meter) float64 {
 	return v
 }
 
-// maxViewEntries bounds a View's private distance table. A view that
-// overflows (continuous-mobility sweeps) evicts one resident victim per
-// admit, exactly like the global shards; evicted distances re-resolve
-// through the global cache, so the canonical slice per (model, distance)
-// never changes identity while it stays resident there.
+// maxViewEntries bounds a View's private table. A view that overflows
+// (continuous-mobility sweeps) evicts one resident victim per admit,
+// exactly like the global shards; evicted keys re-resolve through the
+// global cache, so the canonical slice per (model, distance) never
+// changes identity while it stays resident there.
 const maxViewEntries = 4096
+
+// viewKey identifies one row of a View: a distance and the co-channel
+// interference (linear mW) added to the pinned model's own.
+type viewKey struct {
+	d  units.Meter
+	mw float64
+}
 
 // View is a pinned-model handle over the cache. The global tables key
 // every lookup by the full phy.Model value — hashing a ~200-byte struct
 // per call, which profiles as the single hottest item in a hub round. A
-// View fixes the model once and keys its private table by distance
-// alone (one float64 hash), delegating misses to the global cache so
-// the slices it returns are the same canonical shared slices
+// View fixes the model once and keys its private table by distance and
+// added interference (two float64s), delegating misses to the global
+// cache so the slices it returns are the same canonical shared slices
 // Characterize returns: callers that compare slice identity (the braid
 // allocation memo) see exactly the behavior of the global path.
+//
+// Interference is in the key because the network scheduler's receivers
+// hear other hubs' carriers, and in a static topology each receiver's
+// aggregate repeats round after round. A miss with nonzero interference
+// resolves a copy of the pinned model with its Interference raised, so
+// there is still one cache behind one SetEnabled switch. A key that
+// never repeats (a walker under interference) costs one map insert per
+// lookup until it is evicted.
 //
 // The pinned model must not be mutated while the view is alive —
 // mutation would key new entries in the global cache while the view
@@ -246,37 +272,56 @@ const maxViewEntries = 4096
 type View struct {
 	model *phy.Model
 	mu    sync.RWMutex
-	links map[units.Meter][]phy.ModeLink
+	links map[viewKey][]phy.ModeLink
 }
 
 // NewView pins a model and returns its view.
 func NewView(m *phy.Model) *View {
-	return &View{model: m, links: make(map[units.Meter][]phy.ModeLink)}
+	return &View{model: m, links: make(map[viewKey][]phy.ModeLink)}
 }
 
 // Model returns the pinned model.
 func (v *View) Model() *phy.Model { return v.model }
 
-// Characterize returns Characterize(model, d) through the distance-keyed
-// fast path. With the global cache disabled it characterizes directly
-// and caches nothing, matching the global path bit for bit and
-// entry for entry.
+// Characterize returns Characterize(model, d): CharacterizeAt with no
+// added interference. The benchmark's linkcache.view_characterize_ns
+// probe times it.
 func (v *View) Characterize(d units.Meter) []phy.ModeLink {
-	if disabled.Load() {
-		return v.model.Characterize(d)
+	return v.CharacterizeAt(d, 0)
+}
+
+// CharacterizeAt returns the characterization at distance d of the
+// pinned model with its Interference raised by mw linear milliwatts,
+// memoized by (d, mw). The returned slice is the global cache's
+// canonical slice for that model value and must not be mutated. With
+// the global cache disabled it characterizes directly and stores
+// nothing, matching the global path bit for bit and entry for entry.
+func (v *View) CharacterizeAt(d units.Meter, mw float64) []phy.ModeLink {
+	on := !disabled.Load()
+	k := viewKey{d: d, mw: mw}
+	if on {
+		v.mu.RLock()
+		ls, ok := v.links[k]
+		v.mu.RUnlock()
+		if ok {
+			return ls
+		}
 	}
-	v.mu.RLock()
-	ls, ok := v.links[d]
-	v.mu.RUnlock()
-	if ok {
-		return ls
+	m := v.model
+	if mw != 0 {
+		raised := *m
+		raised.Interference += mw
+		m = &raised
 	}
-	ls = Characterize(v.model, d) // canonical shared slice
+	if !on {
+		return m.Characterize(d)
+	}
+	ls := Characterize(m, d) // canonical shared slice
 	v.mu.Lock()
-	if _, ok := v.links[d]; !ok && len(v.links) >= maxViewEntries {
+	if _, ok := v.links[k]; !ok && len(v.links) >= maxViewEntries {
 		evictOne(v.links)
 	}
-	v.links[d] = ls
+	v.links[k] = ls
 	v.mu.Unlock()
 	return ls
 }

@@ -1,8 +1,13 @@
 package net
 
 import (
+	"reflect"
 	"testing"
 
+	"braidio/internal/faults"
+	"braidio/internal/field"
+	"braidio/internal/linkcache"
+	"braidio/internal/phy"
 	"braidio/internal/units"
 )
 
@@ -21,9 +26,10 @@ const (
 // at — results must be bit-identical across all of them.
 var goldenWorkers = []int{1, 2, 8}
 
-// TestGoldenDeterminism is the PR's golden wall: net.Plan and full
-// fleet rounds are bit-identical at any worker count on both golden
-// topologies, and the digests match the pinned constants.
+// TestGoldenDeterminism is the golden wall: net.Plan and full fleet
+// rounds are bit-identical at any worker count, with the link cache on
+// or off, on both golden topologies, and the digests match the pinned
+// constants.
 func TestGoldenDeterminism(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -33,11 +39,23 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"dense-grid", denseGrid(t), goldenDenseRun, goldenDensePlan},
 		{"sparse-line", sparseLine(t), goldenSparseRun, goldenSparsePlan},
 	}
+	type point struct {
+		cached  bool
+		workers int
+	}
+	var grid []point
+	for _, cached := range []bool{true, false} {
+		for _, workers := range goldenWorkers {
+			grid = append(grid, point{cached, workers})
+		}
+	}
+	t.Cleanup(func() { linkcache.SetEnabled(true) })
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var runRef, planRef uint64
-			for wi, workers := range goldenWorkers {
-				cfg := Config{Workers: workers}
+			for gi, pt := range grid {
+				linkcache.SetEnabled(pt.cached)
+				cfg := Config{Workers: pt.workers}
 				res := runNet(t, tc.topo, cfg, 1800, 6)
 				n, err := New(tc.topo, cfg)
 				if err != nil {
@@ -48,7 +66,7 @@ func TestGoldenDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				rd, pd := res.Digest(), p.Digest()
-				if wi == 0 {
+				if gi == 0 {
 					runRef, planRef = rd, pd
 					if res.TotalBits() <= 0 {
 						t.Fatal("golden topology delivered nothing; test is vacuous")
@@ -56,10 +74,10 @@ func TestGoldenDeterminism(t *testing.T) {
 					continue
 				}
 				if rd != runRef {
-					t.Errorf("workers=%d: run digest %#x != workers=%d's %#x", workers, rd, goldenWorkers[0], runRef)
+					t.Errorf("%+v: run digest %#x != %+v's %#x", pt, rd, grid[0], runRef)
 				}
 				if pd != planRef {
-					t.Errorf("workers=%d: plan digest %#x != workers=%d's %#x", workers, pd, goldenWorkers[0], planRef)
+					t.Errorf("%+v: plan digest %#x != %+v's %#x", pt, pd, grid[0], planRef)
 				}
 			}
 			if tc.wantRun != 0 && runRef != tc.wantRun {
@@ -123,6 +141,88 @@ func TestGoldenDenseCouplings(t *testing.T) {
 	clean := runNet(t, denseGrid(t), Config{Workers: 2, DisableInterference: true}, 1800, 6)
 	if clean.TotalBits() < res.TotalBits()*0.999 {
 		t.Errorf("clean channel delivered %v bits < interfered %v", clean.TotalBits(), res.TotalBits())
+	}
+}
+
+// TestRunLeavesCachedRowsIntact: the link rows a round reads from the
+// cache are shared, so a carrier-shared slot substitutes its bistatic
+// link in a copy. After a run every slot's row still equals a direct
+// characterization under the slot's interference.
+func TestRunLeavesCachedRowsIntact(t *testing.T) {
+	n, err := New(denseGrid(t), Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := n.PlanRound(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Run(1800, 6); err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for i, mp := range p.Members {
+		if mp.Op == OpShared {
+			shared++
+		}
+		d := n.seeds[i].homeDist
+		raised := *n.model
+		raised.Interference += mp.InterferenceMW
+		if got, want := n.view.CharacterizeAt(d, mp.InterferenceMW), raised.Characterize(d); !reflect.DeepEqual(got, want) {
+			t.Errorf("slot %d (%v): cached row %+v, want %+v", i, mp.Op, got, want)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("dense grid planned no carrier-shared slot; test is vacuous")
+	}
+}
+
+// TestPrivateRoundsSolveAfresh: every dense-grid slot is interfered or
+// carrier-shared, and such rounds run with the allocation memo off, so
+// even a loose re-solve tolerance reuses no allocation.
+func TestPrivateRoundsSolveAfresh(t *testing.T) {
+	res := runNet(t, denseGrid(t), Config{Workers: 1, AllocationTolerance: 0.5}, 1800, 6)
+	solves := 0
+	for h := range res.Hubs {
+		hr := &res.Hubs[h]
+		solves += hr.LPSolves
+		if hr.AllocReuses != 0 {
+			t.Errorf("hub %d reused %d allocations on interfered or shared rounds", h, hr.AllocReuses)
+		}
+	}
+	if solves == 0 {
+		t.Fatal("dense grid solved nothing; test is vacuous")
+	}
+}
+
+// TestPrivateRoundIgnoresIsolatedMemo: an interferer too faint to move
+// the model's ambient Interference sum makes a slot's interfered row the
+// very slice its isolated round memoized. The interfered round must
+// still solve afresh, so the run equals the cache-off run, where every
+// round's row is a new slice. Hub 1 sits 1e110 m away and its only
+// member drops out in round 0, so hub 0's member is isolated in round 0
+// and interfered from round 1.
+func TestPrivateRoundIgnoresIsolatedMemo(t *testing.T) {
+	t.Cleanup(func() { linkcache.SetEnabled(true) })
+	m := phy.NewModel()
+	m.Interference = 1e-200
+	phone, watch := dev(t, "iPhone 6S"), dev(t, "Apple Watch")
+	topo := &Topology{Hubs: []Hub{
+		{Device: phone, Members: []Member{{Device: watch, Pos: field.Vec2{X: 0.4}, Load: 20000}}},
+		{Device: phone, Pos: field.Vec2{X: 1e110}, Members: []Member{{Device: watch, Pos: field.Vec2{X: 1e110, Y: 0.4}, Load: 20000}}},
+	}}
+	run := func(cached bool) *Result {
+		linkcache.SetEnabled(cached)
+		topo.Hubs[1].Members[0].Faults = &faults.Dropout{Period: 1e9, Duration: 100} // fresh state per run
+		return runNet(t, topo, Config{Model: m, Workers: 1, AllocationTolerance: 0.5}, 1800, 6)
+	}
+	on, off := run(true), run(false)
+	if on.InterferedRounds == 0 {
+		t.Fatal("no interfered rounds; test is vacuous")
+	}
+	if on.Digest() != off.Digest() {
+		t.Errorf("cache on: hub 0 %d solves / %d reuses; cache off: %d / %d",
+			on.Hubs[0].LPSolves, on.Hubs[0].AllocReuses, off.Hubs[0].LPSolves, off.Hubs[0].AllocReuses)
 	}
 }
 

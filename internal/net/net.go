@@ -285,10 +285,10 @@ type seed struct {
 }
 
 // slot is one (hub, member) pair's working set for a Run or PlanRound
-// call: its seed, its braid, plan-phase battery copies, private link
-// buffers for interfered / carrier-shared rounds, and the round verdict
-// the commit consumes. Everything here is owned by the slot's index —
-// the plan phase may write it from any worker without synchronization.
+// call: its seed, its braid, plan-phase battery copies, the link buffer
+// for carrier-shared rounds, and the round verdict the commit consumes.
+// Everything here is owned by the slot's index — the plan phase may
+// write it from any worker without synchronization.
 type slot struct {
 	seed
 
@@ -302,16 +302,16 @@ type slot struct {
 	alloc2   core.Allocation // relay hop-2 appraisal target
 	strikes  int             // consecutive failed rounds
 
-	// priv backs the slot's interfered or carrier-shared link set. It is
-	// deliberately NOT the canonical linkcache slice, so the braid's
-	// allocation memo is disabled for such rounds (the buffer address is
-	// stable across rounds while its contents change — exactly the
-	// stale-reuse hazard the memo's slice-identity check cannot see).
-	priv      []phy.ModeLink
-	relayBuf  []phy.ModeLink // hop-1 characterization scratch
-	relayBuf2 []phy.ModeLink // hop-2 characterization scratch
+	// priv backs the slot's carrier-shared link set: the view's row with
+	// the bistatic link substituted. Its address is stable across rounds
+	// while its contents change — exactly the stale-reuse hazard the
+	// braid memo's slice-identity check cannot see — so shared rounds
+	// run with the memo disabled.
+	priv []phy.ModeLink
 
-	// Round verdict, reset in phase 0.
+	// Round verdict, reset in phase 0. private marks an interfered or
+	// carrier-shared round, which runs with the braid's allocation memo
+	// off and solves afresh: the digests count LPSolves and AllocReuses.
 	err                          error
 	active, outage               bool
 	skipQuarantined, skipStarved bool

@@ -145,11 +145,9 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 // energy snapshots, member eligibility, walks, faults (when impair is
 // set), the emission census, donor selection, per-receiver interference
 // aggregation, and link construction. A member whose carrier drops out
-// is an outage: inactive for the round. Slots on the isolated path (no
-// interference, no donor) get their canonical linkcache slices, which
-// keeps the braids' allocation memos effective. Interfered or
-// carrier-shared slots get a private link build with the braid's
-// allocation memo disabled for the round (see slot.priv).
+// is an outage: inactive for the round. Every active slot reads the
+// view's row for its distance and interference; a carrier-shared slot
+// copies that row into slot.priv to substitute the bistatic link.
 func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*energy.Battery, now units.Second, impair bool) {
 	for h := range sc.hubs {
 		hs := &sc.hubs[h]
@@ -196,7 +194,7 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 		s.active = true
 		sc.hubs[s.hub].emitting = true
 	}
-	// Pass B: donors, interference, and the canonical/private split.
+	// Pass B: donors, interference, and links.
 	for i := range sc.slots {
 		s := &sc.slots[i]
 		if !s.active {
@@ -207,29 +205,19 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 			s.mw = n.interferenceAt(sc, s.hub, -1)
 		}
 		s.private = s.mw > 0 || s.sharedOK
-		if !s.private {
-			s.links = n.view.Characterize(s.dist)
-		}
-	}
-	for i := range sc.slots {
-		s := &sc.slots[i]
-		if !s.active || !s.private {
-			continue
-		}
-		mi := *n.model
-		mi.Interference = n.model.Interference + s.mw
-		s.priv = mi.CharacterizeInto(s.priv, s.dist)
+		s.links = n.view.CharacterizeAt(s.dist, s.mw)
 		if s.sharedOK {
 			// Replace the monostatic backscatter entry (canonical mode
 			// order puts it last) with the donor-carrier bistatic link;
 			// if the monostatic round trip did not close, append.
+			s.priv = append(s.priv[:0], s.links...)
 			if k := len(s.priv); k > 0 && s.priv[k-1].Mode == phy.ModeBackscatter {
 				s.priv[k-1] = s.shared
 			} else {
 				s.priv = append(s.priv, s.shared)
 			}
+			s.links = s.priv
 		}
-		s.links = s.priv
 	}
 }
 
@@ -319,25 +307,26 @@ func (n *Network) planSlot(sc *scratch, i int, memberBatts []*energy.Battery, sl
 		return
 	}
 	s.braid.Links = s.links
+	if s.private {
+		// Private rounds solve afresh. When mw is too small to move the
+		// model's Interference sum, the interfered row is the isolated
+		// row's own slice, so slice identity would not stop an isolated
+		// round's memo from serving this round.
+		s.scr.Reset()
+	}
 	s.err = s.braid.RunInto(&s.plan, &s.scr, &s.planB1, &s.planB2)
 }
 
-// relayLinks characterizes one relay hop terminating at hub rx over
-// distance d, excluding the hop's own transmitter from the interference
-// aggregate. The zero-interference path returns the canonical cached
-// slice; otherwise the hop is characterized into the slot-owned buffer.
-func (n *Network) relayLinks(sc *scratch, buf *[]phy.ModeLink, d units.Meter, rx, exclude int) []phy.ModeLink {
+// relayLinks returns the view's row for one relay hop terminating at
+// hub rx over distance d, under the interference aggregate at rx with
+// the hop's own transmitter excluded. The row is shared and read-only;
+// a static topology's legs resolve to the same rows every round.
+func (n *Network) relayLinks(sc *scratch, d units.Meter, rx, exclude int) []phy.ModeLink {
 	mw := 0.0
 	if !n.cfg.DisableInterference {
 		mw = n.interferenceAt(sc, rx, exclude)
 	}
-	if mw == 0 {
-		return n.view.Characterize(d)
-	}
-	mi := *n.model
-	mi.Interference = n.model.Interference + mw
-	*buf = mi.CharacterizeInto(*buf, d)
-	return *buf
+	return n.view.CharacterizeAt(d, mw)
 }
 
 // appraiseRelay searches the slot's 2-hop forwarding candidates: for
@@ -356,7 +345,7 @@ func (n *Network) appraiseRelay(sc *scratch, s *slot, e1 units.Joule, load float
 			continue
 		}
 		eVia := sc.hubs[v].snap.Remaining()
-		links1 := n.relayLinks(sc, &s.relayBuf, s.toHub[v], v, -1)
+		links1 := n.relayLinks(sc, s.toHub[v], v, -1)
 		if len(links1) == 0 {
 			continue
 		}
@@ -366,7 +355,7 @@ func (n *Network) appraiseRelay(sc *scratch, s *slot, e1 units.Joule, load float
 		if !(float64(s.alloc.TX) < bestTX) {
 			continue
 		}
-		links2 := n.relayLinks(sc, &s.relayBuf2, n.hubDist[v][home], home, v)
+		links2 := n.relayLinks(sc, n.hubDist[v][home], home, v)
 		if len(links2) == 0 {
 			continue
 		}
