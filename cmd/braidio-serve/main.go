@@ -233,7 +233,8 @@ func runDaemon(addr string, epochEvery time.Duration, cfg serve.Config, js journ
 
 // runReplay verifies a captured journal end to end: a single-file
 // capture through Replay, a segmented journal directory through
-// VerifyDir (snapshot restore + tail digest verification).
+// VerifyDir (snapshot restore + tail digest verification). Both run
+// the same journal reader and report the same counts.
 func runReplay(path string) error {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -255,14 +256,14 @@ func runReplay(path string) error {
 		return err
 	}
 	defer f.Close()
-	res, err := serve.Replay(f)
+	st, err := serve.Replay(f)
 	if err != nil {
 		return err
 	}
-	if res.Matched == 0 {
+	if st.Matched == 0 {
 		return errors.New("replay: journal contains no completed epochs")
 	}
-	fmt.Printf("replay ok: %d ops, %d epochs, %d digests matched bit-identically in %v\n",
-		res.Ops, res.Epochs, res.Matched, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("replay ok: %d ops, %d epochs (%d digests matched bit-identically), %d torn records, in %v\n",
+		st.Ops, st.Epochs, st.Matched, st.TornRecords, time.Since(start).Round(time.Millisecond))
 	return nil
 }

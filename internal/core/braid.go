@@ -59,13 +59,13 @@ type Braid struct {
 	// the PHY directly on every run.
 	DisableLinkCache bool
 	// Links, when non-nil, supplies the run's characterized links
-	// directly and skips per-run characterization — the round engine
-	// (internal/net) batch-characterizes every member up front and
-	// presets each braid with the result. Callers must pass the canonical shared
-	// slices linkcache returns for (Model, Distance): the cross-run
-	// allocation memo compares slice identity to detect moved members,
-	// and a private copy would defeat (or, if mutated in place, corrupt)
-	// that check.
+	// directly and skips per-run characterization. The round engine
+	// (internal/net) sets each slot's linkcache.View row here every
+	// round. The cross-run allocation memo compares slice identity to
+	// detect moved members, so a caller that passes a private row — as
+	// net does for carrier-shared rounds — must turn the memo off
+	// (DisableAllocationMemo) and reset the scratch, and must never
+	// mutate a shared row in place.
 	Links []phy.ModeLink
 	// Obs, when non-nil, receives run totals, per-mode occupancy, and
 	// solver metrics. Nil falls back to the process default recorder

@@ -293,7 +293,7 @@ func (r *MemberResult) HubShare() float64 {
 // the observed drain rate (+Inf for a zero drain).
 func (r *MemberResult) Lifetime() float64 {
 	if r.MemberDrain <= 0 {
-		return 0
+		return math.Inf(1)
 	}
 	return float64(r.Member.Device.Capacity.Joules()) / float64(r.MemberDrain)
 }

@@ -260,6 +260,12 @@ func TestMemberLifetime(t *testing.T) {
 	if life := band.Lifetime(); life < 10000 {
 		t.Errorf("band lifetime = %v horizons, want enormous", life)
 	}
+	// A member that drained nothing is funded forever.
+	idle := band
+	idle.MemberDrain = 0
+	if life := idle.Lifetime(); !math.IsInf(life, 1) {
+		t.Errorf("zero-drain lifetime = %v horizons, want +Inf", life)
+	}
 }
 
 func BenchmarkHubHour(b *testing.B) {

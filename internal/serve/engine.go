@@ -40,8 +40,8 @@ import (
 	"braidio/internal/units"
 )
 
-// Config parameterizes an Engine. The zero value is unusable; call
-// (*Config).withDefaults via NewEngine to fill gaps.
+// Config parameterizes an Engine. NewEngine fills every unset field
+// with its default, so the zero value is a working configuration.
 type Config struct {
 	// Workers bounds the planning pool (<= 0 selects GOMAXPROCS).
 	Workers int
@@ -51,7 +51,9 @@ type Config struct {
 	// bit-identical at any shard count.
 	Shards int
 	// QueueCap bounds the admission queue; operations arriving when the
-	// queue is full are shed (Enqueue returns false, HTTP returns 503).
+	// queue is full are shed (ErrShed, HTTP 503). It bounds admission
+	// only: nothing is preallocated, and the queue grows with what is
+	// admitted.
 	QueueCap int
 	// RatioTolerance is the symmetric relative tolerance on the battery
 	// ratio E_hub/E_member within which a member's existing plan is
@@ -199,6 +201,7 @@ type Engine struct {
 
 	queueMu  sync.Mutex
 	queue    []op
+	spare    []op   // the last drained queue, emptied for reuse (under epochMu)
 	admitted uint64 // cumulative ops admitted, ever (incl. restored history)
 
 	// mu is the residual global lock: hub budget, epoch counter, and
@@ -244,7 +247,6 @@ func NewEngine(cfg Config) *Engine {
 		cfg:       cfg,
 		model:     m,
 		view:      linkcache.NewView(m),
-		queue:     make([]op, 0, cfg.QueueCap),
 		hubEnergy: cfg.HubEnergy,
 		shards:    make([]*shard, cfg.Shards),
 		shardMask: uint64(cfg.Shards - 1),
@@ -276,9 +278,20 @@ var ErrShed = errors.New("serve: admission queue full, operation shed")
 // what it cannot make durable. Also mapped to HTTP 503.
 var ErrJournalBroken = errors.New("serve: journal broken, admission refused (fail-stop)")
 
-// enqueue admits an operation or sheds it when the queue is full (or,
-// under fail-stop, when the journal is broken).
-func (e *Engine) enqueue(o op) error {
+// admit validates an operation and enqueues it, or sheds it when the
+// queue is full (or, under fail-stop, when the journal is broken).
+// Register, Update, SetHubEnergy and the journal reader all admit here.
+func (e *Engine) admit(o op) error {
+	switch {
+	case o.kind == opHub:
+		if o.energy <= 0 {
+			return fmt.Errorf("serve: non-positive hub energy %v", float64(o.energy))
+		}
+	case o.id == "":
+		return errors.New("serve: empty member id")
+	case o.energy <= 0 || o.distance <= 0:
+		return fmt.Errorf("serve: member %q has non-positive energy %v or distance %v", o.id, float64(o.energy), float64(o.distance))
+	}
 	e.queueMu.Lock()
 	if e.cfg.JournalFailStop && e.journal != nil {
 		if err := e.journal.Err(); err != nil {
@@ -322,35 +335,20 @@ func (e *Engine) JournalErr() error {
 // Register admits a new member (or re-registers an existing one; the
 // later admission wins, as with any update).
 func (e *Engine) Register(id string, energy units.Joule, distance units.Meter) error {
-	if id == "" {
-		return errors.New("serve: empty member id")
-	}
-	if energy <= 0 || distance <= 0 {
-		return fmt.Errorf("serve: member %q has non-positive energy %v or distance %v", id, float64(energy), float64(distance))
-	}
-	return e.enqueue(op{kind: opRegister, id: id, energy: energy, distance: distance})
+	return e.admit(op{kind: opRegister, id: id, energy: energy, distance: distance})
 }
 
 // Update admits an energy/link update for a registered member. Unknown
 // ids are rejected at apply time (counted, not fatal).
 func (e *Engine) Update(id string, energy units.Joule, distance units.Meter) error {
-	if id == "" {
-		return errors.New("serve: empty member id")
-	}
-	if energy <= 0 || distance <= 0 {
-		return fmt.Errorf("serve: member %q has non-positive energy %v or distance %v", id, float64(energy), float64(distance))
-	}
-	return e.enqueue(op{kind: opUpdate, id: id, energy: energy, distance: distance})
+	return e.admit(op{kind: opUpdate, id: id, energy: energy, distance: distance})
 }
 
 // SetHubEnergy admits a hub-side budget change. Since every member's
 // ratio shares the hub term, the apply step rechecks the whole
 // membership against tolerance.
 func (e *Engine) SetHubEnergy(energy units.Joule) error {
-	if energy <= 0 {
-		return fmt.Errorf("serve: non-positive hub energy %v", float64(energy))
-	}
-	return e.enqueue(op{kind: opHub, energy: energy})
+	return e.admit(op{kind: opHub, energy: energy})
 }
 
 // PlanFor returns the member's current plan. ok is false when the id is
@@ -489,7 +487,9 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 
 	e.queueMu.Lock()
 	ops := e.queue
-	e.queue = make([]op, 0, e.cfg.QueueCap)
+	// Swap in the last drained buffer: the queue keeps the capacity
+	// admissions grew it to instead of being reallocated every epoch.
+	e.queue, e.spare = e.spare, nil
 	// The drain marker sits in the same critical section, so every
 	// journaled op unambiguously belongs to exactly one epoch.
 	journal := e.journal
@@ -606,6 +606,8 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		e.applyLat.observe(applyNs)
 		e.latMu.Unlock()
 	}
+	clear(ops) // the shards applied copies; drop the ids before reuse
+	e.spare = ops[:0]
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServePlanLatency.Observe(planNs)

@@ -3,7 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"braidio/internal/units"
 )
 
 // FuzzDecodeJournalLine feeds arbitrary bytes to the journal line
@@ -55,4 +60,69 @@ func FuzzDecodeJournalLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReplay feeds arbitrary bytes to Replay, the journal reader's
+// untrusted entry point: config- and snapshot-headed streams, framed or
+// bare. Every input must replay or fail with an error, never panic, and
+// a successful replay may leave at most the final epoch unmatched.
+func FuzzReplay(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "pr7_single_stream.journal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The fixture's header and first registrations, kept short so each
+	// execution is cheap; the segment seed supplies epoch boundaries.
+	lines := bytes.SplitAfter(fixture, []byte("\n"))
+	f.Add(bytes.Join(lines[:8], nil))
+	seg := snapshotSegment(f)
+	f.Add(seg)
+	f.Add(stripFrames(seg)) // bare lines: mutations need not fix CRCs
+	// Huge queue caps: an untrusted header's cap must size nothing.
+	f.Add(frameLine([]byte(`{"t":"config","hub_j":10,"queue_cap":1000000000000000000}`)))
+	f.Add([]byte(`{"t":"config","queue_cap":800000001}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Replay(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if st.Matched > st.Epochs || st.Epochs > st.Matched+1 {
+			t.Fatalf("replayed %d epochs, matched %d", st.Epochs, st.Matched)
+		}
+	})
+}
+
+// snapshotSegment captures a small journal directory and returns its
+// newest segment: a snapshot head with three planned members, then a
+// tail of operations, a drain and an epoch record.
+func snapshotSegment(tb testing.TB) []byte {
+	tb.Helper()
+	dir := filepath.Join(tb.TempDir(), "journal.d")
+	eng, j, _, err := Open(dir, testConfig(nil), JournalOptions{SnapshotEvery: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for epoch := 1; epoch <= 3; epoch++ {
+		for i := 0; i < 3; i++ {
+			if err := eng.Register(fmt.Sprintf("m%d", i), units.Joule(0.2+0.1*float64(epoch+i)), 0.5); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := eng.RunEpoch(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(segs[len(segs)-1].path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }

@@ -1,18 +1,19 @@
-// Journal capture and deterministic replay. A journal is a stream of
-// CRC-framed JSONL records (see segment.go): one header record, then
-// admitted operations interleaved with epoch boundaries. Operation
-// records are written inside the admission queue's critical section, so
-// journal order IS admission order; the "drain" marker is written in
-// the same critical section that empties the queue, so replay knows
-// exactly which operations each epoch saw. The "epoch" record that
-// follows carries the plan digest the live run produced — Replay
-// re-runs the batch planner over the journaled operations and demands
-// the digests match bit for bit.
+// Journal capture. A journal is a stream of CRC-framed JSONL records
+// (see segment.go): one head record, then admitted operations
+// interleaved with epoch boundaries. Operation records are written
+// inside the admission queue's critical section, so journal order IS
+// admission order; the "drain" marker is written in the same critical
+// section that empties the queue, so a reader knows exactly which
+// operations each epoch saw. The "epoch" record that follows carries
+// the plan digest the live run produced.
 //
 // Two storage modes share this encoder. Writer mode (NewJournal /
 // NewJournalFile) appends a single stream headed by a "config" record.
-// Directory mode (serve.Open) writes snapshot-headed segments with
-// rotation and compaction; see segment.go and recover.go.
+// Directory mode (serve.Open) writes segments headed by a "snap"
+// record, with rotation and compaction; see segment.go. One reader,
+// replayJournal in recover.go, reads both: Replay, VerifyDir and Open
+// all decode the head and re-run the tail through it, demanding every
+// recomputed digest match the journal's bit for bit.
 //
 // Unlike the pre-durability journal, write failures are not silently
 // deferred to Close: the first error is sticky, Err surfaces it to
@@ -32,7 +33,6 @@ import (
 	"sync"
 
 	"braidio/internal/obs"
-	"braidio/internal/units"
 )
 
 // record is the single flat JSONL record shape; T discriminates.
@@ -51,14 +51,10 @@ type record struct {
 	Members int    `json:"members,omitempty"`
 	Digest  string `json:"digest,omitempty"`
 
-	// config fields (t = "config")
-	RatioTol float64 `json:"ratio_tol,omitempty"`
-	DistTol  float64 `json:"dist_tol,omitempty"`
-	Window   int     `json:"window,omitempty"`
-	HubJ     float64 `json:"hub_j,omitempty"`
-	FadeDB   float64 `json:"fade_db,omitempty"`
-	Payload  int     `json:"payload,omitempty"`
-	QueueCap int     `json:"queue_cap,omitempty"`
+	// config header fields (t = "config"): the planner-semantic config,
+	// flattened into the record, and the capture's queue bound
+	journalConfig
+	QueueCap int `json:"queue_cap,omitempty"`
 
 	// snapshot payload (t = "snap"; segment heads only)
 	Snap *snapshotRecord `json:"snap,omitempty"`
@@ -132,11 +128,7 @@ func NewJournalFile(f *os.File, cfg Config, opts JournalOptions) *Journal {
 }
 
 func (j *Journal) writeConfigHeader(cfg Config) {
-	j.write(record{
-		T: "config", RatioTol: cfg.RatioTolerance, DistTol: cfg.DistanceTolerance,
-		Window: cfg.Window, HubJ: float64(cfg.HubEnergy), FadeDB: float64(cfg.FadeMargin),
-		Payload: cfg.PayloadLen, QueueCap: cfg.QueueCap,
-	})
+	j.write(record{T: "config", journalConfig: journalConfigOf(cfg), QueueCap: cfg.QueueCap})
 }
 
 // fail records the journal's first error; dropped counts every record
@@ -304,122 +296,29 @@ func (j *Journal) snapshotRotate(snap *snapshotRecord) {
 	}
 }
 
-// ReplayResult summarizes a verified replay.
-type ReplayResult struct {
-	Epochs  int // epoch boundaries re-run
-	Ops     int // operations re-admitted
-	Matched int // epoch digests compared against the journal
-	Torn    int // torn trailing records tolerated (crash mid-write)
-}
-
-// replayMaxLine bounds a single journal line in Replay. Snapshot-free
-// single-stream journals hold small records, so the bound mostly guards
-// memory against corrupt or non-journal input.
+// replayMaxLine bounds a single journal line in Replay, guarding memory
+// against corrupt or non-journal input. Config-headed journals hold
+// small records; a segment whose snapshot head is longer is verified
+// through its directory (VerifyDir) instead.
 const replayMaxLine = 1 << 20
 
-// Replay reads a captured single-stream journal, rebuilds a fresh
-// engine from its config header, re-admits every operation, re-runs
-// every epoch at the journaled boundaries, and verifies each recomputed
-// plan digest against the captured one. Any divergence — digest,
-// planned count, or membership — is an error, as is a corrupt record
-// with valid records after it. A torn tail — a trailing partial record,
-// or a trailing drain with no epoch record (daemon killed mid-epoch) —
-// is tolerated. Records are CRC-verified when framed; bare legacy JSONL
-// lines are accepted for pre-CRC captures.
-func Replay(r io.Reader) (ReplayResult, error) {
+// Replay reads a captured journal, rebuilds the engine its head
+// describes (a config header starts an empty engine, a snapshot head
+// restores one), re-admits every operation, re-runs every epoch at the
+// journaled boundaries, and verifies each recomputed plan digest
+// against the captured one. The contract is replayJournal's: any
+// divergence is an error, and only a torn tail is tolerated. Records
+// are CRC-verified when framed; bare legacy JSONL lines are accepted
+// for pre-CRC captures.
+func Replay(r io.Reader) (RecoveryStats, error) {
 	return replayWith(r, Config{})
 }
 
-// replayWith is Replay with operational overrides: the replaying
-// engine's worker and shard counts come from operational (zero values
-// keep the defaults). Planner-semantic fields still come from the
-// journal's config header — they are what digest fidelity depends on;
-// workers and shards, by the determinism contract, cannot change a bit.
-func replayWith(r io.Reader, operational Config) (ReplayResult, error) {
-	lr := newLineReader(r, replayMaxLine)
-
-	var res ReplayResult
-	var eng *Engine
-	var pending *EpochResult
-	for {
-		data, _, err := lr.read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		if len(data) == 0 {
-			continue
-		}
-		line := lr.line
-		rec, derr := decodeJournalLine(data, true)
-		if derr != nil {
-			// A bad record is a tolerated torn tail only when nothing
-			// readable follows it; otherwise history itself is corrupt.
-			if _, _, nerr := lr.read(); nerr == io.EOF {
-				res.Torn++
-				break
-			}
-			return res, fmt.Errorf("serve: journal line %d: %w", line, derr)
-		}
-		if eng == nil {
-			if rec.T != "config" {
-				return res, fmt.Errorf("serve: journal line %d: want config header, got %q", line, rec.T)
-			}
-			eng = NewEngine(Config{
-				Workers:           operational.Workers,
-				Shards:            operational.Shards,
-				RatioTolerance:    rec.RatioTol,
-				DistanceTolerance: rec.DistTol,
-				Window:            rec.Window,
-				HubEnergy:         units.Joule(rec.HubJ),
-				FadeMargin:        units.DB(rec.FadeDB),
-				PayloadLen:        rec.Payload,
-				QueueCap:          rec.QueueCap,
-			})
-			continue
-		}
-		var err2 error
-		switch rec.T {
-		case "reg":
-			err2 = eng.Register(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			res.Ops++
-		case "upd":
-			err2 = eng.Update(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			res.Ops++
-		case "hub":
-			err2 = eng.SetHubEnergy(units.Joule(rec.E))
-			res.Ops++
-		case "drain":
-			got, _ := eng.RunEpoch() // solve errors are part of the digest
-			pending = &got
-			res.Epochs++
-		case "epoch":
-			if pending == nil {
-				return res, fmt.Errorf("serve: journal line %d: epoch record with no preceding drain", line)
-			}
-			if pending.Digest != rec.Digest {
-				return res, fmt.Errorf("serve: epoch %d diverged: replay digest %s, journal %s",
-					rec.Epoch, pending.Digest, rec.Digest)
-			}
-			if pending.Planned != rec.Planned || pending.Members != rec.Members {
-				return res, fmt.Errorf("serve: epoch %d diverged: replay planned %d/%d members, journal %d/%d",
-					rec.Epoch, pending.Planned, pending.Members, rec.Planned, rec.Members)
-			}
-			pending = nil
-			res.Matched++
-		default:
-			return res, fmt.Errorf("serve: journal line %d: unknown record type %q", line, rec.T)
-		}
-		if err2 != nil {
-			return res, fmt.Errorf("serve: journal line %d: %w", line, err2)
-		}
-	}
-	if eng == nil {
-		return res, fmt.Errorf("serve: empty journal")
-	}
-	return res, nil
+// replayWith is Replay with operational overrides (workers, shards),
+// which by the determinism contract cannot change a bit.
+func replayWith(r io.Reader, operational Config) (RecoveryStats, error) {
+	_, st, err := replayJournal(newLineReader(r, replayMaxLine, "journal"), operational, false)
+	return st, err
 }
 
 // decodeJournalLine validates the CRC frame (when present) and

@@ -1,20 +1,24 @@
-// Startup recovery for segmented journals: restore the newest intact
-// snapshot, replay the segment tail re-verifying every epoch digest bit
-// for bit, truncate a crash-torn tail, and hand back a ready engine
-// with a fresh snapshot-headed segment attached.
+// The journal reader and startup recovery. replayJournal is the one
+// reader: Replay, VerifyDir and Open all decode a journal's head and
+// replay its tail through it, so what counts as a valid journal is
+// decided in one place. Recovery restores the newest intact snapshot,
+// replays the segment tail re-verifying every epoch digest bit for bit,
+// truncates a crash-torn tail, and hands back a ready engine with a
+// fresh snapshot-headed segment attached.
 //
 // Recovery state machine:
 //
-//	scan segments ──► pick base: newest segment with a valid snapshot
-//	      │            head (a torn head is tolerated only on the
-//	      │            newest segment — rotation fsyncs a head before
+//	scan segments ──► pick base: the newest segment; if replayJournal
+//	      │            finds its head bad (errBadHead), fall back exactly
+//	      │            one segment — rotation fsyncs a head before
 //	      │            deleting anything older, so a crash can tear at
 //	      │            most the newest; anything else is bit rot and a
-//	      │            hard error)
+//	      │            hard error
 //	      ▼
 //	restore snapshot ─► membership + plans + hub budget + epoch counter
 //	      ▼              + pending queue + admitted-op count
-//	replay tail ──────► re-admit ops in journal order; at each drain,
+//	replay tail ──────► re-admit ops in journal order; at each drain
+//	      │             (numbered next, previous epoch record present),
 //	      │             re-run the epoch and demand the journaled digest
 //	      │             matches the recomputed one bit for bit
 //	      ▼
@@ -33,11 +37,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"braidio/internal/units"
 )
 
-// RecoveryStats reports what startup recovery found and did.
+// RecoveryStats reports what the journal reader found and did: for
+// Replay, the stream's counts; for VerifyDir and Open, also which
+// segment recovery restored from.
 type RecoveryStats struct {
 	// Segments is how many segment files the directory held at startup;
 	// BaseSegment is the index recovery restored from.
@@ -46,15 +50,15 @@ type RecoveryStats struct {
 	// SnapshotEpoch and SnapshotMembers describe the restored snapshot.
 	SnapshotEpoch   uint64 `json:"snapshot_epoch"`
 	SnapshotMembers int    `json:"snapshot_members"`
-	// Ops counts post-snapshot operations replayed from the tail —
-	// recovery work is proportional to this, not to history length.
+	// Ops counts the operations replayed after the head — recovery work
+	// is proportional to this, not to history length.
 	Ops int `json:"ops"`
 	// Epochs counts drains re-run; Matched counts digests verified
 	// bit-for-bit against journaled epoch records (Epochs can exceed
 	// Matched by one when the crash cut the final epoch record).
 	Epochs  int `json:"epochs"`
 	Matched int `json:"matched"`
-	// TornRecords and TornBytes quantify the truncated tail;
+	// TornRecords and TornBytes quantify the tolerated torn tail;
 	// TornSegments is 1 when the newest segment's head itself was torn
 	// (crash mid-rotation) and recovery fell back to the previous one.
 	TornRecords  int   `json:"torn_records"`
@@ -73,40 +77,122 @@ type RecoveryStats struct {
 // recovery failure.
 var errNoSegments = errors.New("serve: journal directory has no segments")
 
-// readSegmentHead opens a segment and returns its head snapshot and a
-// reader positioned at the tail. Any head defect — missing, torn,
-// CRC-mismatched, or not a snapshot — is an error; the caller decides
-// whether that is a tolerable torn rotation or corruption.
-func readSegmentHead(seg segmentInfo) (*snapshotRecord, *os.File, *lineReader, error) {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Snapshot lines scale with membership (a plan per member), so the
-	// cap is generous; it exists only to bound memory on garbage input.
-	lr := newLineReader(f, 1<<30)
+// errBadHead marks a head defect — missing, torn, CRC-bad, unreadable,
+// or the wrong kind of record — as opposed to a bad tail. Recovery
+// falls back one segment on it, and on nothing else.
+var errBadHead = errors.New("bad journal head")
+
+// replayJournal is the journal reader. It decodes the head — a config
+// header starts an empty engine, a snapshot restores one — and replays
+// the tail: it re-admits every operation in journal order, re-runs each
+// drained epoch and demands the journaled digest match the recomputed
+// one bit for bit. cfg supplies the operational fields; the planner
+// fields come from the head. segment demands what every segment holds,
+// a snapshot head and framed lines; otherwise a config header and bare
+// legacy lines are accepted too.
+//
+// The contract, the same for every caller:
+//   - a bad record with nothing readable after it is a torn tail,
+//     counted in TornRecords/TornBytes; one with valid records after it
+//     is corruption and an error;
+//   - a drain must carry the next epoch number, and must not arrive
+//     while the previous epoch's record is missing: RunEpoch writes
+//     epoch N before drain N+1, so only the final epoch record may be
+//     absent (cut off by a crash);
+//   - an epoch record must follow a drain and match its digest, planned
+//     count and membership.
+func replayJournal(lr *lineReader, cfg Config, segment bool) (*Engine, RecoveryStats, error) {
+	var st RecoveryStats
 	data, complete, err := lr.read()
+	switch {
+	case err == io.EOF:
+		return nil, st, fmt.Errorf("serve: %s: %w: missing", lr.name, errBadHead)
+	case err != nil:
+		return nil, st, fmt.Errorf("%w: %w", errBadHead, err)
+	case !complete:
+		return nil, st, fmt.Errorf("serve: %s: %w: torn", lr.name, errBadHead)
+	}
+	head, err := decodeJournalLine(data, !segment)
 	if err != nil {
-		f.Close()
-		if err == io.EOF {
-			return nil, nil, nil, fmt.Errorf("segment %s: empty", seg.path)
+		return nil, st, fmt.Errorf("serve: %s: %w: %w", lr.name, errBadHead, err)
+	}
+	var eng *Engine
+	switch {
+	case head.T == "snap" && head.Snap != nil:
+		st.SnapshotEpoch, st.SnapshotMembers = head.Snap.Epoch, len(head.Snap.Members)
+		eng = NewEngine(mergeConfig(cfg, head.Snap.Cfg))
+		if err := eng.restoreSnapshot(head.Snap); err != nil {
+			return nil, st, lr.errorf("%w", err)
 		}
-		return nil, nil, nil, fmt.Errorf("segment %s: %w", seg.path, err)
+	case head.T == "config" && !segment:
+		// The capture admitted under this bound, so replay never sheds.
+		cfg.QueueCap = head.QueueCap
+		eng = NewEngine(mergeConfig(cfg, head.journalConfig))
+	default:
+		return nil, st, fmt.Errorf("serve: %s: %w: record %q", lr.name, errBadHead, head.T)
 	}
-	if !complete {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("segment %s: torn snapshot head", seg.path)
+
+	var pending *EpochResult
+	for {
+		data, _, err := lr.read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, st, err
+		}
+		if len(data) == 0 {
+			continue
+		}
+		rec, err := decodeJournalLine(data, !segment)
+		if err != nil {
+			bad := lr.errorf("corrupt record with valid records after it: %w", err)
+			if _, _, nerr := lr.read(); nerr == io.EOF {
+				st.TornRecords++
+				st.TornBytes += lr.next - lr.off
+				break
+			}
+			return nil, st, bad
+		}
+		switch rec.T {
+		case "drain":
+			if pending != nil {
+				return nil, st, lr.errorf("drain %d with epoch %d's record missing", rec.Epoch, pending.Epoch)
+			}
+			if want := eng.Stats().Epoch + 1; rec.Epoch != want {
+				return nil, st, lr.errorf("drain epoch %d, want %d", rec.Epoch, want)
+			}
+			got, _ := eng.RunEpoch() // solve errors are part of the digest
+			pending = &got
+			st.Epochs++
+			st.Digests = append(st.Digests, got.Digest)
+		case "epoch":
+			switch {
+			case pending == nil:
+				return nil, st, lr.errorf("epoch record with no preceding drain")
+			case pending.Digest != rec.Digest:
+				return nil, st, lr.errorf("epoch %d diverged: replay digest %s, journal %s", rec.Epoch, pending.Digest, rec.Digest)
+			case pending.Planned != rec.Planned || pending.Members != rec.Members:
+				return nil, st, lr.errorf("epoch %d diverged: replay planned %d/%d members, journal %d/%d",
+					rec.Epoch, pending.Planned, pending.Members, rec.Planned, rec.Members)
+			}
+			pending = nil
+			st.Matched++
+		default:
+			o, ok := opFromWire(rec.T, rec.ID, rec.E, rec.D)
+			if !ok {
+				return nil, st, lr.errorf("unexpected record type %q", rec.T)
+			}
+			st.Ops++
+			if err := eng.admit(o); errors.Is(err, ErrShed) {
+				return nil, st, lr.errorf("admission shed during replay — raise the queue cap to at least the capture's: %w", err)
+			} else if err != nil {
+				return nil, st, lr.errorf("%w", err)
+			}
+		}
 	}
-	rec, derr := decodeJournalLine(data, false)
-	if derr != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("segment %s: snapshot head: %w", seg.path, derr)
-	}
-	if rec.T != "snap" || rec.Snap == nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("segment %s: head record is %q, want snapshot", seg.path, rec.T)
-	}
-	return rec.Snap, f, lr, nil
+	st.Resumed = eng.Stats().Epoch
+	return eng, st, nil
 }
 
 // recoverEngine restores an engine from the journal directory. cfg
@@ -114,124 +200,47 @@ func readSegmentHead(seg segmentInfo) (*snapshotRecord, *os.File, *lineReader, e
 // JournalFailStop); planner-semantic fields come from the recovered
 // snapshot. Returns errNoSegments when the directory holds no segments.
 func recoverEngine(dir string, cfg Config) (*Engine, RecoveryStats, error) {
-	var stats RecoveryStats
 	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, stats, err
+		return nil, RecoveryStats{}, err
 	}
-	stats.Segments = len(segs)
 	if len(segs) == 0 {
-		return nil, stats, errNoSegments
+		return nil, RecoveryStats{}, errNoSegments
+	}
+	replaySegment := func(seg segmentInfo) (*Engine, RecoveryStats, error) {
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return nil, RecoveryStats{}, fmt.Errorf("%w: %w", errBadHead, err)
+		}
+		defer f.Close()
+		// Snapshot lines scale with membership (a plan per member), so the
+		// cap is generous; it exists only to bound memory on garbage input.
+		return replayJournal(newLineReader(f, 1<<30, "segment "+seg.path), cfg, true)
 	}
 
-	// Pick the recovery base: the newest segment with an intact
-	// snapshot head. A torn head is a crash mid-rotation and is legal
-	// only on the newest segment; rotation's write ordering (head
-	// fsynced before deletions) guarantees the previous segment is
-	// still whole.
+	// The base is the newest segment unless its head is bad. A bad head
+	// is a crash mid-rotation and is legal only on the newest segment;
+	// rotation's write ordering (head fsynced before deletions)
+	// guarantees the previous segment is still whole.
 	base := len(segs) - 1
-	snap, f, lr, headErr := readSegmentHead(segs[base])
-	if headErr != nil {
-		if len(segs) < 2 {
-			return nil, stats, fmt.Errorf("serve: no intact snapshot to recover from (pre-snapshot corruption): %w", headErr)
+	eng, stats, err := replaySegment(segs[base])
+	if errors.Is(err, errBadHead) {
+		if base == 0 {
+			return nil, stats, fmt.Errorf("serve: no intact snapshot to recover from (pre-snapshot corruption): %w", err)
+		}
+		headErr := err
+		base--
+		eng, stats, err = replaySegment(segs[base])
+		if errors.Is(err, errBadHead) {
+			return nil, stats, fmt.Errorf("serve: newest segment torn (%v) and fallback also unusable (pre-snapshot corruption): %w", headErr, err)
 		}
 		stats.TornSegments = 1
 		stats.TornRecords++
-		stats.TornBytes += segs[base].size
-		base--
-		snap, f, lr, err = readSegmentHead(segs[base])
-		if err != nil {
-			return nil, stats, fmt.Errorf("serve: newest segment torn (%v) and fallback also unusable (pre-snapshot corruption): %w", headErr, err)
-		}
+		stats.TornBytes += segs[base+1].size
 	}
-	defer f.Close()
+	stats.Segments = len(segs)
 	stats.BaseSegment = segs[base].idx
-	stats.SnapshotEpoch = snap.Epoch
-	stats.SnapshotMembers = len(snap.Members)
-
-	eng := NewEngine(mergeConfig(cfg, snap.Cfg))
-	if err := eng.restoreSnapshot(snap); err != nil {
-		return nil, stats, fmt.Errorf("serve: segment %s: %w", segs[base].path, err)
-	}
-
-	// Replay the tail: re-admit in journal order, re-run each drained
-	// epoch, verify digests. Only records in this one segment matter —
-	// everything older is superseded by the snapshot, everything newer
-	// (at most one torn segment) was discarded above.
-	var pending *EpochResult
-	for {
-		data, _, rerr := lr.read()
-		if rerr == io.EOF {
-			break
-		}
-		line := lr.line
-		tornAt := func() {
-			stats.TornRecords++
-			stats.TornBytes += segs[base].size - lr.off
-		}
-		if rerr != nil {
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: %w", segs[base].path, line, rerr)
-		}
-		if len(data) == 0 {
-			continue
-		}
-		rec, derr := decodeJournalLine(data, false)
-		if derr != nil {
-			// Torn tail only if nothing readable follows; a corrupt
-			// record with valid history after it predates the crash.
-			if _, _, nerr := lr.read(); nerr == io.EOF {
-				tornAt()
-				break
-			}
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: corrupt record with valid records after it: %w", segs[base].path, line, derr)
-		}
-		var aerr error
-		switch rec.T {
-		case "reg":
-			aerr = eng.Register(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			stats.Ops++
-		case "upd":
-			aerr = eng.Update(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			stats.Ops++
-		case "hub":
-			aerr = eng.SetHubEnergy(units.Joule(rec.E))
-			stats.Ops++
-		case "drain":
-			if want := eng.Stats().Epoch + 1; rec.Epoch != want {
-				return nil, stats, fmt.Errorf("serve: segment %s line %d: drain epoch %d, want %d", segs[base].path, line, rec.Epoch, want)
-			}
-			got, _ := eng.RunEpoch()
-			pending = &got
-			stats.Epochs++
-			stats.Digests = append(stats.Digests, got.Digest)
-		case "epoch":
-			if pending == nil {
-				return nil, stats, fmt.Errorf("serve: segment %s line %d: epoch record with no preceding drain", segs[base].path, line)
-			}
-			if pending.Digest != rec.Digest {
-				return nil, stats, fmt.Errorf("serve: epoch %d diverged on recovery: recomputed digest %s, journal %s",
-					rec.Epoch, pending.Digest, rec.Digest)
-			}
-			if pending.Planned != rec.Planned || pending.Members != rec.Members {
-				return nil, stats, fmt.Errorf("serve: epoch %d diverged on recovery: recomputed planned %d/%d members, journal %d/%d",
-					rec.Epoch, pending.Planned, pending.Members, rec.Planned, rec.Members)
-			}
-			pending = nil
-			stats.Matched++
-		case "snap":
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: unexpected snapshot record mid-segment", segs[base].path, line)
-		default:
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: unknown record type %q", segs[base].path, line, rec.T)
-		}
-		if aerr != nil {
-			if errors.Is(aerr, ErrShed) {
-				return nil, stats, fmt.Errorf("serve: segment %s line %d: admission shed during recovery — raise the queue cap to at least the capture's: %w", segs[base].path, line, aerr)
-			}
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: %w", segs[base].path, line, aerr)
-		}
-	}
-	stats.Resumed = eng.Stats().Epoch
-	return eng, stats, nil
+	return eng, stats, err
 }
 
 // VerifyDir replays a journal directory read-only — the directory-mode

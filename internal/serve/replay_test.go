@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -140,7 +142,7 @@ func TestReplayDetectsCRCCorruption(t *testing.T) {
 
 // TestReplayToleratesCorruptFinalRecord corrupts only the last record:
 // with nothing readable after it, that is indistinguishable from a torn
-// tail and must be tolerated, reported in Torn.
+// tail and must be tolerated, reported in TornRecords.
 func TestReplayToleratesCorruptFinalRecord(t *testing.T) {
 	journal := captureSession(t, 2)
 	trimmed := bytes.TrimRight(journal, "\n")
@@ -151,8 +153,8 @@ func TestReplayToleratesCorruptFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay of journal with corrupt final record: %v", err)
 	}
-	if res.Torn != 1 {
-		t.Fatalf("Torn = %d, want 1", res.Torn)
+	if res.TornRecords != 1 {
+		t.Fatalf("TornRecords = %d, want 1", res.TornRecords)
 	}
 }
 
@@ -244,5 +246,96 @@ loop:
 	}
 	if res.Ops != writers*perWriter*2 {
 		t.Fatalf("replayed %d ops, want %d", res.Ops, writers*perWriter*2)
+	}
+}
+
+// stripFrames drops the CRC frame from every line of a captured
+// journal, giving the bare JSONL a pre-CRC capture holds.
+func stripFrames(journal []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(journal, []byte("\n")) {
+		if payload, framed, err := unframeLine(bytes.TrimSuffix(line, []byte("\n"))); framed && err == nil {
+			line = append(payload, '\n')
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// TestReplayLegacyCapture replays a capture written as bare JSONL, the
+// pre-CRC form: every digest must still match.
+func TestReplayLegacyCapture(t *testing.T) {
+	legacy := stripFrames(captureSession(t, 2))
+	if bytes.Contains(legacy, []byte(` {"t":`)) {
+		t.Fatal("frames left in the legacy capture")
+	}
+	res, err := Replay(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if res.Epochs != 4 || res.Matched != 4 || res.Ops != 49 {
+		t.Fatalf("replayed %d ops, %d epochs, matched %d, want 49 ops and 4/4", res.Ops, res.Epochs, res.Matched)
+	}
+}
+
+// TestReplayRejectsBrokenEpochOrder tampers with the epoch boundaries of
+// a capture, re-framing each edited line so its CRC passes: a drain must
+// carry the next epoch number, and only the final epoch record may be
+// missing, since RunEpoch writes epoch N before drain N+1.
+func TestReplayRejectsBrokenEpochOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(lines []string) []string
+	}{
+		{"missing epoch record", "record missing", func(lines []string) []string {
+			for i, l := range lines {
+				if strings.Contains(l, `{"t":"epoch","epoch":1,`) {
+					return append(lines[:i:i], lines[i+1:]...)
+				}
+			}
+			t.Fatal("no epoch 1 record")
+			return nil
+		}},
+		{"drain skips an epoch", "drain epoch 3, want 2", func(lines []string) []string {
+			for i, l := range lines {
+				if strings.HasSuffix(l, `{"t":"drain","epoch":2}`) {
+					lines[i] = strings.TrimSuffix(string(frameLine([]byte(`{"t":"drain","epoch":3}`))), "\n")
+					return lines
+				}
+			}
+			t.Fatal("no drain 2 record")
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := strings.Split(strings.TrimRight(string(captureSession(t, 2)), "\n"), "\n")
+			in := strings.Join(tc.edit(lines), "\n") + "\n"
+			res, err := Replay(strings.NewReader(in))
+			if err == nil {
+				t.Fatalf("replay accepted the journal (%d epochs, %d matched)", res.Epochs, res.Matched)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestJournalHeaderMatchesFixture pins the config header's bytes:
+// NewJournal, given the config the committed single-stream fixture was
+// captured with, must write that capture's first line exactly.
+func TestJournalHeaderMatchesFixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "pr7_single_stream.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fixture[:bytes.IndexByte(fixture, '\n')+1]
+	var buf bytes.Buffer
+	j := NewJournal(&buf, Config{RatioTolerance: 0.05, DistanceTolerance: 0.05, Window: 64, HubEnergy: 10, QueueCap: 4096})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("header\n%s\nwant\n%s", buf.Bytes(), want)
 	}
 }

@@ -5,21 +5,21 @@
 // the lowercase-hex CRC32-C of the JSON payload. The frame makes torn
 // and bit-rotted records detectable: a crash mid-write leaves either a
 // line without its newline or a line whose checksum no longer matches,
-// and recovery can tell "tail torn by the crash" (truncate and keep
-// going) from "history corrupted" (hard error) by where the bad record
-// sits. Readers accept bare legacy JSONL lines only where explicitly
-// allowed (single-file Replay of pre-CRC captures).
+// and the journal reader (replayJournal, recover.go) tells "tail torn
+// by the crash" (truncate and keep going) from "history corrupted"
+// (hard error) by where the bad record sits. It accepts bare legacy
+// JSONL lines only outside segments (Replay of pre-CRC captures).
 //
 // Segments. In directory mode the journal is a sequence of segment
 // files; every segment begins with a full-state snapshot record, so
 // recovery never reads more than one segment: restore the newest
-// segment's head snapshot, replay its tail. Rotation (a new segment)
-// happens exactly when a snapshot is written, and compaction deletes
-// segments older than the newest snapshot (minus a configurable retain
-// count). Rotation orders its writes for crash safety: the new
-// segment's snapshot is flushed and fsynced before any old segment is
-// deleted, so a crash at any instant leaves either a valid new head or
-// the intact previous segment.
+// segment's head snapshot and replay its tail, through the same reader
+// Replay uses. Rotation (a new segment) happens exactly when a snapshot
+// is written, and compaction deletes segments older than the newest
+// snapshot (minus a configurable retain count). Rotation orders its
+// writes for crash safety: the new segment's snapshot is flushed and
+// fsynced before any old segment is deleted, so a crash at any instant
+// leaves either a valid new head or the intact previous segment.
 
 package serve
 
@@ -141,13 +141,17 @@ func unframeLine(line []byte) (payload []byte, framed bool, err error) {
 	return payload, true, nil
 }
 
-// lineReader reads journal lines from a stream, tracking line numbers
-// and byte offsets so recovery can report exactly where a tail tore.
+// lineReader reads journal lines from a stream for the journal reader,
+// tracking line numbers and byte offsets so it can report exactly where
+// a tail tore.
 type lineReader struct {
 	rd *bufio.Reader
-	// max bounds a single line; 0 means unbounded. Replay uses 1 MiB to
-	// bound memory on untrusted files; recovery readers use a far larger
-	// cap because snapshot records scale with membership.
+	// name labels the stream in errors ("journal", "segment <path>").
+	name string
+	// max bounds a single line; 0 means unbounded. The reader is handed
+	// 1 MiB by Replay, to bound memory on untrusted files, and a far
+	// larger cap by recovery, because snapshot heads scale with
+	// membership.
 	max int
 	// line is the 1-based number of the line most recently returned.
 	line int
@@ -156,8 +160,13 @@ type lineReader struct {
 	off, next int64
 }
 
-func newLineReader(r io.Reader, max int) *lineReader {
-	return &lineReader{rd: bufio.NewReaderSize(r, 1<<16), max: max}
+func newLineReader(r io.Reader, max int, name string) *lineReader {
+	return &lineReader{rd: bufio.NewReaderSize(r, 1<<16), name: name, max: max}
+}
+
+// errorf formats an error located at the line most recently read.
+func (lr *lineReader) errorf(format string, args ...any) error {
+	return fmt.Errorf("serve: %s line %d: %w", lr.name, lr.line, fmt.Errorf(format, args...))
 }
 
 // read returns the next line without its trailing newline. complete is
@@ -179,7 +188,7 @@ func (lr *lineReader) read() (data []byte, complete bool, err error) {
 		data = data[:len(data)-1]
 	}
 	if lr.max > 0 && len(data) > lr.max {
-		return nil, complete, fmt.Errorf("serve: journal line %d too long (exceeds %d bytes)", lr.line, lr.max)
+		return nil, complete, fmt.Errorf("serve: %s line %d too long (exceeds %d bytes)", lr.name, lr.line, lr.max)
 	}
 	if err != nil && err != io.EOF {
 		return nil, complete, err

@@ -20,8 +20,8 @@ import (
 	"braidio/internal/units"
 )
 
-// journalConfig is the planner-semantic slice of Config embedded in
-// snapshots (and, flat, in legacy config headers): the fields that must
+// journalConfig is the planner-semantic slice of Config carried by
+// snapshots and, flattened, by config headers: the fields that must
 // match the capture for digests to reproduce. Operational fields
 // (Workers, QueueCap, Rec, JournalFailStop) are deliberately absent —
 // they never affect plan bits and are taken from the restarting
