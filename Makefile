@@ -78,12 +78,15 @@ cover:
 
 # Run the benchmark suite (paper tables/figures, the waveform engine and
 # Monte Carlo sweeps, the hub/fleet engine, the serve epoch/contention
-# benchmarks, the network scheduler, plus the mobility walks), keep the
-# raw text, and distill it into the machine-readable perf record
-# BENCH_pr15.json.
+# benchmarks, the network scheduler, the mobility walks, the offload
+# solvers and braid run in core, and the simplex in lp), keep the raw
+# text, and distill it into the machine-readable perf record
+# BENCH_pr17.json.
+BENCH_PKGS = . ./internal/hub ./internal/serve ./internal/net ./internal/sim ./internal/core ./internal/lp
+
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem . ./internal/hub ./internal/serve ./internal/net ./internal/sim | tee bench_output.txt
-	$(GO) run ./cmd/braidio-bench -benchjson BENCH_pr15.json < bench_output.txt
+	$(GO) test -run=NONE -bench=. -benchmem $(BENCH_PKGS) | tee bench_output.txt
+	$(GO) run ./cmd/braidio-bench -benchjson BENCH_pr17.json < bench_output.txt
 
 # Quick compile-and-run smoke over every benchmark in the repo (one
 # iteration each); CI runs this to keep benchmarks from bit-rotting.
@@ -98,9 +101,9 @@ bench-smoke:
 # iteration count under-amortizes warm-up for sub-microsecond benchmarks
 # and false-positives the gate.
 bench-diff:
-	$(GO) test -run=NONE -bench=. -benchmem -benchtime=100ms . ./internal/hub ./internal/serve ./internal/net ./internal/sim > bench_diff_output.txt
+	$(GO) test -run=NONE -bench=. -benchmem -benchtime=100ms $(BENCH_PKGS) > bench_diff_output.txt
 	$(GO) run ./cmd/braidio-bench -benchjson bench_new.json < bench_diff_output.txt
-	$(GO) run ./cmd/braidio-bench -benchdiff BENCH_pr15.json -threshold 2.0 bench_new.json
+	$(GO) run ./cmd/braidio-bench -benchdiff BENCH_pr17.json -threshold 2.0 bench_new.json
 
 # Print every reproduced artifact to stdout.
 repro:

@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -39,7 +40,8 @@ func main() {
 	epoch := flag.Duration("epoch", 500*time.Millisecond, "epoch interval (batching window for re-plans)")
 	ratioTol := flag.Float64("ratio-tol", 0.05, "battery-ratio drift tolerance before a member is re-planned")
 	distTol := flag.Float64("dist-tol", 0.05, "link-distance drift tolerance before a member is re-planned")
-	window := flag.Int("window", 64, "block-schedule window length (frame slots per plan)")
+	window := windowFlag(64)
+	flag.Var(&window, "window", "block-schedule window length (frame slots per plan, at most 1048576)")
 	hubJ := flag.Float64("hub-j", 10, "hub-side energy budget E1 in joules")
 	queueCap := flag.Int("queue-cap", 1<<16, "admission queue bound; overflow is shed with 503")
 	workers := flag.Int("workers", 0, "planning pool size (0 = GOMAXPROCS; plans identical at any value)")
@@ -66,7 +68,7 @@ func main() {
 		QueueCap:          *queueCap,
 		RatioTolerance:    *ratioTol,
 		DistanceTolerance: *distTol,
-		Window:            *window,
+		Window:            int(window),
 		HubEnergy:         units.Joule(*hubJ),
 	}
 	sync, err := serve.ParseSyncPolicy(*syncPolicy)
@@ -102,6 +104,31 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// maxWindow is the longest block-schedule window the daemon accepts:
+// the bound serve's journal reader enforces on a journal head, so every
+// journal the daemon writes replays. TestWindowFlag pins the two equal.
+const maxWindow = 1 << 20
+
+// windowFlag is the -window flag: an int, like flag.Int, that rejects
+// windows longer than maxWindow.
+type windowFlag int
+
+// String implements flag.Value.
+func (w *windowFlag) String() string { return strconv.Itoa(int(*w)) }
+
+// Set implements flag.Value, parsing s as flag.Int does.
+func (w *windowFlag) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err
+	}
+	if n > maxWindow {
+		return fmt.Errorf("window %d exceeds %d slots", n, maxWindow)
+	}
+	*w = windowFlag(n)
+	return nil
 }
 
 // journalSetup carries the daemon's durability flags: a single capture

@@ -60,8 +60,7 @@ type Braid struct {
 	DisableLinkCache bool
 	// Links, when non-nil, supplies the run's characterized links
 	// directly and skips per-run characterization. The round engine
-	// (internal/net) sets each slot's linkcache.View row here every
-	// round. The cross-run allocation memo compares slice identity to
+	// (internal/net) sets each slot's kept link row here every round. The cross-run allocation memo compares slice identity to
 	// detect moved members, so a caller that passes a private row — as
 	// net does for carrier-shared rounds — must turn the memo off
 	// (DisableAllocationMemo) and reset the scratch, and must never

@@ -24,7 +24,8 @@
 // Every planner runs Optimize's closed form: Optimize, OptimizeInto and
 // the batch arena's OptimizeBatch share one validating enumeration, so
 // the three agree bit for bit. SolveEq1 is the reference that the
-// property tests and the ablation-solver table check it against.
+// property tests and the ablation-solver table check it against. Only a
+// member with a rate floor solves an LP: OptimizeQoS (see QoSScratch).
 //
 // Fractions are fractions of delivered bits, which at equal mode bitrates
 // equal the paper's fractions of time.

@@ -25,11 +25,31 @@ import (
 // the required power proportion, and ErrRateUnreachable when even the
 // fastest single link is slower than minRate.
 func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate) (*Allocation, error) {
+	return new(QoSScratch).Optimize(links, e1, e2, minRate)
+}
+
+// QoSScratch holds the buffers OptimizeQoS solves in — the LP's rows,
+// its simplex workspace, the vertex search's fractions and the returned
+// allocation — so a caller that solves repeatedly (a rate-floored
+// member's braid, every epoch) allocates nothing per solve. The zero
+// value is ready to use. The Allocation Optimize returns is overwritten
+// by its next call. A QoSScratch is not safe for concurrent use.
+type QoSScratch struct {
+	ws    lp.Workspace
+	buf   []float64
+	alloc Allocation
+}
+
+// Optimize is OptimizeQoS in the scratch's buffers.
+func (s *QoSScratch) Optimize(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate) (*Allocation, error) {
 	if err := validateInputs(links, e1, e2); err != nil {
 		return nil, err
 	}
 	if minRate <= 0 {
-		return Optimize(links, e1, e2)
+		if err := optimizeInto(&s.alloc, links, e1, e2); err != nil {
+			return nil, err
+		}
+		return &s.alloc, nil
 	}
 	fastest := units.BitRate(0)
 	for _, l := range links {
@@ -44,11 +64,16 @@ func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate
 	// First try the power-proportional LP with the throughput row.
 	ratio := float64(e1) / float64(e2)
 	n := len(links)
-	// Variables: p_1..p_n, slack s for the throughput inequality.
-	c := make([]float64, n+1)
-	ones := make([]float64, n+1)
-	ratioRow := make([]float64, n+1)
-	rateRow := make([]float64, n+1)
+	// Variables: p_1..p_n, slack s for the throughput inequality. The
+	// four LP rows and the vertex search's two fraction vectors share
+	// one zeroed buffer, w wide each.
+	w := n + 1
+	if cap(s.buf) < 6*w {
+		s.buf = make([]float64, 6*w)
+	}
+	buf := s.buf[:6*w]
+	clear(buf)
+	c, ones, ratioRow, rateRow := buf[:w], buf[w:2*w], buf[2*w:3*w], buf[3*w:4*w]
 	for i, l := range links {
 		c[i] = float64(l.T) + float64(l.R)
 		ones[i] = 1
@@ -56,13 +81,14 @@ func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate
 		rateRow[i] = 1 / float64(l.Good)
 	}
 	rateRow[n] = 1 // slack: Σ p/g + s = 1/minRate
-	sol, err := lp.Solve(&lp.Problem{
+	sol, err := s.ws.Solve(&lp.Problem{
 		C: c,
 		A: [][]float64{ones, ratioRow, rateRow},
 		B: []float64{1, 0, 1 / float64(minRate)},
 	})
 	if err == nil {
-		alloc := &Allocation{Links: links, P: sol.X[:n]}
+		alloc := &s.alloc
+		*alloc = Allocation{Links: links, P: sol.X[:n]}
 		alloc.TX, alloc.RX = mixture(links, alloc.P)
 		alloc.Bits = bitsFor(alloc.TX, alloc.RX, e1, e2)
 		return alloc, nil
@@ -76,7 +102,8 @@ func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate
 	// and maximize delivered bits over the rate-feasible simplex by
 	// enumerating its vertices: pure fast modes and pairwise mixes where
 	// either the rate constraint or the budget balance is active.
-	best := &Allocation{Links: links, P: make([]float64, n), Bits: -1}
+	best := &s.alloc
+	*best = Allocation{Links: links, P: buf[4*w : 4*w+n], Bits: -1}
 	consider := func(p []float64) {
 		var invRate float64
 		for i := range links {
@@ -92,7 +119,7 @@ func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate
 			best.TX, best.RX, best.Bits = tx, rx, bits
 		}
 	}
-	p := make([]float64, n)
+	p := buf[5*w : 5*w+n]
 	for i := range links {
 		for j := range p {
 			p[j] = 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -125,6 +126,59 @@ func TestQoSMonotoneInRate(t *testing.T) {
 	}
 }
 
+// TestQoSScratchReuseMatchesFresh: one QoSScratch, reused in order
+// across this file's cases — no floor, a loose floor, a binding floor,
+// an unreachable rate, the infeasible LP's vertex fallback and the
+// tightening sweep — then at distances with two modes and one, answers
+// each exactly as a fresh OptimizeQoS does, so stale buffers would
+// show.
+func TestQoSScratchReuseMatchesFresh(t *testing.T) {
+	cases := []struct {
+		d      units.Meter
+		e1, e2 units.Joule
+		rate   units.BitRate
+	}{
+		{0.3, 7200, 3600, 0},
+		{0.3, 7200, 3600, 200_000},
+		{2.0, 720, 23580, 300_000},
+		{0.3, 3600, 3600, 10_000_000},
+		{2.0, 1, 1e9, 300_000},
+		{2.0, 720, 23580, 0},
+		{2.0, 720, 23580, 100_000},
+		{2.0, 720, 23580, 600_000},
+		{2.0, 720, 23580, 900_000},
+		{3, 720, 23580, 300_000},
+		{6, 7200, 3600, 100_000},
+		{2.0, 1, 1e9, 300_000},
+		{4, 720, 23580, 600_000},
+		{0.3, 7200, 3600, 200_000},
+	}
+	bits := math.Float64bits
+	var s QoSScratch
+	for _, c := range cases {
+		links := linksAt(t, c.d)
+		want, werr := OptimizeQoS(links, c.e1, c.e2, c.rate)
+		got, gerr := s.Optimize(links, c.e1, c.e2, c.rate)
+		what := fmt.Sprintf("d=%v ratio=%v/%v rate=%v", float64(c.d), float64(c.e1), float64(c.e2), float64(c.rate))
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("%s: error %v, want %v", what, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		if &got.Links[0] != &want.Links[0] || len(got.P) != len(want.P) ||
+			bits(float64(got.TX)) != bits(float64(want.TX)) || bits(float64(got.RX)) != bits(float64(want.RX)) ||
+			bits(got.Bits) != bits(want.Bits) {
+			t.Fatalf("%s: got %+v, want %+v", what, got, want)
+		}
+		for i := range want.P {
+			if bits(got.P[i]) != bits(want.P[i]) {
+				t.Fatalf("%s: P = %v, want %v", what, got.P, want.P)
+			}
+		}
+	}
+}
+
 func TestAllocationThroughput(t *testing.T) {
 	links := linksAt(t, 0.3)
 	alloc, _ := Optimize(links, 3600, 3600)
@@ -138,4 +192,30 @@ func TestAllocationThroughput(t *testing.T) {
 	if empty.Throughput() != 0 {
 		t.Error("empty allocation throughput should be 0")
 	}
+}
+
+// BenchmarkOptimizeQoS times one rate-floored solve at 2 m, where a
+// 300 kbps floor binds: cold through OptimizeQoS, which builds fresh
+// buffers, and warm through one QoSScratch reused across solves, as a
+// rate-floored member's braid runs it.
+func BenchmarkOptimizeQoS(b *testing.B) {
+	links := phy.NewModel().Characterize(2.0)
+	e1, e2 := units.Joule(720), units.Joule(23580)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := OptimizeQoS(links, e1, e2, 300_000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		var s QoSScratch
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Optimize(links, e1, e2, 300_000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

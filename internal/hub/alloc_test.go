@@ -17,24 +17,37 @@ import (
 // instruments allocations) and run at Workers=1 (par.For spawns
 // goroutines, which allocate, at higher counts — worker goroutine cost
 // is bounded per round, not per member, and is not what this gate
-// measures).
+// measures). The gate runs the body network alone and with a
+// rate-floored member added, whose braid solves the QoS LP every epoch
+// on the slot's own scratch.
 func TestHubRunSteadyStateAllocs(t *testing.T) {
-	run := func(rounds int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			h := bodyNetwork(t)
-			h.Workers = 1
-			if _, err := h.Run(3600, rounds); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	const extra = 100
-	short := run(5)
-	long := run(5 + extra)
-	perRound := (long - short) / extra
-	t.Logf("fixed setup ≈ %.0f allocs; steady-state ≈ %.3f allocs/round (%d members)", short, perRound, 3)
-	if perRound > 0.5 {
-		t.Errorf("steady-state allocations: %.2f allocs/round, want ~0 (pooled scratch regressed)", perRound)
+	qos := Member{Device: dev(t, "Apple Watch"), Distance: 0.5, Load: 5000, MinRate: 150000}
+	for _, tc := range []struct {
+		name  string
+		extra []Member
+	}{{"body", nil}, {"body+qos", []Member{qos}}} {
+		run := func(rounds int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				h := bodyNetwork(t)
+				h.Workers = 1
+				for _, m := range tc.extra {
+					if err := h.Add(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := h.Run(3600, rounds); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const extra = 100
+		short := run(5)
+		long := run(5 + extra)
+		perRound := (long - short) / extra
+		t.Logf("%s: fixed setup ≈ %.0f allocs; steady-state ≈ %.3f allocs/round (%d members)", tc.name, short, perRound, 3+len(tc.extra))
+		if perRound > 0.5 {
+			t.Errorf("%s: steady-state allocations: %.2f allocs/round, want ~0 (pooled scratch regressed)", tc.name, perRound)
+		}
 	}
 }
 

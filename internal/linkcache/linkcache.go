@@ -7,17 +7,20 @@
 // scheduler, and the bidirectional scenarios otherwise recompute
 // identical answers thousands of times per run.
 //
-// Keys embed the model *by value*: mutating a model (fade margin, ARQ
-// accounting, payload length, co-channel interference) simply keys a
-// different entry, so stale reads are impossible. Cached slices are
+// Keys identify the model *by value*: mutating a model (fade margin,
+// ARQ accounting, payload length, co-channel interference) simply keys
+// a different entry, so stale reads are impossible. Link rows key on an
+// interned model ID, which stands for one model value and is never
+// reused; SNR and BER points embed the model itself. Cached slices are
 // shared between callers and must be treated as read-only.
 //
 // A View pins one model for an engine's lifetime and keys a private
 // table by distance and added co-channel interference, the two inputs
 // that vary between an engine's lookups; misses resolve through the
-// global tables. The network scheduler reads every slot's and relay
-// leg's links there, so a static topology characterizes each
-// interfered link once instead of every round.
+// global tables. The network scheduler reads its relay legs' links
+// there, so a static topology characterizes each interfered leg once
+// instead of every round. Its slots read through View.Read, which does
+// not store rows in the view, and keep their own last row.
 //
 // The cache is process-global and safe for concurrent use. To keep a
 // fleet of parallel hub engines from serializing on one lock, it is
@@ -66,9 +69,10 @@ const shardCount = 1 << shardBits
 // at maxEntries per table kind.
 const maxPerShard = maxEntries / shardCount
 
-// linkKey identifies one Characterize result.
+// linkKey identifies one Characterize result: the model's intern ID
+// (see modelID) and the distance.
 type linkKey struct {
-	model phy.Model
+	model uint64
 	d     units.Meter
 }
 
@@ -101,6 +105,42 @@ var (
 	shards   [shardCount]shard
 )
 
+// The model intern table maps each phy.Model value to an ID, so link
+// rows key on a small integer instead of hashing the whole model. A
+// full table (maxModels: engines pin a handful of models, interfered
+// rows add one per interference level) is cleared. IDs are never
+// reused, so rows keyed by a forgotten ID can never serve another model;
+// they go unread until evicted.
+const maxModels = 1024
+
+var (
+	modelsMu sync.RWMutex
+	models   = make(map[phy.Model]uint64)
+	lastID   uint64
+)
+
+// modelID returns m's intern ID, interning the model value on first
+// sight.
+func modelID(m *phy.Model) uint64 {
+	modelsMu.RLock()
+	id, ok := models[*m]
+	modelsMu.RUnlock()
+	if ok {
+		return id
+	}
+	modelsMu.Lock()
+	defer modelsMu.Unlock()
+	if id, ok := models[*m]; ok {
+		return id
+	}
+	if len(models) >= maxModels {
+		clear(models)
+	}
+	lastID++
+	models[*m] = lastID
+	return lastID
+}
+
 func init() {
 	for i := range shards {
 		shards[i].links = make(map[linkKey][]phy.ModeLink)
@@ -109,17 +149,24 @@ func init() {
 	}
 }
 
-// shardFor selects the stripe for a lookup. Distance is the
+// linkShard selects the stripe for a link row: distance, the
+// high-cardinality dimension, spreads the rows, and the model ID keeps
+// distinct models apart.
+func linkShard(id uint64, d units.Meter) *shard {
+	h := rng.Mix64(math.Float64bits(float64(d))) ^ rng.Mix64(id)
+	return &shards[h>>(64-shardBits)]
+}
+
+// shardFor selects the stripe for an SNR or BER point. Distance is the
 // high-cardinality dimension (mobility sweeps thousands of distinct
 // separations), so it must dominate the spread; mode/rate and a cheap
 // fingerprint of the model's scalar knobs are folded in so distinct
-// models and link points do not pile onto one stripe. Interference is
-// one of those knobs, so the interfered rows a View resolves spread like
-// any other key; Mix64(0) == 0, so an interference-free model hashes
-// exactly as if the field were not folded in. Models differing only in
-// deep rf.Link internals may share a stripe — that costs at most
-// capacity sharing, never correctness, because the full model value is
-// still part of the map key.
+// models and link points do not pile onto one stripe; Mix64(0) == 0,
+// so an interference-free model hashes exactly as if that field were
+// not folded in. Models differing only in deep rf.Link internals may
+// share a stripe — that costs at most capacity sharing, never
+// correctness, because the full model value is still part of the map
+// key.
 func shardFor(m *phy.Model, mode phy.Mode, rate units.BitRate, d units.Meter) *shard {
 	h := rng.Mix64(math.Float64bits(float64(d)))
 	h ^= rng.Mix64(uint64(mode)<<32 ^ math.Float64bits(float64(rate)))
@@ -156,8 +203,13 @@ func Characterize(m *phy.Model, d units.Meter) []phy.ModeLink {
 	if disabled.Load() {
 		return m.Characterize(d)
 	}
-	sh := shardFor(m, 0, 0, d)
-	k := linkKey{model: *m, d: d}
+	return characterize(modelID(m), m, d)
+}
+
+// characterize is Characterize for a model already interned as id.
+func characterize(id uint64, m *phy.Model, d units.Meter) []phy.ModeLink {
+	sh := linkShard(id, d)
+	k := linkKey{model: id, d: d}
 	sh.mu.RLock()
 	ls, ok := sh.links[k]
 	sh.mu.RUnlock()
@@ -232,7 +284,8 @@ func BER(m *phy.Model, mode phy.Mode, r units.BitRate, d units.Meter) float64 {
 }
 
 // maxViewEntries bounds a View's private table. A view that overflows
-// (continuous-mobility sweeps) evicts one resident victim per admit,
+// (keys that keep changing, such as a leg whose interference aggregate
+// drifts) evicts one resident victim per admit,
 // exactly like the global shards; evicted keys re-resolve through the
 // global cache, so the canonical slice per (model, distance) never
 // changes identity while it stays resident there.
@@ -245,22 +298,22 @@ type viewKey struct {
 	mw float64
 }
 
-// View is a pinned-model handle over the cache. The global tables key
-// every lookup by the full phy.Model value — hashing a ~200-byte struct
-// per call, which profiles as the single hottest item in a hub round. A
-// View fixes the model once and keys its private table by distance and
-// added interference (two float64s), delegating misses to the global
-// cache so the slices it returns are the same canonical shared slices
-// Characterize returns: callers that compare slice identity (the braid
-// allocation memo) see exactly the behavior of the global path.
+// View is a pinned-model handle over the cache. NewView interns the
+// pinned model once, so the view's global lookups hash a model ID and a
+// distance instead of the ~200-byte model value. Its private table keys
+// rows by distance and added interference (two float64s), and misses
+// resolve through the global cache, so the slices it returns are the
+// same canonical shared slices Characterize returns: callers that
+// compare slice identity (the braid allocation memo) see exactly the
+// behavior of the global path.
 //
 // Interference is in the key because the network scheduler's receivers
 // hear other hubs' carriers, and in a static topology each receiver's
 // aggregate repeats round after round. A miss with nonzero interference
 // resolves a copy of the pinned model with its Interference raised, so
-// there is still one cache behind one SetEnabled switch. A key that
-// never repeats (a walker under interference) costs one map insert per
-// lookup until it is evicted.
+// there is still one cache behind one SetEnabled switch. Lookups whose
+// key rarely repeats (a walker's distance) go through Read, which
+// stores nothing in the view.
 //
 // The pinned model must not be mutated while the view is alive —
 // mutation would key new entries in the global cache while the view
@@ -271,13 +324,14 @@ type viewKey struct {
 // A View is safe for concurrent use.
 type View struct {
 	model *phy.Model
+	id    uint64 // model's intern ID
 	mu    sync.RWMutex
 	links map[viewKey][]phy.ModeLink
 }
 
 // NewView pins a model and returns its view.
 func NewView(m *phy.Model) *View {
-	return &View{model: m, links: make(map[viewKey][]phy.ModeLink)}
+	return &View{model: m, id: modelID(m), links: make(map[viewKey][]phy.ModeLink)}
 }
 
 // Model returns the pinned model.
@@ -292,31 +346,22 @@ func (v *View) Characterize(d units.Meter) []phy.ModeLink {
 
 // CharacterizeAt returns the characterization at distance d of the
 // pinned model with its Interference raised by mw linear milliwatts,
-// memoized by (d, mw). The returned slice is the global cache's
-// canonical slice for that model value and must not be mutated. With
-// the global cache disabled it characterizes directly and stores
+// memoized in the view by (d, mw). The returned slice is the global
+// cache's canonical slice for that model value and must not be mutated.
+// With the global cache disabled it characterizes directly and stores
 // nothing, matching the global path bit for bit and entry for entry.
 func (v *View) CharacterizeAt(d units.Meter, mw float64) []phy.ModeLink {
-	on := !disabled.Load()
+	if disabled.Load() {
+		return v.Read(d, mw)
+	}
 	k := viewKey{d: d, mw: mw}
-	if on {
-		v.mu.RLock()
-		ls, ok := v.links[k]
-		v.mu.RUnlock()
-		if ok {
-			return ls
-		}
+	v.mu.RLock()
+	ls, ok := v.links[k]
+	v.mu.RUnlock()
+	if ok {
+		return ls
 	}
-	m := v.model
-	if mw != 0 {
-		raised := *m
-		raised.Interference += mw
-		m = &raised
-	}
-	if !on {
-		return m.Characterize(d)
-	}
-	ls := Characterize(m, d) // canonical shared slice
+	ls = v.Read(d, mw)
 	v.mu.Lock()
 	if _, ok := v.links[k]; !ok && len(v.links) >= maxViewEntries {
 		evictOne(v.links)
@@ -324,6 +369,19 @@ func (v *View) CharacterizeAt(d units.Meter, mw float64) []phy.ModeLink {
 	v.links[k] = ls
 	v.mu.Unlock()
 	return ls
+}
+
+// Read returns the row CharacterizeAt(d, mw) returns, resolved through
+// the global cache without storing it in the view's table. The row's
+// identity lasts only while the global table keeps it, so a caller that
+// needs a stable slice across reads keeps the row itself.
+func (v *View) Read(d units.Meter, mw float64) []phy.ModeLink {
+	if mw == 0 && !disabled.Load() {
+		return characterize(v.id, v.model, d)
+	}
+	raised := *v.model
+	raised.Interference += mw
+	return Characterize(&raised, d)
 }
 
 // batchParThreshold is the batch size below which CharacterizeColumns

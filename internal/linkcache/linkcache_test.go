@@ -52,6 +52,49 @@ func TestModelValueKeying(t *testing.T) {
 	if !reflect.DeepEqual(faded, m.Characterize(0.5)) {
 		t.Fatal("faded entry differs from direct characterization")
 	}
+	// Equal model values share one intern ID; the faded model and a
+	// copy with Interference raised each get their own.
+	plainM, raised := phy.NewModel(), phy.NewModel()
+	raised.Interference += 1e-9
+	if modelID(plainM) != modelID(phy.NewModel()) {
+		t.Error("equal models interned under different IDs")
+	}
+	if modelID(m) == modelID(plainM) || modelID(raised) == modelID(plainM) {
+		t.Error("a mutated model shares the plain model's ID")
+	}
+}
+
+// TestInternClearNeverReusesIDs: a full intern table is cleared, and
+// every ID handed out afterwards is new, so rows keyed by a forgotten
+// ID can never serve another model.
+func TestInternClearNeverReusesIDs(t *testing.T) {
+	resetAll()
+	base := phy.NewModel()
+	before := modelID(base)
+	Characterize(base, 0.5)
+	seen := map[uint64]bool{before: true}
+	m := *base
+	for i := 0; i <= maxModels; i++ { // one more model than fits
+		m.Interference = float64(i+1) * 1e-12
+		id := modelID(&m)
+		if seen[id] {
+			t.Fatalf("ID %d handed out twice", id)
+		}
+		seen[id] = true
+		if i%256 == 0 && !reflect.DeepEqual(Characterize(&m, 0.5), m.Characterize(0.5)) {
+			t.Fatalf("model %d served another model's row", i)
+		}
+	}
+	after := modelID(base)
+	if after == before {
+		t.Fatal("the intern table was never cleared; test is vacuous")
+	}
+	if seen[after] {
+		t.Errorf("re-interned model got a used ID %d", after)
+	}
+	if !reflect.DeepEqual(Characterize(base, 0.5), base.Characterize(0.5)) {
+		t.Error("re-interned model's row differs from direct characterization")
+	}
 }
 
 func TestSNRAndBERMatchDirect(t *testing.T) {

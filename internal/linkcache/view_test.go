@@ -42,8 +42,8 @@ func sameLinks(t *testing.T, what string, got, want []phy.ModeLink) {
 // TestViewCharacterizeAtMatchesRaisedModel: every (distance,
 // interference) row equals CharacterizeInto on a model copy whose
 // Interference is raised by mw — the private link build the network
-// scheduler would otherwise run — with the cache on and off, cold and
-// warm.
+// scheduler would otherwise run — with the cache on and off, through
+// Read and through CharacterizeAt cold and warm.
 func TestViewCharacterizeAtMatchesRaisedModel(t *testing.T) {
 	t.Cleanup(func() { SetEnabled(true) })
 	m := phy.NewModel()
@@ -56,6 +56,7 @@ func TestViewCharacterizeAtMatchesRaisedModel(t *testing.T) {
 				raised := *m
 				raised.Interference += mw
 				want := raised.CharacterizeInto(nil, d)
+				sameLinks(t, "read", v.Read(d, mw), want)
 				for _, pass := range []string{"cold", "warm"} {
 					sameLinks(t, pass, v.CharacterizeAt(d, mw), want)
 				}
@@ -79,6 +80,31 @@ func TestViewZeroInterferenceIsCanonical(t *testing.T) {
 		if &at[0] != &plain[0] || &at[0] != &global[0] {
 			t.Errorf("d=%v: CharacterizeAt(d, 0), Characterize(d) and the global Characterize return different slices", float64(d))
 		}
+	}
+}
+
+// TestViewReadStoresNothing: Read returns the global cache's canonical
+// slice for the raised model and leaves the view's table as it was.
+func TestViewReadStoresNothing(t *testing.T) {
+	resetAll()
+	m := phy.NewModel()
+	v := NewView(m)
+	v.CharacterizeAt(0.3, 0)
+	for _, d := range []units.Meter{0.3, 1.5} {
+		for _, mw := range viewMWs(m)[:2] {
+			raised := *m
+			raised.Interference += mw
+			got, want := v.Read(d, mw), Characterize(&raised, d)
+			if len(want) == 0 {
+				t.Fatalf("d=%v: empty row; pick a distance in range", float64(d))
+			}
+			if &got[0] != &want[0] {
+				t.Errorf("d=%v mw=%v: Read and the global Characterize return different slices", float64(d), mw)
+			}
+		}
+	}
+	if n := len(v.links); n != 1 {
+		t.Errorf("view holds %d rows after Read, want the 1 CharacterizeAt stored", n)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package lp implements a small dense linear-program solver. Through
 // core.SolveEq1 it solves the mode-fraction program of Eq. (1) in the
 // paper: the reference that the property tests and the ablation-solver
-// table check the closed-form optimizer against. No planner runs it.
+// table check the closed-form optimizer against. Through
+// core.OptimizeQoS it plans every rate-floored member: each such slot's
+// round solves its braid's epochs here, on a Workspace the slot keeps.
 //
 // The solver handles problems in standard form:
 //
@@ -73,6 +75,7 @@ type tableau struct {
 	b     []float64   // m right-hand side
 	c     []float64   // n reduced-ish cost vector (original costs)
 	basis []int       // m basic variable indices
+	r     []float64   // reduced-cost buffer, at least n long
 	m, n  int
 }
 
@@ -103,7 +106,7 @@ func (t *tableau) pivot(row, col int) {
 // each column for the current basis, assuming the tableau rows have been
 // kept in canonical form (basic columns are unit vectors).
 func (t *tableau) reducedCosts() []float64 {
-	r := make([]float64, t.n)
+	r := t.r[:t.n]
 	copy(r, t.c)
 	for i, bi := range t.basis {
 		if bi < 0 {
@@ -156,9 +159,39 @@ func (t *tableau) iterate() error {
 	}
 }
 
-// Solve solves the linear program. It returns ErrInfeasible or
-// ErrUnbounded when appropriate.
-func Solve(p *Problem) (*Solution, error) {
+// Workspace holds the buffers a solve needs — the tableau, the basis,
+// the extraction system and the solution — so a caller solving many
+// problems reuses them instead of allocating per solve. The zero value
+// is ready to use. The Solution a Workspace returns, X included, is
+// overwritten by its next Solve. A Workspace is not safe for concurrent
+// use.
+type Workspace struct {
+	t                tableau
+	rows, aug        [][]float64
+	cells, augCells  []float64
+	b, c, r, x       []float64
+	basis, idx, cols []int
+	sol              Solution
+}
+
+// resize returns buf resized to n zeroed elements, reallocating only
+// when its capacity is short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// Solve solves the linear program with a fresh Workspace. It returns
+// ErrInfeasible or ErrUnbounded when appropriate.
+func Solve(p *Problem) (*Solution, error) { return new(Workspace).Solve(p) }
+
+// Solve solves the linear program in the workspace's buffers. It
+// returns ErrInfeasible or ErrUnbounded when appropriate.
+func (w *Workspace) Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,10 +200,11 @@ func Solve(p *Problem) (*Solution, error) {
 
 	// Phase 1: introduce one artificial variable per row and minimize
 	// their sum. Normalize b ≥ 0 first.
-	a := make([][]float64, m)
-	b := make([]float64, m)
+	w.cells, w.rows, w.b = resize(w.cells, m*(n+m)), resize(w.rows, m), resize(w.b, m)
+	w.c, w.r, w.basis = resize(w.c, n+m), resize(w.r, n+m), resize(w.basis, m)
+	a, b, c1, basis := w.rows, w.b, w.c, w.basis
 	for i := range a {
-		a[i] = make([]float64, n+m)
+		a[i] = w.cells[i*(n+m) : (i+1)*(n+m)]
 		sign := 1.0
 		if p.B[i] < 0 {
 			sign = -1
@@ -181,13 +215,12 @@ func Solve(p *Problem) (*Solution, error) {
 		a[i][n+i] = 1
 		b[i] = sign * p.B[i]
 	}
-	c1 := make([]float64, n+m)
-	basis := make([]int, m)
 	for i := 0; i < m; i++ {
 		c1[n+i] = 1
 		basis[i] = n + i
 	}
-	t := &tableau{a: a, b: b, c: c1, basis: basis, m: m, n: n + m}
+	t := &w.t
+	*t = tableau{a: a, b: b, c: c1, basis: basis, r: w.r, m: m, n: n + m}
 	if err := t.iterate(); err != nil {
 		// Phase 1 cannot be unbounded (costs are nonnegative), so any
 		// error here is a genuine solver failure.
@@ -232,7 +265,7 @@ func Solve(p *Problem) (*Solution, error) {
 		t.a[i] = t.a[i][:n]
 	}
 	t.n = n
-	t.c = make([]float64, n)
+	t.c = c1[:n] // phase 1's costs are spent
 	copy(t.c, p.C)
 	for i, bi := range t.basis {
 		if bi >= n {
@@ -245,23 +278,20 @@ func Solve(p *Problem) (*Solution, error) {
 	if err := t.iterate(); err != nil {
 		return nil, err
 	}
-	if sol, err := extract(p, t.basis); err == nil {
+	if sol, err := w.extract(p, t.basis); err == nil {
 		return sol, nil
 	}
 	// Numerically singular basis (should not happen for a basis simplex
 	// just pivoted through): fall back to the tableau's accumulated
 	// values.
-	x := make([]float64, n)
+	w.x = resize(w.x, n)
+	x := w.x
 	for i, bi := range t.basis {
 		if bi >= 0 && bi < n && t.b[i] > eps {
 			x[bi] = t.b[i]
 		}
 	}
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += p.C[j] * x[j]
-	}
-	return &Solution{X: x, Objective: obj}, nil
+	return w.solution(p, x), nil
 }
 
 // extract reconstructs the solution a basis determines directly from the
@@ -272,9 +302,9 @@ func Solve(p *Problem) (*Solution, error) {
 // arithmetic depends only on (p, the basis *set*) — never on the pivot
 // path that reached the basis — so the answer carries none of the
 // rounding the tableau accumulated along that path.
-func extract(p *Problem, basis []int) (*Solution, error) {
+func (w *Workspace) extract(p *Problem, basis []int) (*Solution, error) {
 	n := len(p.C)
-	var rows, cols []int
+	rows, cols := w.idx[:0], w.cols[:0]
 	for i, bi := range basis {
 		if bi < 0 {
 			continue // redundant zeroed row
@@ -285,6 +315,7 @@ func extract(p *Problem, basis []int) (*Solution, error) {
 		rows = append(rows, i)
 		cols = append(cols, bi)
 	}
+	w.idx, w.cols = rows, cols
 	sort.Ints(cols)
 	for i := 1; i < len(cols); i++ {
 		if cols[i] == cols[i-1] {
@@ -294,9 +325,10 @@ func extract(p *Problem, basis []int) (*Solution, error) {
 	k := len(rows)
 	// Augmented system [A_B | b] over the original data, rows and basic
 	// columns both in ascending order.
-	m := make([][]float64, k)
+	w.augCells, w.aug = resize(w.augCells, k*(k+1)), resize(w.aug, k)
+	m := w.aug
 	for r, ri := range rows {
-		m[r] = make([]float64, k+1)
+		m[r] = w.augCells[r*(k+1) : (r+1)*(k+1)]
 		for c, cj := range cols {
 			m[r][c] = p.A[ri][cj]
 		}
@@ -324,7 +356,8 @@ func extract(p *Problem, basis []int) (*Solution, error) {
 			}
 		}
 	}
-	x := make([]float64, n)
+	w.x = resize(w.x, n)
+	x := w.x
 	for c := k - 1; c >= 0; c-- {
 		v := m[c][k]
 		for j := c + 1; j < k; j++ {
@@ -335,9 +368,16 @@ func extract(p *Problem, basis []int) (*Solution, error) {
 			x[cols[c]] = v
 		}
 	}
+	return w.solution(p, x), nil
+}
+
+// solution prices x off the original costs into the workspace's
+// Solution.
+func (w *Workspace) solution(p *Problem, x []float64) *Solution {
 	obj := 0.0
-	for j := 0; j < n; j++ {
+	for j := range p.C {
 		obj += p.C[j] * x[j]
 	}
-	return &Solution{X: x, Objective: obj}, nil
+	w.sol = Solution{X: x, Objective: obj}
+	return &w.sol
 }

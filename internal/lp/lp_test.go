@@ -2,10 +2,32 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// reusedMatchesFresh reports whether ws, reused across earlier
+// problems, solves p exactly as a fresh Solve does: the same error, or
+// X and the objective equal bit for bit. Stale workspace buffers would
+// show here.
+func reusedMatchesFresh(ws *Workspace, p *Problem) bool {
+	want, werr := Solve(p)
+	got, gerr := ws.Solve(p)
+	if werr != nil || gerr != nil {
+		return fmt.Sprint(gerr) == fmt.Sprint(werr)
+	}
+	if len(got.X) != len(want.X) || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		return false
+	}
+	for j := range want.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+			return false
+		}
+	}
+	return true
+}
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
@@ -156,8 +178,10 @@ func TestNearDependentRowDriveOut(t *testing.T) {
 // artificial variables basic at zero after phase 1, exercising the
 // drive-out transition: its pivot must come from the largest-magnitude
 // eligible column, or a near-eps pivot element scales the row by ~1/eps
-// and corrupts phase 2.
+// and corrupts phase 2. One Workspace, reused across every problem in
+// order, must match a fresh Solve on each.
 func TestRedundantRowsProperty(t *testing.T) {
+	var ws Workspace
 	f := func(seed uint64) bool {
 		s := seed | 1
 		next := func() float64 { // xorshift64, uniform in [0, 1)
@@ -195,7 +219,7 @@ func TestRedundantRowsProperty(t *testing.T) {
 			base.B = append(base.B, bi)
 		}
 		want, err := Solve(base)
-		if err != nil {
+		if err != nil || !reusedMatchesFresh(&ws, base) {
 			return false
 		}
 
@@ -223,6 +247,10 @@ func TestRedundantRowsProperty(t *testing.T) {
 		aug.A = append(aug.A, sum)
 		aug.B = append(aug.B, sb)
 
+		if !reusedMatchesFresh(&ws, aug) {
+			t.Logf("seed %d: reused workspace differs from a fresh solve", seed)
+			return false
+		}
 		got, err := Solve(aug)
 		if err != nil {
 			t.Logf("seed %d: augmented solve failed: %v", seed, err)
@@ -326,8 +354,10 @@ func TestOffloadShape(t *testing.T) {
 // enumeration of the basic feasible solutions of random offload-shaped
 // problems. With three variables and the two constraints Σp = 1 and
 // Σ a·p = 0, every vertex has support of at most two variables, so the
-// optimum is computable in closed form.
+// optimum is computable in closed form. One Workspace, reused across
+// every problem in order, must match a fresh Solve on each.
 func TestAgainstVertexEnumeration(t *testing.T) {
+	var ws Workspace
 	f := func(seedT1, seedT2, seedT3, seedR1, seedR2, seedR3, seedRatio uint8) bool {
 		T := []float64{1 + float64(seedT1), 1 + float64(seedT2), 1 + float64(seedT3)}
 		R := []float64{1 + float64(seedR1), 1 + float64(seedR2), 1 + float64(seedR3)}
@@ -362,7 +392,11 @@ func TestAgainstVertexEnumeration(t *testing.T) {
 				}
 			}
 		}
-		sol, err := Solve(&Problem{C: c, A: [][]float64{{1, 1, 1}, a}, B: []float64{1, 0}})
+		p := &Problem{C: c, A: [][]float64{{1, 1, 1}, a}, B: []float64{1, 0}}
+		if !reusedMatchesFresh(&ws, p) {
+			return false
+		}
+		sol, err := Solve(p)
 		if err != nil {
 			return errors.Is(err, ErrInfeasible) && math.IsInf(best, 1)
 		}

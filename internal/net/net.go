@@ -285,15 +285,17 @@ type seed struct {
 }
 
 // slot is one (hub, member) pair's working set for a Run or PlanRound
-// call: its seed, its braid, plan-phase battery copies, the link buffer
-// for carrier-shared rounds, and the round verdict the commit consumes.
-// Everything here is owned by the slot's index — the plan phase may
-// write it from any worker without synchronization.
+// call: its seed, its braid and QoS scratch, plan-phase battery copies,
+// its kept link row, the link buffer for carrier-shared rounds, and the
+// round verdict the commit consumes. Everything here is owned by the
+// slot's index — the plan phase may write it from any worker without
+// synchronization.
 type slot struct {
 	seed
 
 	braid    core.Braid
-	memoBase bool // braid's constructed DisableAllocationMemo
+	memoBase bool            // braid's constructed DisableAllocationMemo
+	qos      core.QoSScratch // a MinRate member's optimizer buffers
 	scr      core.RunScratch
 	plan     core.Result
 	planB1   energy.Battery
@@ -301,6 +303,14 @@ type slot struct {
 	alloc    core.Allocation // direct / relay appraisal target
 	alloc2   core.Allocation // relay hop-2 appraisal target
 	strikes  int             // consecutive failed rounds
+
+	// row is the home link row phase 0 last read, at (rowDist, rowMW).
+	// The slot reuses it while that key repeats, so within a run a row's
+	// identity — which the braid memo compares — stays fixed whatever
+	// the global cache evicts.
+	row     []phy.ModeLink
+	rowDist units.Meter
+	rowMW   float64
 
 	// priv backs the slot's carrier-shared link set: the view's row with
 	// the bistatic link substituted. Its address is stable across rounds
@@ -367,12 +377,14 @@ func (n *Network) acquire() *scratch {
 		s.braid.Obs = n.cfg.Obs
 		s.braid.AllocationTolerance = n.cfg.AllocationTolerance
 		if minRate := s.m.MinRate; minRate > 0 {
+			qos := &s.qos
 			s.braid.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*core.Allocation, error) {
-				return core.OptimizeQoS(links, e1, e2, minRate)
+				return qos.Optimize(links, e1, e2, minRate)
 			}
 		}
 		s.memoBase = s.braid.DisableAllocationMemo
 		s.scr.Reset()
+		s.row = nil
 		s.strikes = 0
 	}
 	return sc

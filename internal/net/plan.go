@@ -145,9 +145,11 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 // energy snapshots, member eligibility, walks, faults (when impair is
 // set), the emission census, donor selection, per-receiver interference
 // aggregation, and link construction. A member whose carrier drops out
-// is an outage: inactive for the round. Every active slot reads the
-// view's row for its distance and interference; a carrier-shared slot
-// copies that row into slot.priv to substitute the bistatic link.
+// is an outage: inactive for the round. Every active slot reads its row
+// for its distance and interference through the view without storing it
+// there (a walker's distance never repeats), keeping the row while that
+// key repeats; a carrier-shared slot copies that row into slot.priv to
+// substitute the bistatic link.
 func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*energy.Battery, now units.Second, impair bool) {
 	for h := range sc.hubs {
 		hs := &sc.hubs[h]
@@ -205,7 +207,10 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 			s.mw = n.interferenceAt(sc, s.hub, -1)
 		}
 		s.private = s.mw > 0 || s.sharedOK
-		s.links = n.view.CharacterizeAt(s.dist, s.mw)
+		if s.row == nil || s.rowDist != s.dist || s.rowMW != s.mw {
+			s.row, s.rowDist, s.rowMW = n.view.Read(s.dist, s.mw), s.dist, s.mw
+		}
+		s.links = s.row
 		if s.sharedOK {
 			// Replace the monostatic backscatter entry (canonical mode
 			// order puts it last) with the donor-carrier bistatic link;

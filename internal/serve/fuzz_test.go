@@ -81,6 +81,12 @@ func FuzzReplay(f *testing.F) {
 	// Huge queue caps: an untrusted header's cap must size nothing.
 	f.Add(frameLine([]byte(`{"t":"config","hub_j":10,"queue_cap":1000000000000000000}`)))
 	f.Add([]byte(`{"t":"config","queue_cap":800000001}` + "\n"))
+	// A window near math.MaxInt64 once hung the first epoch's block
+	// expansion. The seed keeps what reaches it: the head, one
+	// registration and the first drain of TestReplayRejectsHugeWindow's
+	// input, whose full 230 lines cut the execution rate about 20×.
+	huge := bytes.SplitAfter(hugeWindowJournal(f), []byte("\n"))
+	f.Add(bytes.Join([][]byte{huge[0], huge[1], huge[122]}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Replay(bytes.NewReader(data))

@@ -77,6 +77,13 @@ type RecoveryStats struct {
 // recovery failure.
 var errNoSegments = errors.New("serve: journal directory has no segments")
 
+// maxWindow bounds the block-schedule window a journal head may carry
+// (the default is 64). Block expansion converts window-scaled fractions
+// to int, and near math.MaxInt that conversion overflows and its fix-up
+// loop runs ~2^63 times; braidio-serve's -window flag enforces the same
+// bound.
+const maxWindow = 1 << 20
+
 // errBadHead marks a head defect — missing, torn, CRC-bad, unreadable,
 // or the wrong kind of record — as opposed to a bad tail. Recovery
 // falls back one segment on it, and on nothing else.
@@ -116,20 +123,26 @@ func replayJournal(lr *lineReader, cfg Config, segment bool) (*Engine, RecoveryS
 	if err != nil {
 		return nil, st, fmt.Errorf("serve: %s: %w: %w", lr.name, errBadHead, err)
 	}
-	var eng *Engine
+	var jc journalConfig
 	switch {
 	case head.T == "snap" && head.Snap != nil:
 		st.SnapshotEpoch, st.SnapshotMembers = head.Snap.Epoch, len(head.Snap.Members)
-		eng = NewEngine(mergeConfig(cfg, head.Snap.Cfg))
-		if err := eng.restoreSnapshot(head.Snap); err != nil {
-			return nil, st, lr.errorf("%w", err)
-		}
+		jc = head.Snap.Cfg
 	case head.T == "config" && !segment:
 		// The capture admitted under this bound, so replay never sheds.
 		cfg.QueueCap = head.QueueCap
-		eng = NewEngine(mergeConfig(cfg, head.journalConfig))
+		jc = head.journalConfig
 	default:
 		return nil, st, fmt.Errorf("serve: %s: %w: record %q", lr.name, errBadHead, head.T)
+	}
+	if jc.Window > maxWindow {
+		return nil, st, lr.errorf("window %d exceeds %d slots", jc.Window, maxWindow)
+	}
+	eng := NewEngine(mergeConfig(cfg, jc))
+	if head.T == "snap" {
+		if err := eng.restoreSnapshot(head.Snap); err != nil {
+			return nil, st, lr.errorf("%w", err)
+		}
 	}
 
 	var pending *EpochResult

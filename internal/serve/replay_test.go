@@ -321,6 +321,34 @@ func TestReplayRejectsBrokenEpochOrder(t *testing.T) {
 	}
 }
 
+// hugeWindowJournal is the first 230 lines of the single-stream fixture
+// with the header's window raised to math.MaxInt64 and the header
+// re-framed so its CRC passes. Unbounded, its first epoch's block
+// expansion overflowed and spun for ~2^63 iterations.
+func hugeWindowJournal(tb testing.TB) []byte {
+	tb.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "pr7_single_stream.journal"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lines := bytes.SplitAfter(fixture, []byte("\n"))[:230]
+	payload, framed, err := unframeLine(bytes.TrimSuffix(lines[0], []byte("\n")))
+	if !framed || err != nil || !bytes.Contains(payload, []byte(`"window":64,`)) {
+		tb.Fatalf("unexpected fixture header %q", lines[0])
+	}
+	lines[0] = frameLine(bytes.Replace(payload, []byte(`"window":64,`), []byte(`"window":9223372036854775807,`), 1))
+	return bytes.Join(lines, nil)
+}
+
+// TestReplayRejectsHugeWindow: a journal head whose window exceeds
+// maxWindow fails to replay with an error naming the window.
+func TestReplayRejectsHugeWindow(t *testing.T) {
+	_, err := Replay(bytes.NewReader(hugeWindowJournal(t)))
+	if err == nil || !strings.Contains(err.Error(), "window 9223372036854775807 exceeds") {
+		t.Fatalf("replay error %v, want the window rejected", err)
+	}
+}
+
 // TestJournalHeaderMatchesFixture pins the config header's bytes:
 // NewJournal, given the config the committed single-stream fixture was
 // captured with, must write that capture's first line exactly.

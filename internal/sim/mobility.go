@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"braidio/internal/rng"
 	"braidio/internal/units"
@@ -53,8 +52,13 @@ type RandomWaypoint struct {
 	// Pause at each waypoint.
 	Pause units.Second
 
-	stream   *rng.Stream
-	segments []segment
+	// stream draws the waypoints; origin is the stream as handed over,
+	// from which a query earlier than the cursor replays the walk.
+	stream, origin rng.Stream
+	// cur is the segment the cursor stands on; moving reports whether it
+	// is a move (whose pause comes next) rather than a pause.
+	cur    segment
+	moving bool
 }
 
 type segment struct {
@@ -63,7 +67,10 @@ type segment struct {
 	from, to units.Meter
 }
 
-// NewRandomWaypoint validates and returns a walk starting at Min.
+// NewRandomWaypoint validates and returns a walk starting at Min. The
+// walk copies stream and never advances it, so the caller's stream is
+// left as it was; callers hand each walk its own (a Split or a fresh
+// rng.New) and read that stream no further.
 func NewRandomWaypoint(min, max units.Meter, speed float64, pause units.Second, stream *rng.Stream) *RandomWaypoint {
 	if min <= 0 || max <= min {
 		panic(fmt.Sprintf("sim: bad waypoint bounds [%v, %v]", float64(min), float64(max)))
@@ -74,40 +81,44 @@ func NewRandomWaypoint(min, max units.Meter, speed float64, pause units.Second, 
 	if stream == nil {
 		panic("sim: nil stream")
 	}
-	return &RandomWaypoint{Min: min, Max: max, Speed: speed, Pause: pause, stream: stream}
+	return &RandomWaypoint{Min: min, Max: max, Speed: speed, Pause: pause,
+		stream: *stream, origin: *stream, cur: segment{from: min, to: min}}
 }
 
-// DistanceAt implements Walk, extending the trace lazily and caching it
-// so repeated queries are consistent.
+// DistanceAt implements Walk. The walk is a cursor over its segments:
+// it steps forward from the segment of the last query, and replays from
+// the origin stream when t falls before that segment, so every query
+// sees the same trace and a walk allocates nothing after construction.
 //
-// Each segment starts exactly where the previous one ends (extend
-// computes both from the same sum), so the segments tile [0, end) in
-// order with non-decreasing ends, and the segment holding t is the first
-// whose end lies after t — found by binary search once the trace reaches
-// past t. Zero-length segments never hold a time.
+// Each segment starts exactly where the previous one ends (step computes
+// both from the same sum), so the segments tile [0, ∞) in order with
+// non-decreasing ends, and the cursor stops on the first segment whose
+// end lies after t. Zero-length segments never hold a time.
 func (w *RandomWaypoint) DistanceAt(t units.Second) units.Meter {
 	if t < 0 {
 		panic(fmt.Sprintf("sim: negative time %v", float64(t)))
 	}
-	for len(w.segments) == 0 || w.segments[len(w.segments)-1].end() <= t {
-		w.extend()
+	if t < w.cur.start { // rewind to the walk's start: an empty pause at Min
+		w.stream, w.cur, w.moving = w.origin, segment{from: w.Min, to: w.Min}, false
 	}
-	seg := w.segments[sort.Search(len(w.segments), func(i int) bool { return t < w.segments[i].end() })]
-	f := float64((t - seg.start) / seg.duration)
-	return seg.from + units.Meter(f)*(seg.to-seg.from)
+	for w.cur.end() <= t {
+		w.step()
+	}
+	f := float64((t - w.cur.start) / w.cur.duration)
+	return w.cur.from + units.Meter(f)*(w.cur.to-w.cur.from)
 }
 
 // end is the time the segment ends (exclusive).
 func (s segment) end() units.Second { return s.start + s.duration }
 
-// extend appends one move segment and one pause segment.
-func (w *RandomWaypoint) extend() {
-	var start units.Second
-	from := w.Min
-	if n := len(w.segments); n > 0 {
-		last := w.segments[n-1]
-		start = last.end()
-		from = last.to
+// step advances the cursor one segment: a move's pause, or a pause's
+// next move, which draws its waypoint from the stream.
+func (w *RandomWaypoint) step() {
+	start, from := w.cur.end(), w.cur.to
+	if w.moving {
+		w.cur = segment{start: start, duration: w.Pause, from: from, to: from}
+		w.moving = false
+		return
 	}
 	target := w.Min + units.Meter(w.stream.Float64())*(w.Max-w.Min)
 	dist := float64(target - from)
@@ -118,8 +129,6 @@ func (w *RandomWaypoint) extend() {
 	if travel <= 0 {
 		travel = 1e-9 // degenerate same-point waypoint
 	}
-	w.segments = append(w.segments,
-		segment{start: start, duration: travel, from: from, to: target},
-		segment{start: start + travel, duration: w.Pause, from: target, to: target},
-	)
+	w.cur = segment{start: start, duration: travel, from: from, to: target}
+	w.moving = true
 }
