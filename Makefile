@@ -27,17 +27,21 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the frame codec, the line-coding round trip,
-# the network planner, the serve journal's line decoder and its journal
-# reader (extend -fuzztime for deeper runs). FuzzDecode covers arbitrary
-# buffers; FuzzDecodeMutated covers single-mutation corruption of valid
-# frames (bit flips and truncations at the validation boundaries);
+# the network planner, the serve journal's line decoder, its journal
+# reader and the daemon's HTTP bodies (extend -fuzztime for deeper
+# runs). FuzzDecode covers arbitrary buffers; FuzzDecodeMutated covers
+# single-mutation corruption of valid frames (bit flips and truncations
+# at the validation boundaries);
 # FuzzPlan covers adversarial topologies (NaN/infinite positions,
 # negative loads, degenerate batteries) against net.Plan's typed-error
 # contract; FuzzDecodeJournalLine feeds arbitrary lines, framed or bare,
 # to the journal line decoder; FuzzReplay feeds arbitrary streams to
 # Replay, the one journal reader recovery also runs, so config-headed
 # and snapshot-headed journals (snapshot restore included) are decoded
-# and replayed from untrusted bytes.
+# and replayed from untrusted bytes; FuzzHTTPBodies posts arbitrary
+# bodies to the register, update and hub routes, runs two epochs and
+# reads plans back, demanding a typed status and never a panic or a 5xx
+# plan read.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode$$ -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMutated -fuzztime=10s ./internal/frame
@@ -45,6 +49,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=10s ./internal/net
 	$(GO) test -run=NONE -fuzz=FuzzDecodeJournalLine -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzHTTPBodies -fuzztime=10s ./internal/serve
 
 # Coverage floors for the paper-critical packages (offload solver, hub
 # engine, MAC, network scheduler, lp, the Eq. (1) reference the offload

@@ -229,14 +229,6 @@ func WithSessionFaults(inj FaultInjector) Option {
 	return func(p *Pair) { p.sessionFaults = inj }
 }
 
-// WithoutLinkCache bypasses the process-global PHY characterization memo
-// for this pair's braid. The cache is exact (keyed on the full model
-// value and distance), so this exists for benchmarking and debugging,
-// not correctness.
-func WithoutLinkCache() Option {
-	return func(p *Pair) { p.braid.DisableLinkCache = true }
-}
-
 // NewPair creates a transfer pair. The zero configuration uses the
 // calibrated free-space model with switch overheads on.
 func NewPair(tx, rx Device, d Meter, opts ...Option) *Pair {
@@ -392,7 +384,8 @@ type (
 // the horizon split into rounds, over a GOMAXPROCS-bounded worker pool
 // with per-shard substreams carved from seed.
 func RunFleet(n int, seed uint64, build HubBuilder, horizon Second, rounds int) (*FleetResult, error) {
-	return hub.RunFleet(n, seed, build, horizon, rounds)
+	f := &hub.Fleet{Shards: n, Seed: seed, Build: build}
+	return f.Run(horizon, rounds)
 }
 
 // Duplex is the packet-level bidirectional session (two Sessions wired

@@ -180,6 +180,32 @@ func TestPairSession(t *testing.T) {
 	}
 }
 
+// TestRunFleetConvenience: the one-call form matches an explicit Fleet.
+func TestRunFleetConvenience(t *testing.T) {
+	phone, watch := mustDevice(t, "iPhone 6S"), mustDevice(t, "Apple Watch")
+	build := func(shard int, st *RNG) (*Hub, error) {
+		h := NewHub(phone)
+		for j := 0; j < 2; j++ {
+			m := HubMember{Device: watch, Distance: Meter(0.3 + 1.5*st.Float64()), Load: BitRate(1000 + st.Intn(50000))}
+			if err := h.Add(m); err != nil {
+				return nil, err
+			}
+		}
+		return h, nil
+	}
+	a, err := RunFleet(3, 11, build, 900, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := (&Fleet{Shards: 3, Seed: 11, Build: build}).Run(900, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TotalBits() <= 0 || a.TotalBits() != b.TotalBits() {
+		t.Errorf("RunFleet diverged from Fleet.Run: %v vs %v bits", a.TotalBits(), b.TotalBits())
+	}
+}
+
 func TestBluetoothBaselineExported(t *testing.T) {
 	b := BluetoothBaseline()
 	if b.PowerRatio() != 1 {

@@ -6,6 +6,8 @@ package braidio
 
 import (
 	"os/exec"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -140,6 +142,32 @@ func TestCLISimMetrics(t *testing.T) {
 	cmd.Dir = "."
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("-metrics bogus should fail, got:\n%s", out)
+	}
+}
+
+// TestCLISimTraceFaults: a traced session under an injected fault chain
+// prints the same bytes on every run, its injector counters in name
+// order.
+func TestCLISimTraceFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	args := []string{"./cmd/braidio-sim", "-trace", filepath.Join(t.TempDir(), "t.csv"), "-frames", "3000",
+		"-faults", "ge:0.02:0.2,jam:5:30:2:25,drop:10:60:3,brownout:20:60:5:3,snr:-2:1"}
+	first := runCLI(t, args...)
+	var names []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "injector" {
+			names = append(names, f[1])
+		}
+	}
+	if len(names) < 2 || !sort.StringsAreSorted(names) {
+		t.Errorf("injector lines %q are not in name order:\n%s", names, first)
+	}
+	for run := 2; run <= 3; run++ {
+		if out := runCLI(t, args...); out != first {
+			t.Fatalf("run %d differs from run 1:\n--- run 1:\n%s--- run %d:\n%s", run, first, run, out)
+		}
 	}
 }
 

@@ -58,8 +58,7 @@ func runLoad(lc loadConfig) error {
 
 	base := lc.target
 	if base == "" {
-		rec := obs.NewRecorder()
-		lc.cfg.Rec = rec
+		lc.cfg.Rec = obs.NewRecorder()
 		// The generator drives epochs explicitly, so the in-process
 		// server needs no ticker; the queue bound has to hold one
 		// registration wave and one full update round (drift + jitter
@@ -80,7 +79,7 @@ func runLoad(lc loadConfig) error {
 		// cold solve of a whole registration wave runs minutes at
 		// million-member scale on a small machine.
 		srv := &http.Server{
-			Handler:           (&serve.Server{Engine: eng, Rec: rec}).Handler(),
+			Handler:           (&serve.Server{Engine: eng}).Handler(),
 			ReadHeaderTimeout: 5 * time.Second,
 			ReadTimeout:       30 * time.Second,
 			WriteTimeout:      10 * time.Minute,

@@ -152,9 +152,7 @@ func fail(err error) {
 func runDaemon(addr string, epochEvery time.Duration, cfg serve.Config, js journalSetup) error {
 	// A full recorder (initialized histogram bounds), so /metrics
 	// exports live latency histograms, not just counters.
-	rec := obs.NewRecorder()
-	cfg.Rec = rec
-	js.opts.Rec = rec
+	cfg.Rec = obs.NewRecorder()
 
 	var (
 		eng     *serve.Engine
@@ -196,7 +194,7 @@ func runDaemon(addr string, epochEvery time.Duration, cfg serve.Config, js journ
 		return err
 	}
 	srv := &http.Server{
-		Handler:           (&serve.Server{Engine: eng, Rec: rec, EpochInterval: epochEvery}).Handler(),
+		Handler:           (&serve.Server{Engine: eng, EpochInterval: epochEvery}).Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,

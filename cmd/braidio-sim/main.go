@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -204,8 +205,14 @@ func runTrace(tx, rx braidio.Device, d braidio.Meter, path string, frames int, c
 	fmt.Printf("resilience: %d outages survived, %d flaps suppressed, %d backoff waits, loss rate %.3g\n",
 		st.Outages, st.FallbacksSuppressed, st.BackoffWaits, s.LossRate())
 	if len(chain) > 0 {
-		for name, events := range chain.Counters() {
-			fmt.Printf("injector %-16s %d events\n", name, events)
+		counters := chain.Counters()
+		names := make([]string, 0, len(counters))
+		for name := range counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Printf("injector %-16s %d events\n", name, counters[name])
 		}
 	}
 	if sessionErr != nil {

@@ -24,11 +24,6 @@ type Braid struct {
 	Model *phy.Model
 	// Distance between the endpoints.
 	Distance units.Meter
-	// ScheduleWindow is the number of frames per scheduling window.
-	ScheduleWindow int
-	// EpochFraction is the fraction of the currently projected lifetime
-	// transferred between allocation re-computations.
-	EpochFraction float64
 	// IncludeSwitchOverhead charges the Table 5 energies per mode
 	// transition. The ablation bench turns this off.
 	IncludeSwitchOverhead bool
@@ -55,9 +50,6 @@ type Braid struct {
 	// even when the ratio has not moved. The golden tests flip it to
 	// prove memoization changes no bits.
 	DisableAllocationMemo bool
-	// DisableLinkCache bypasses the shared linkcache and characterizes
-	// the PHY directly on every run.
-	DisableLinkCache bool
 	// Links, when non-nil, supplies the run's characterized links
 	// directly and skips per-run characterization. The round engine
 	// (internal/net) sets each slot's kept link row here every round. The cross-run allocation memo compares slice identity to
@@ -71,6 +63,13 @@ type Braid struct {
 	// (obs.Active); attaching a recorder never changes a run's Result.
 	Obs *obs.Recorder
 }
+
+// scheduleWindow is the number of frames per scheduling window.
+const scheduleWindow = 128
+
+// epochFraction is the fraction of the currently projected lifetime
+// transferred between allocation re-computations.
+const epochFraction = 0.02
 
 // DefaultDisableAllocationMemo seeds NewBraid's DisableAllocationMemo
 // field — golden tests and benchmarks flip it to compare memoized and
@@ -90,8 +89,6 @@ func DefaultBraid(m *phy.Model, d units.Meter) Braid {
 	return Braid{
 		Model:                 m,
 		Distance:              d,
-		ScheduleWindow:        128,
-		EpochFraction:         0.02,
 		IncludeSwitchOverhead: true,
 		DisableAllocationMemo: DefaultDisableAllocationMemo,
 	}
@@ -204,20 +201,12 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 	if b.Model == nil || b1 == nil || b2 == nil {
 		return errors.New("core: braid needs a model and two batteries")
 	}
-	if b.ScheduleWindow < 1 || b.EpochFraction <= 0 || b.EpochFraction > 1 {
-		return fmt.Errorf("core: invalid braid parameters window=%d epoch=%v", b.ScheduleWindow, b.EpochFraction)
-	}
 	if s == nil {
 		s = &RunScratch{}
 	}
 	*res = Result{}
-	var links []phy.ModeLink
-	switch {
-	case b.Links != nil:
-		links = b.Links
-	case b.DisableLinkCache:
-		links = b.Model.Characterize(b.Distance)
-	default:
+	links := b.Links
+	if links == nil {
 		links = linkcache.Characterize(b.Model, b.Distance)
 	}
 	if len(links) == 0 {
@@ -238,7 +227,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 	}
 
 	payloadBits := float64(8 * b.Model.PayloadLen)
-	windowBits := payloadBits * float64(b.ScheduleWindow)
+	windowBits := payloadBits * scheduleWindow
 	prevMode := phy.ModeActive // sessions start on the active radio (§4.2)
 
 	// Observability: rec == nil is the common case and every record site
@@ -315,7 +304,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 
 		// Target bits this epoch: a slice of the projected lifetime, at
 		// least one scheduling window so the loop always advances.
-		epochBits := projBits * b.EpochFraction
+		epochBits := projBits * epochFraction
 		if min := windowBits; epochBits < min {
 			epochBits = min
 		}
@@ -345,7 +334,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 		transitions := 0
 		endMode := prevMode
 		if b.Interleave {
-			seq := Schedule(aLinks, p, b.ScheduleWindow)
+			seq := Schedule(aLinks, p, scheduleWindow)
 			for i := range counts {
 				counts[i] = 0
 			}
@@ -376,7 +365,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 			}
 			endMode = seq[len(seq)-1]
 		} else {
-			blockCounts(p, b.ScheduleWindow, counts, remainders)
+			blockCounts(p, scheduleWindow, counts, remainders)
 			prev := prevMode
 			for i, l := range aLinks {
 				if counts[i] == 0 {

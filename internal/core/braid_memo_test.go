@@ -44,7 +44,7 @@ func TestBraidSwitchCountRounding(t *testing.T) {
 		a.Bits = bitsFor(a.TX, a.RX, e1, e2)
 		return a, nil
 	}
-	b.MaxBits = float64(8*m.PayloadLen) * float64(b.ScheduleWindow) * 0.5
+	b.MaxBits = float64(8*m.PayloadLen) * scheduleWindow * 0.5
 	res, err := b.RunFresh(0.01, 0.01)
 	if err != nil {
 		t.Fatal(err)
@@ -166,21 +166,4 @@ func TestRatioWithin(t *testing.T) {
 			t.Errorf("%s: asymmetric verdict: (a,b)=%v but (b,a)=%v", tc.name, fwd, rev)
 		}
 	}
-}
-
-// TestBraidLinkCacheBypass: DisableLinkCache must not change results.
-func TestBraidLinkCacheBypass(t *testing.T) {
-	m := phy.NewModel()
-	cached := NewBraid(m, 0.5)
-	direct := NewBraid(m, 0.5)
-	direct.DisableLinkCache = true
-	rc, err := cached.RunFresh(0.003, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := direct.RunFresh(0.003, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "link cache on/off", rc, rd)
 }

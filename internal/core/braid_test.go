@@ -238,10 +238,6 @@ func TestBraidValidation(t *testing.T) {
 	if _, err := b.Run(nil, energy.NewBattery(1)); err == nil {
 		t.Error("nil battery should error")
 	}
-	b.EpochFraction = 0
-	if _, err := b.RunFresh(1, 1); err == nil {
-		t.Error("zero epoch fraction should error")
-	}
 }
 
 // TestBraidModeMixMatchesAllocation: the realized mode bit shares track

@@ -8,36 +8,26 @@ import (
 )
 
 // Schedule expands an allocation's fractions into a deterministic window
-// of per-frame mode assignments, spreading modes as evenly as possible
-// (Bresenham-style: each slot goes to the mode with the largest deficit
-// between its target share and what it has received). Even spreading
-// keeps both endpoints' instantaneous drain close to the allocation's
-// average, instead of long single-mode bursts.
+// of per-frame mode assignments, spreading modes as evenly as possible:
+// it is the first window slots of a fresh Scheduler (Bresenham-style:
+// each slot goes to the mode with the largest deficit between its target
+// share and what it has received). Even spreading keeps both endpoints'
+// instantaneous drain close to the allocation's average, instead of long
+// single-mode bursts.
 //
 // The example in §4.2 — p = (0.5, 0.25, 0.25) yielding
 // Active-Active-Passive-Backscatter repeated — is one such even spread.
 func Schedule(links []phy.ModeLink, p []float64, window int) []phy.Mode {
-	if len(links) != len(p) {
-		panic(fmt.Sprintf("core: %d links but %d fractions", len(links), len(p)))
-	}
+	s := NewScheduler(links, p)
 	if window < 1 {
 		panic("core: schedule window must be ≥ 1")
 	}
 	if len(links) == 0 {
 		return nil // no modes, nothing to spread
 	}
-	seq := make([]phy.Mode, 0, window)
-	given := make([]float64, len(links))
-	for slot := 1; slot <= window; slot++ {
-		best, bestDeficit := -1, 0.0
-		for i := range links {
-			deficit := p[i]*float64(slot) - given[i]
-			if best < 0 || deficit > bestDeficit {
-				best, bestDeficit = i, deficit
-			}
-		}
-		given[best]++
-		seq = append(seq, links[best].Mode)
+	seq := make([]phy.Mode, window)
+	for i := range seq {
+		seq[i] = s.Next().Mode
 	}
 	return seq
 }
@@ -119,11 +109,10 @@ func blockCounts(p []float64, window int, counts []int, remainders []float64) {
 	}
 }
 
-// Scheduler is a persistent even-spread scheduler: unlike Schedule, its
-// deficit state carries across calls, so the realized mode shares
-// converge to the target fractions exactly even when a window is too
-// coarse to represent them (e.g. a 3% backscatter share in a 16-frame
-// window).
+// Scheduler is a persistent even-spread scheduler: its deficit state
+// carries across calls, so the realized mode shares converge to the
+// target fractions exactly even when a window is too coarse to represent
+// them (e.g. a 3% backscatter share in a 16-frame window).
 type Scheduler struct {
 	links []phy.ModeLink
 	p     []float64

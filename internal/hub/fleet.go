@@ -158,10 +158,3 @@ func (f *Fleet) Run(horizon units.Second, rounds int) (*FleetResult, error) {
 	})
 	return res, errors.Join(errs...)
 }
-
-// RunFleet is the one-call form of Fleet: n shards built by build,
-// seeded substreams, GOMAXPROCS workers.
-func RunFleet(n int, seed uint64, build Builder, horizon units.Second, rounds int) (*FleetResult, error) {
-	f := &Fleet{Shards: n, Seed: seed, Build: build}
-	return f.Run(horizon, rounds)
-}

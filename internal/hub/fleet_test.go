@@ -167,21 +167,6 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// TestRunFleetConvenience: the one-call form matches an explicit Fleet.
-func TestRunFleetConvenience(t *testing.T) {
-	a, err := RunFleet(3, 11, testBuilder(t, 2), 900, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := (&Fleet{Shards: 3, Seed: 11, Build: testBuilder(t, 2)}).Run(900, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalBits() != b.TotalBits() {
-		t.Errorf("RunFleet diverged from Fleet.Run: %v vs %v bits", a.TotalBits(), b.TotalBits())
-	}
-}
-
 // TestFleetRaceSmoke exists for -race runs: many shards over many
 // workers, stateful walks included, exercising the sharded link cache
 // and the scratch pool concurrently.

@@ -13,16 +13,18 @@
 //
 // Members are fault-isolated: a member whose link dies (it walked out of
 // range, its carrier dropped, its QoS floor became infeasible) is
-// quarantined after a bounded number of consecutive failed rounds —
-// its MemberResult carries a typed error wrapping ErrMemberQuarantined
-// and the cause — while the round-robin keeps serving healthy members.
+// quarantined after three consecutive failed rounds — a successful round
+// resets the count, and the quarantined member's MemberResult carries a
+// typed error wrapping ErrMemberQuarantined and the cause — while the
+// round-robin keeps serving healthy members.
 // Pre-quarantine, one degraded member could sink the whole run.
 //
 // # One engine
 //
 // A star is the one-hub case of a network, so Run has no round engine
-// of its own: it runs the hub as a one-hub net.Topology with every
-// network coupling disabled. Rounds are net's two-phase rounds, and a
+// of its own: it runs the hub as a one-hub net.Topology, where net's
+// couplings (interference, carrier sharing, relays) have no second hub
+// to couple to. Rounds are net's two-phase rounds, and a
 // Result is bit-identical at any Workers count. A Member's Walk and
 // Faults state must be private to that member: it advances once per
 // round.
@@ -72,23 +74,11 @@ type Member struct {
 // Hub is a star network under construction. Create with New, add
 // members, then Run.
 type Hub struct {
-	// QuarantineStrikes is how many consecutive failed rounds (link
-	// error, outage, infeasible QoS floor) a member survives before it
-	// is quarantined for the rest of the run. Zero means the default of
-	// three; a successful round resets the member's count.
-	QuarantineStrikes int
 	// Workers bounds the plan phase's concurrency: 0 selects
 	// GOMAXPROCS, 1 plans sequentially on the calling goroutine. The
 	// Result is bit-identical at any value — Workers trades only
 	// wall-clock.
 	Workers int
-	// AllocationTolerance is propagated to every member braid (see
-	// core.Braid.AllocationTolerance): the relative battery-ratio drift
-	// tolerated before a member's allocation is re-solved. Zero keeps
-	// the exact bit-identical memo; positive values trade precision for
-	// fewer solver runs — the knob the serve daemon and large fleets
-	// turn to keep epoch re-plans proportional to drift, not membership.
-	AllocationTolerance float64
 	// Obs, when non-nil, receives round/replan/quarantine counters and
 	// is propagated to every member braid. Nil falls back to the process
 	// default recorder (obs.Active). Canonical metric snapshots are
@@ -203,12 +193,11 @@ var ErrNoMembers = errors.New("hub: no members")
 
 // Run simulates the star for a wall-clock horizon, delivering each
 // member's offered load in rounds. It runs the hub as a one-hub
-// net.Topology with interference, carrier sharing and relays disabled;
-// see the package comment. Run stops early — mid-round, after the fatal
-// commit — if the hub dies, recording the round in Result.HubDiedRound.
-// Malformed inputs are typed errors: a device without positive finite
-// capacity wraps net.ErrBadDevice, a bad load net.ErrBadLoad, and a bad
-// horizon or round count net.ErrBadRun.
+// net.Topology; see the package comment. Run stops early — mid-round,
+// after the fatal commit — if the hub dies, recording the round in
+// Result.HubDiedRound. Malformed inputs are typed errors: a device
+// without positive finite capacity wraps net.ErrBadDevice, a bad load
+// net.ErrBadLoad, and a bad horizon or round count net.ErrBadRun.
 //
 // Member failures do not abort the run: a round that errors (the member
 // walked out of range, its QoS floor is infeasible, its carrier dropped)
@@ -231,16 +220,8 @@ func (h *Hub) Run(horizon units.Second, rounds int) (*Result, error) {
 			members[i].Walk = &static[i]
 		}
 	}
-	n, err := net.New(&net.Topology{Hubs: []net.Hub{{Device: h.device, Members: members}}}, net.Config{
-		Model:               h.model,
-		Workers:             h.Workers,
-		QuarantineStrikes:   h.QuarantineStrikes,
-		AllocationTolerance: h.AllocationTolerance,
-		DisableInterference: true,
-		DisableCarrierShare: true,
-		DisableRelay:        true,
-		Obs:                 h.Obs,
-	})
+	n, err := net.New(&net.Topology{Hubs: []net.Hub{{Device: h.device, Members: members}}},
+		net.Config{Model: h.model, Workers: h.Workers, Obs: h.Obs})
 	if err != nil {
 		return nil, fmt.Errorf("hub: %w", err)
 	}

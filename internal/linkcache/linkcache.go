@@ -33,10 +33,9 @@
 // (the clear-all stampede the pre-sharded cache suffered).
 //
 // SetEnabled turns the cache off globally (the golden tests prove
-// results are bit-identical either way); core.Braid additionally has a
-// per-braid bypass. Because every cached value is a pure function of
-// its key, eviction policy and shard layout can never change results —
-// only hit rates.
+// results are bit-identical either way); it is the one switch. Because
+// every cached value is a pure function of its key, eviction policy and
+// shard layout can never change results — only hit rates.
 package linkcache
 
 import (

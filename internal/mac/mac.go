@@ -73,14 +73,8 @@ type Config struct {
 	// Seed drives all stochastic elements (losses, SNR estimation
 	// noise).
 	Seed uint64
-	// Window is the braided schedule window, in frames.
-	Window int
 	// RecomputeFrames is how often the allocation is re-solved.
 	RecomputeFrames int
-	// FallbackSNRMargin: when the EWMA SNR of the current mode drops
-	// this far below its decode requirement, the session falls back to
-	// the active mode and re-probes (§4.2's safety net).
-	FallbackSNRMargin units.DB
 	// FallbackCooldown is the hysteresis floor: after a fallback the
 	// safety net will not fire again for this many frames (suppressed
 	// triggers are counted in Stats.FallbacksSuppressed). Zero disables
@@ -89,24 +83,16 @@ type Config struct {
 	// FallbackBackoffBase is the re-entry backoff after a *repeated*
 	// fallback, measured in recompute periods: the second consecutive
 	// fallback keeps the schedule active-only for Base periods, the
-	// third for 2×Base, doubling up to FallbackBackoffMax, with up to
-	// +50% deterministic jitter so endpoints don't re-probe in lockstep.
+	// third for 2×Base, doubling up to eight periods, with up to +50%
+	// deterministic jitter so endpoints don't re-probe in lockstep.
 	// Zero disables re-entry backoff.
 	FallbackBackoffBase int
-	// FallbackBackoffMax caps the backoff, in recompute periods.
-	FallbackBackoffMax int
 	// MaxLinkStrikes bounds consecutive failed recovery attempts (an
 	// active-mode frame lost after all retries, or a fallback whose
 	// re-probe still finds no usable link) before SendFrame returns
 	// core.ErrLinkDead. Any delivered frame resets the count. Zero
 	// means a single strike is fatal.
 	MaxLinkStrikes int
-	// SNRNoise is the standard deviation (dB) of per-frame SNR
-	// estimates.
-	SNRNoise float64
-	// MaxRetries bounds retransmissions per frame before the frame is
-	// counted lost and the link declared degraded.
-	MaxRetries int
 	// Trace, when non-nil, receives one CSV row per data frame:
 	// frame,mode,rate,attempts,delivered,txJ,rxJ,snrEst. A header row is
 	// written first. Trace output is for offline analysis of a
@@ -125,17 +111,27 @@ func DefaultConfig(m *phy.Model, d units.Meter, seed uint64) Config {
 		Model:               m,
 		Distance:            d,
 		Seed:                seed,
-		Window:              16,
 		RecomputeFrames:     256,
-		FallbackSNRMargin:   3,
 		FallbackCooldown:    16,
 		FallbackBackoffBase: 1,
-		FallbackBackoffMax:  8,
 		MaxLinkStrikes:      12,
-		SNRNoise:            1.0,
-		MaxRetries:          8,
 	}
 }
+
+// fallbackSNRMargin: when the EWMA SNR of the current mode drops this
+// far below its decode requirement, the session falls back to the
+// active mode and re-probes (§4.2's safety net).
+const fallbackSNRMargin units.DB = 3
+
+// fallbackBackoffMax caps the re-entry backoff, in recompute periods.
+const fallbackBackoffMax = 8
+
+// snrNoise is the standard deviation (dB) of per-frame SNR estimates.
+const snrNoise = 1.0
+
+// maxRetries bounds retransmissions per frame before the frame is
+// counted lost and the link declared degraded.
+const maxRetries = 8
 
 // Stats counts session events.
 type Stats struct {
@@ -212,10 +208,10 @@ func NewSession(cfg Config, txBatt, rxBatt *energy.Battery) (*Session, error) {
 	if cfg.Model == nil || txBatt == nil || rxBatt == nil {
 		return nil, errors.New("mac: session needs a model and two batteries")
 	}
-	if cfg.Window < 1 || cfg.RecomputeFrames < 1 || cfg.MaxRetries < 1 {
+	if cfg.RecomputeFrames < 1 {
 		return nil, fmt.Errorf("mac: invalid config %+v", cfg)
 	}
-	if cfg.FallbackCooldown < 0 || cfg.FallbackBackoffBase < 0 || cfg.FallbackBackoffMax < 0 || cfg.MaxLinkStrikes < 0 {
+	if cfg.FallbackCooldown < 0 || cfg.FallbackBackoffBase < 0 || cfg.MaxLinkStrikes < 0 {
 		return nil, fmt.Errorf("mac: negative hysteresis parameters %+v", cfg)
 	}
 	s := &Session{
@@ -354,7 +350,7 @@ func refRate(m phy.Mode) units.BitRate {
 func (s *Session) measureSNR(m phy.Mode) (units.DB, units.BitRate) {
 	r := refRate(m)
 	snr := float64(linkcache.SNR(s.cfg.Model, m, r, s.dist))
-	return units.DB(snr + s.rng.Norm()*s.cfg.SNRNoise), r
+	return units.DB(snr + s.rng.Norm()*snrNoise), r
 }
 
 // estimatedSNRAt converts the reference-rate estimate to the SNR the
@@ -553,13 +549,11 @@ func (s *Session) fallback() error {
 
 // backoffFrames returns the current re-entry backoff in frames:
 // Base recompute periods doubling per consecutive flap, capped at
-// FallbackBackoffMax periods, plus up to +50% jitter drawn from the
+// fallbackBackoffMax periods, plus up to +50% jitter drawn from the
 // session stream so paired endpoints don't re-probe in lockstep.
 func (s *Session) backoffFrames() int {
 	periods := s.cfg.FallbackBackoffBase << uint(min(s.consecFallbacks-2, 30))
-	if s.cfg.FallbackBackoffMax > 0 && periods > s.cfg.FallbackBackoffMax {
-		periods = s.cfg.FallbackBackoffMax
-	}
+	periods = min(periods, fallbackBackoffMax)
 	frames := periods * s.cfg.RecomputeFrames
 	return frames + int(0.5*float64(frames)*s.rng.Float64())
 }
@@ -567,7 +561,7 @@ func (s *Session) backoffFrames() int {
 // SendFrame moves one data frame of the given payload size through the
 // braid, retransmitting on loss. It returns whether the frame was
 // delivered; delivery fails when a battery dies or the frame exceeds
-// MaxRetries (which triggers fallback). A link that stays down through
+// maxRetries (which triggers fallback). A link that stays down through
 // bounded recovery attempts returns an error wrapping core.ErrLinkDead.
 func (s *Session) SendFrame(payloadLen int) (bool, error) {
 	if s.fatal != nil {
@@ -624,7 +618,7 @@ func (s *Session) SendFrame(payloadLen int) (bool, error) {
 	fer := frame.FrameErrorRate(ber, payloadLen)
 	wire := float64(frame.WireBits(payloadLen))
 
-	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		env := s.impair(mode, rate, fer)
 		if !s.chargeFrameScaled(mode, rate, wire, env.TXDrain, env.RXDrain) {
 			return false, nil
@@ -664,12 +658,12 @@ func (s *Session) SendFrame(payloadLen int) (bool, error) {
 	s.inOutage = true
 	if s.rec != nil {
 		s.rec.FramesLost.Add(1)
-		s.rec.Retransmissions.Add(uint64(s.cfg.MaxRetries + 1))
+		s.rec.Retransmissions.Add(maxRetries + 1)
 	}
-	s.trace(mode, rate, s.cfg.MaxRetries+1, false)
+	s.trace(mode, rate, maxRetries+1, false)
 	if mode == phy.ModeActive {
 		// The safety net itself is failing: burn a strike.
-		if ferr := s.strike(fmt.Errorf("mac: active mode lost a frame after %d attempts", s.cfg.MaxRetries+1)); ferr != nil {
+		if ferr := s.strike(fmt.Errorf("mac: active mode lost a frame after %d attempts", maxRetries+1)); ferr != nil {
 			return false, ferr
 		}
 	}
@@ -703,7 +697,7 @@ func (s *Session) maybeFallback(mode phy.Mode, rate units.BitRate) {
 	}
 	// The decode requirement in dB for the mode's scheme at the range
 	// target; estimates below (requirement − margin) trigger fallback.
-	if s.snrEWMA[mode] < float64(phy.SNRTarget(mode, rate))-float64(s.cfg.FallbackSNRMargin) {
+	if s.snrEWMA[mode] < float64(phy.SNRTarget(mode, rate))-float64(fallbackSNRMargin) {
 		if err := s.fallback(); err != nil {
 			s.fatal = err
 		}

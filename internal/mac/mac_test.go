@@ -217,9 +217,9 @@ func TestSessionValidation(t *testing.T) {
 		t.Error("nil battery accepted")
 	}
 	bad := DefaultConfig(m, 0.3, 1)
-	bad.Window = 0
+	bad.RecomputeFrames = 0
 	if _, err := NewSession(bad, energy.NewBattery(1), energy.NewBattery(1)); err == nil {
-		t.Error("zero window accepted")
+		t.Error("zero recompute period accepted")
 	}
 	if _, err := NewSession(DefaultConfig(m, 9000, 1), energy.NewBattery(1), energy.NewBattery(1)); err == nil {
 		t.Error("out-of-range session accepted")

@@ -91,12 +91,12 @@ func TestDropoutOutage(t *testing.T) {
 		t.Errorf("traced %d outages, counted %d; want 4", outages, rec.Snapshot().OutageRounds)
 	}
 
-	// An outage is a strike: with a budget of one, the first outage
-	// quarantines the member.
-	m.Faults = &faults.Dropout{Start: 0, Period: 900, Duration: 300}
-	res = runNet(t, star(t, m), Config{Workers: 1, QuarantineStrikes: 1}, 3600, 12)
-	if mr := &res.Hubs[0].Members[0]; !mr.Quarantined || mr.QuarantinedRound != 0 || !errors.Is(mr.Err, ErrMemberQuarantined) {
-		t.Errorf("one-strike outage: quarantined=%v round=%d err=%v", mr.Quarantined, mr.QuarantinedRound, mr.Err)
+	// An outage is a strike: three consecutive outages (rounds 0–2)
+	// exhaust the budget, quarantining the member in round 2.
+	m.Faults = &faults.Dropout{Start: 0, Period: 3600, Duration: 900}
+	res = runNet(t, star(t, m), Config{Workers: 1}, 3600, 12)
+	if mr := &res.Hubs[0].Members[0]; !mr.Quarantined || mr.QuarantinedRound != 2 || !errors.Is(mr.Err, ErrMemberQuarantined) {
+		t.Errorf("three-outage run: quarantined=%v round=%d err=%v", mr.Quarantined, mr.QuarantinedRound, mr.Err)
 	}
 }
 
@@ -305,9 +305,11 @@ func TestPlanRoundLeavesFaultsUntouched(t *testing.T) {
 // TestRunRepeatIdentical: a Network run twice reproduces itself, so a
 // pooled scratch never carries an allocation memo from one run into the
 // next — even under a loose AllocationTolerance that would happily
-// reuse a stale allocation.
+// reuse a stale allocation, and does reuse allocations an exact run
+// re-solves.
 func TestRunRepeatIdentical(t *testing.T) {
-	n, err := New(star(t, watchAt(t, 0.4, 5000), watchAt(t, 0.6, 20000)), Config{Workers: 1, AllocationTolerance: 0.5})
+	topo := star(t, watchAt(t, 0.4, 5000), watchAt(t, 0.6, 20000))
+	n, err := New(topo, Config{Workers: 1, AllocationTolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +323,11 @@ func TestRunRepeatIdentical(t *testing.T) {
 	}
 	if first.Digest() != second.Digest() {
 		t.Errorf("second run diverged:\n got %+v\nwant %+v", second.Hubs[0], first.Hubs[0])
+	}
+	exact := runNet(t, topo, Config{Workers: 1}, 3600, 12)
+	if loose, ex := first.Hubs[0], exact.Hubs[0]; loose.AllocReuses <= ex.AllocReuses || loose.LPSolves >= ex.LPSolves {
+		t.Errorf("tolerance never reached the member braids: %d solves / %d reuses, exact %d / %d",
+			loose.LPSolves, loose.AllocReuses, ex.LPSolves, ex.AllocReuses)
 	}
 }
 

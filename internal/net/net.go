@@ -1,8 +1,8 @@
 // Package net is Braidio's round engine: hubs, each serving its own
 // braided members, sharing one physical channel. A lone star is the
-// one-hub case — internal/hub runs every hub through this engine with
-// the couplings below disabled. Three couplings between stars are
-// modeled and scheduled:
+// one-hub case — internal/hub runs every hub through this engine as a
+// one-hub topology, where the couplings below have no second hub to
+// couple to. Three couplings between stars are modeled and scheduled:
 //
 //   - Shared carriers. A backscatter tag does not care whose carrier it
 //     reflects. When a neighboring hub is already transmitting, a
@@ -30,8 +30,8 @@
 // Members may move, fail, and demand a rate: a Walk sets a member's
 // distance to its home hub each round, Faults injects carrier dropouts
 // and brownouts, and MinRate puts a QoS floor under its braid. A member
-// whose rounds keep failing is quarantined after a bounded number of
-// consecutive strikes while the rest keep being served.
+// whose rounds keep failing is quarantined after three consecutive
+// strikes while the rest keep being served.
 //
 // # Two-phase rounds
 //
@@ -148,15 +148,15 @@ var ErrMemberQuarantined = errors.New("net: member quarantined")
 // 1 cm matches field.Scene's near-field clamp.
 const MinDistance units.Meter = 0.01
 
-// DefaultCarrierShareRange bounds the donor search: only emitting hubs
-// within this distance of the member are considered as carrier donors.
-// The bistatic link budget (phy.SharedCarrierLink) is the real gate —
-// this only caps the search radius.
-const DefaultCarrierShareRange units.Meter = 5
+// carrierShareRange bounds the donor search: only emitting hubs within
+// this distance of the member are considered as carrier donors. The
+// bistatic link budget (phy.SharedCarrierLink) is the real gate — this
+// only caps the search radius.
+const carrierShareRange units.Meter = 5
 
-// defaultQuarantineStrikes is the strike budget when
-// Config.QuarantineStrikes is zero.
-const defaultQuarantineStrikes = 3
+// quarantineStrikes is the consecutive-failure budget before a member
+// is quarantined; a successful round resets the member's count.
+const quarantineStrikes = 3
 
 // Config tunes the network scheduler. The zero value (plus a nil Model)
 // is a working default: calibrated PHY, GOMAXPROCS workers, all three
@@ -169,15 +169,9 @@ type Config struct {
 	// Workers bounds plan-phase concurrency: 0 selects GOMAXPROCS, 1
 	// plans sequentially. Results are bit-identical at any value.
 	Workers int
-	// QuarantineStrikes is the consecutive-failure budget before a
-	// member is quarantined; zero means the default of three.
-	QuarantineStrikes int
 	// AllocationTolerance is propagated to every member braid (see
 	// core.Braid.AllocationTolerance).
 	AllocationTolerance float64
-	// CarrierShareRange caps the donor search radius; zero or negative
-	// selects DefaultCarrierShareRange.
-	CarrierShareRange units.Meter
 	// DisableInterference ignores cross-hub interference: every link is
 	// characterized against the isolated-pair model.
 	DisableInterference bool
@@ -407,9 +401,6 @@ type Network struct {
 	// static.
 	hubDist [][]units.Meter
 	intMW   [][]float64
-
-	strikeLimit  int
-	carrierRange units.Meter
 }
 
 // New validates the topology and builds a scheduler over it.
@@ -424,18 +415,10 @@ func New(t *Topology, cfg Config) (*Network, error) {
 		cfg.Workers = 0
 	}
 	n := &Network{
-		cfg:          cfg,
-		model:        cfg.Model,
-		view:         linkcache.NewView(cfg.Model),
-		topo:         t,
-		strikeLimit:  cfg.QuarantineStrikes,
-		carrierRange: cfg.CarrierShareRange,
-	}
-	if n.strikeLimit <= 0 {
-		n.strikeLimit = defaultQuarantineStrikes
-	}
-	if n.carrierRange <= 0 {
-		n.carrierRange = DefaultCarrierShareRange
+		cfg:   cfg,
+		model: cfg.Model,
+		view:  linkcache.NewView(cfg.Model),
+		topo:  t,
 	}
 	nh := len(t.Hubs)
 	n.hubDist = make([][]units.Meter, nh)

@@ -236,7 +236,7 @@ func (n *Network) pickDonor(sc *scratch, s *slot) {
 	if n.cfg.DisableCarrierShare {
 		return
 	}
-	best, bestD := -1, n.carrierRange
+	best, bestD := -1, carrierShareRange
 	for v := range sc.hubs {
 		if v == s.hub || !sc.hubs[v].emitting {
 			continue

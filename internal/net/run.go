@@ -213,7 +213,7 @@ func (n *Network) newResult(horizon units.Second, rounds int) *Result {
 func (n *Network) strike(res *Result, mr *MemberResult, s *slot, i, round int, rec *obs.Recorder,
 	now units.Second, cause error) {
 	s.strikes++
-	if s.strikes < n.strikeLimit {
+	if s.strikes < quarantineStrikes {
 		return
 	}
 	mr.Quarantined = true
@@ -244,7 +244,9 @@ func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 	sc := n.acquire()
 	defer scratchPool.Put(sc)
 	slice := horizon / units.Second(rounds)
-	appraise := !n.cfg.DisableRelay
+	// Run appraises direct against relay only to choose between them; a
+	// one-hub topology has no via hub, so it skips the direct solve too.
+	appraise := !n.cfg.DisableRelay && len(n.topo.Hubs) > 1
 	plan := func(i int) { n.planSlot(sc, i, memberBatts, slice, appraise, true) }
 
 	for round := 0; round < rounds; round++ {

@@ -65,22 +65,22 @@ type Config struct {
 	// link distance, the input to PHY characterization.
 	DistanceTolerance float64
 	// Window is the block-schedule window length handed to
-	// core.ScheduleBlocks when expanding fractions into frame slots.
+	// core.ScheduleBlocks when expanding fractions into frame slots
+	// (<= 0 selects 64; anything above 2^20 slots is capped there, the
+	// bound the journal reader and braidio-serve -window enforce).
 	Window int
 	// HubEnergy is the hub-side budget E1 shared by every member's
 	// solve (the carrier/hub battery of the paper's asymmetric setup).
 	HubEnergy units.Joule
-	// FadeMargin derates the PHY model's link budgets (dB).
-	FadeMargin units.DB
-	// PayloadLen sets the PHY framing (bytes); 0 keeps the model default.
-	PayloadLen int
 	// JournalFailStop, when a journal is attached, sheds every admission
 	// (ErrJournalBroken, HTTP 503) once the journal has failed — the
 	// engine stops accepting operations it cannot make durable. Off, the
 	// engine keeps serving and the broken journal is visible only through
 	// Stats and /healthz.
 	JournalFailStop bool
-	// Rec receives serve counters; nil disables recording.
+	// Rec receives serve counters and, once Open or NewJournalFile
+	// attaches a journal, its durability counters; Server's /metrics
+	// exports it. Nil disables recording.
 	Rec *obs.Recorder
 }
 
@@ -103,6 +103,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 64
+	}
+	if c.Window > maxWindow {
+		c.Window = maxWindow
 	}
 	if c.HubEnergy <= 0 {
 		c.HubEnergy = 10
@@ -239,10 +242,6 @@ type Engine struct {
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	m := phy.NewModel()
-	m.FadeMargin = cfg.FadeMargin
-	if cfg.PayloadLen > 0 {
-		m.PayloadLen = cfg.PayloadLen
-	}
 	e := &Engine{
 		cfg:       cfg,
 		model:     m,

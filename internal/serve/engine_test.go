@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -324,6 +325,35 @@ func TestPlanShape(t *testing.T) {
 	}
 	if p.Bits <= 0 {
 		t.Errorf("non-positive deliverable bits %v", p.Bits)
+	}
+}
+
+// TestConfigCapsWindow: a hand-built Config's window is capped at
+// maxWindow, the bound the journal reader enforces; near math.MaxInt,
+// block expansion overflows and the first epoch would never return.
+func TestConfigCapsWindow(t *testing.T) {
+	e := NewEngine(Config{Window: math.MaxInt})
+	if got := e.Config().Window; got != 1<<20 {
+		t.Fatalf("Window = %d, want %d", got, 1<<20)
+	}
+	for _, d := range []units.Meter{0.2, 1, 3, 10} {
+		for _, en := range []units.Joule{0.001, 0.1, 10, 100} {
+			if err := e.Register(fmt.Sprintf("m-%v-%v", d, en), en, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustEpoch(t, e)
+	p, ok := e.PlanFor("m-1-0.1")
+	if !ok {
+		t.Fatal("no plan")
+	}
+	blocks := 0
+	for _, b := range p.Blocks {
+		blocks += b
+	}
+	if blocks != 1<<20 {
+		t.Errorf("blocks sum to %d, want %d", blocks, 1<<20)
 	}
 }
 

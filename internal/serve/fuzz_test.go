@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,6 +98,68 @@ func FuzzReplay(f *testing.F) {
 		}
 		if st.Matched > st.Epochs || st.Epochs > st.Matched+1 {
 			t.Fatalf("replayed %d epochs, matched %d", st.Epochs, st.Matched)
+		}
+	})
+}
+
+// FuzzHTTPBodies posts arbitrary bytes to the three admission routes
+// through Server.Handler, runs two epochs and reads the plans back.
+// Every admission must answer 202, 400, 413 or 503, each non-2xx with
+// an "error" JSON body; no epoch or plan read may answer 5xx, and
+// nothing may panic. A small queue and body cap put the 503 and 413
+// paths within a fuzzer's reach.
+func FuzzHTTPBodies(f *testing.F) {
+	for _, body := range []string{
+		`{"id":"m0","energy_j":0.3,"distance_m":0.4}`,
+		`[{"id":"m0","energy_j":0.3,"distance_m":0.4},{"id":"m1","energy_j":0.5,"distance_m":2.5}]`,
+		`null`,
+		`{"id":"m0","energy_j":1e-320,"distance_m":5e-324}`,
+		`{"energy_j":7}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg := testConfig(nil)
+		cfg.QueueCap = 8
+		h := (&Server{Engine: NewEngine(cfg), MaxBodyBytes: 1 << 10}).Handler()
+		do := func(method, target string, body []byte) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(method, target, bytes.NewReader(body)))
+			return w
+		}
+		for _, route := range []string{"/v1/register", "/v1/update", "/v1/hub"} {
+			w := do(http.MethodPost, route, body)
+			switch w.Code {
+			case http.StatusAccepted:
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+				var e struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Fatalf("%s: %d without an error body: %q", route, w.Code, w.Body)
+				}
+			default:
+				t.Fatalf("%s: status %d: %s", route, w.Code, w.Body)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if w := do(http.MethodPost, "/v1/epoch", nil); w.Code >= 500 {
+				t.Fatalf("epoch %d: status %d: %s", i, w.Code, w.Body)
+			}
+		}
+		// Read back every id the body names, decoded as the handler
+		// decodes it, and one it may not name.
+		var reqs []DeviceRequest
+		if json.Unmarshal(body, &reqs) != nil {
+			reqs = make([]DeviceRequest, 1)
+			json.Unmarshal(body, &reqs[0])
+		}
+		reqs = append(reqs, DeviceRequest{ID: "m0"})
+		for _, q := range reqs {
+			if w := do(http.MethodGet, "/v1/plan?id="+url.QueryEscape(q.ID), nil); w.Code >= 500 {
+				t.Fatalf("plan %q: status %d: %s", q.ID, w.Code, w.Body)
+			}
 		}
 	})
 }

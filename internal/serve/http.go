@@ -17,15 +17,13 @@ import (
 	"strings"
 	"time"
 
-	"braidio/internal/obs"
 	"braidio/internal/units"
 )
 
-// Server exposes an Engine over HTTP. Rec, when set, backs /metrics
-// and is normally the same recorder the engine counts into.
+// Server exposes an Engine over HTTP. /metrics exports the recorder
+// the engine counts into (its Config().Rec), when it has one.
 type Server struct {
 	Engine *Engine
-	Rec    *obs.Recorder
 	// EpochInterval is the daemon's epoch ticker period; shed responses
 	// derive their Retry-After from it and the queue depth, so
 	// backpressure scales with the actual drain rate. Zero falls back to
@@ -226,8 +224,8 @@ func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var buf strings.Builder
-	if s.Rec != nil {
-		snap := s.Rec.Snapshot()
+	if rec := s.Engine.Config().Rec; rec != nil {
+		snap := rec.Snapshot()
 		snap.WritePrometheus(&buf)
 	}
 	st := s.Engine.Stats()

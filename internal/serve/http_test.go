@@ -17,7 +17,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Engine) {
 	t.Helper()
 	e := NewEngine(cfg)
-	ts := httptest.NewServer((&Server{Engine: e, Rec: cfg.Rec}).Handler())
+	ts := httptest.NewServer((&Server{Engine: e}).Handler())
 	t.Cleanup(ts.Close)
 	return ts, e
 }

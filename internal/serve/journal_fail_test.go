@@ -85,7 +85,7 @@ func TestJournalSyncFailure(t *testing.T) {
 	}
 	f.Close() // journal writes will flush and fsync into a closed fd
 	rec := &obs.Recorder{}
-	j := NewJournalFile(f, testConfig(nil), JournalOptions{Sync: SyncAlways, Rec: rec})
+	j := NewJournalFile(f, testConfig(rec), JournalOptions{Sync: SyncAlways})
 	if j.Err() == nil {
 		t.Fatal("Err() nil after sync against a closed file")
 	}

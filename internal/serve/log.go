@@ -72,9 +72,6 @@ type JournalOptions struct {
 	// Retain keeps that many pre-snapshot segments past compaction
 	// (0 deletes everything older than the newest snapshot).
 	Retain int
-	// Rec receives the durability counters (snapshots, rotations, torn
-	// records, journal errors); nil disables recording.
-	Rec *obs.Recorder
 }
 
 func (o JournalOptions) withDefaults() JournalOptions {
@@ -120,9 +117,10 @@ func NewJournal(w io.Writer, cfg Config) *Journal {
 
 // NewJournalFile starts a single-file journal on f with a sync policy.
 // The journal does not take ownership of f: Close flushes and fsyncs
-// but leaves closing the descriptor to the caller.
+// but leaves closing the descriptor to the caller. cfg.Rec receives the
+// journal's error counter.
 func NewJournalFile(f *os.File, cfg Config, opts JournalOptions) *Journal {
-	j := &Journal{w: bufio.NewWriterSize(f, 1<<16), f: f, policy: opts.Sync, rec: opts.Rec}
+	j := &Journal{w: bufio.NewWriterSize(f, 1<<16), f: f, policy: opts.Sync, rec: cfg.Rec}
 	j.writeConfigHeader(cfg)
 	return j
 }

@@ -77,11 +77,11 @@ type RecoveryStats struct {
 // recovery failure.
 var errNoSegments = errors.New("serve: journal directory has no segments")
 
-// maxWindow bounds the block-schedule window a journal head may carry
-// (the default is 64). Block expansion converts window-scaled fractions
-// to int, and near math.MaxInt that conversion overflows and its fix-up
-// loop runs ~2^63 times; braidio-serve's -window flag enforces the same
-// bound.
+// maxWindow bounds the block-schedule window (the default is 64): a
+// journal head that carries more is rejected, and Config caps Window at
+// it. Block expansion converts window-scaled fractions to int, and near
+// math.MaxInt that conversion overflows and its fix-up loop runs ~2^63
+// times; braidio-serve's -window flag enforces the same bound.
 const maxWindow = 1 << 20
 
 // errBadHead marks a head defect — missing, torn, CRC-bad, unreadable,
@@ -276,12 +276,10 @@ func VerifyDir(dir string) (RecoveryStats, error) {
 // segment, compacts, and returns the ready engine with the journal
 // attached. The returned engine resumes exactly where the previous
 // process stopped: same membership, same plans, same epoch counter,
-// bit-identical future digests.
+// bit-identical future digests. cfg.Rec receives the durability counters
+// (recoveries, snapshots, rotations, torn records, journal errors).
 func Open(dir string, cfg Config, opts JournalOptions) (*Engine, *Journal, RecoveryStats, error) {
 	opts = opts.withDefaults()
-	if opts.Rec == nil {
-		opts.Rec = cfg.Rec
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, RecoveryStats{}, err
 	}
@@ -292,9 +290,9 @@ func Open(dir string, cfg Config, opts JournalOptions) (*Engine, *Journal, Recov
 	case err != nil:
 		return nil, nil, stats, err
 	default:
-		if opts.Rec != nil {
-			opts.Rec.ServeRecoveries.Add(1)
-			opts.Rec.ServeTornRecords.Add(uint64(stats.TornRecords))
+		if cfg.Rec != nil {
+			cfg.Rec.ServeRecoveries.Add(1)
+			cfg.Rec.ServeTornRecords.Add(uint64(stats.TornRecords))
 		}
 	}
 
@@ -307,7 +305,7 @@ func Open(dir string, cfg Config, opts JournalOptions) (*Engine, *Journal, Recov
 		nextAfter = segs[len(segs)-1].idx
 	}
 	j := &Journal{
-		policy: opts.Sync, rec: opts.Rec,
+		policy: opts.Sync, rec: cfg.Rec,
 		dir: dir, idx: nextAfter,
 		every: opts.SnapshotEvery, retain: opts.Retain,
 		ownsFile: true,

@@ -543,7 +543,7 @@ func TestRecoveryCounters(t *testing.T) {
 	rec := &obs.Recorder{}
 	cfg := testConfig(rec)
 	dir := filepath.Join(t.TempDir(), "journal.d")
-	eng, j, _, err := Open(dir, cfg, JournalOptions{SnapshotEvery: 2, Rec: rec})
+	eng, j, _, err := Open(dir, cfg, JournalOptions{SnapshotEvery: 2})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -560,7 +560,7 @@ func TestRecoveryCounters(t *testing.T) {
 	if got := rec.ServeRecoveries.Load(); got != 0 {
 		t.Errorf("ServeRecoveries = %d before any recovery", got)
 	}
-	_, j2, _, err := Open(dir, cfg, JournalOptions{SnapshotEvery: 2, Rec: rec})
+	_, j2, _, err := Open(dir, cfg, JournalOptions{SnapshotEvery: 2})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -31,8 +31,6 @@ type journalConfig struct {
 	DistTol  float64 `json:"dist_tol,omitempty"`
 	Window   int     `json:"window,omitempty"`
 	HubJ     float64 `json:"hub_j,omitempty"`
-	FadeDB   float64 `json:"fade_db,omitempty"`
-	Payload  int     `json:"payload,omitempty"`
 }
 
 // journalConfigOf extracts the planner-semantic fields of cfg.
@@ -40,21 +38,18 @@ func journalConfigOf(cfg Config) journalConfig {
 	return journalConfig{
 		RatioTol: cfg.RatioTolerance, DistTol: cfg.DistanceTolerance,
 		Window: cfg.Window, HubJ: float64(cfg.HubEnergy),
-		FadeDB: float64(cfg.FadeMargin), Payload: cfg.PayloadLen,
 	}
 }
 
 // mergeConfig overlays the journal's planner-semantic fields onto the
-// caller's operational ones: tolerances, window, budgets, and PHY
-// framing come from the capture (digest continuity), worker count and
-// queue bound from the restarting process.
+// caller's operational ones: tolerances, window and budget come from
+// the capture (digest continuity), worker count and queue bound from
+// the restarting process.
 func mergeConfig(caller Config, jc journalConfig) Config {
 	caller.RatioTolerance = jc.RatioTol
 	caller.DistanceTolerance = jc.DistTol
 	caller.Window = jc.Window
 	caller.HubEnergy = units.Joule(jc.HubJ)
-	caller.FadeMargin = units.DB(jc.FadeDB)
-	caller.PayloadLen = jc.Payload
 	return caller
 }
 
