@@ -84,31 +84,33 @@ cover:
 # Run the benchmark suite (paper tables/figures, the waveform engine and
 # Monte Carlo sweeps, the hub/fleet engine, the serve epoch/contention
 # benchmarks, the network scheduler, the mobility walks, the offload
-# solvers and braid run in core, and the simplex in lp), keep the raw
-# text, and distill it into the machine-readable perf record
-# BENCH_pr17.json.
-BENCH_PKGS = . ./internal/hub ./internal/serve ./internal/net ./internal/sim ./internal/core ./internal/lp
+# solvers and braid run in core, the simplex in lp, the waveform chain's
+# Run in rxchain, the normal draws in rng, the Q-algorithm round in
+# inventory, and the modem and frame kernels), keep the raw text, and
+# distill it into the machine-readable perf record BENCH_pr19.json.
+BENCH_PKGS = . ./internal/hub ./internal/serve ./internal/net ./internal/sim ./internal/core ./internal/lp \
+	./internal/rxchain ./internal/rng ./internal/inventory ./internal/modem ./internal/frame
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem $(BENCH_PKGS) | tee bench_output.txt
-	$(GO) run ./cmd/braidio-bench -benchjson BENCH_pr17.json < bench_output.txt
+	$(GO) run ./cmd/braidio-bench -benchjson BENCH_pr19.json < bench_output.txt
 
 # Quick compile-and-run smoke over every benchmark in the repo (one
 # iteration each); CI runs this to keep benchmarks from bit-rotting.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Regression gate: re-run the root suite briefly and diff it against the
-# committed baseline record. The threshold is generous (+200%) because
-# CI runners vary widely in clock speed — this catches algorithmic
-# regressions (work or allocations growing by integer factors), not
-# single-digit-percent noise. benchtime is time-based, not -Nx: a fixed
+# Regression gate: re-run the suite briefly and diff it against the
+# committed baseline record BENCH_pr19.json. The threshold is generous
+# (+200%) because CI runners vary widely in clock speed — this catches
+# algorithmic regressions (work or allocations growing by integer
+# factors), not single-digit-percent noise. benchtime is time-based, not -Nx: a fixed
 # iteration count under-amortizes warm-up for sub-microsecond benchmarks
 # and false-positives the gate.
 bench-diff:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=100ms $(BENCH_PKGS) > bench_diff_output.txt
 	$(GO) run ./cmd/braidio-bench -benchjson bench_new.json < bench_diff_output.txt
-	$(GO) run ./cmd/braidio-bench -benchdiff BENCH_pr17.json -threshold 2.0 bench_new.json
+	$(GO) run ./cmd/braidio-bench -benchdiff BENCH_pr19.json -threshold 2.0 bench_new.json
 
 # Print every reproduced artifact to stdout.
 repro:

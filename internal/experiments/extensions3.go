@@ -49,7 +49,9 @@ func ExtInventory() (*Report, error) {
 
 // ExtOutage quantifies what multipath fading does to the clean-room
 // regime boundaries: for each distance, the fraction of Rician
-// block-fading realizations in which each mode still decodes.
+// block-fading realizations in which each mode still decodes. Each
+// distance's draws are decided against its fade edge (newFadeEdge), one
+// bisection of phy.Available per K-factor and distance.
 func ExtOutage() (*Report, error) {
 	r := &Report{
 		ID:    "ext-outage",
@@ -58,31 +60,18 @@ func ExtOutage() (*Report, error) {
 			"minimize the effect of environmental reflections'); this is what reflections cost",
 	}
 	base := phy.NewModel()
-	const draws = 2000
-	kFactors := []struct {
-		name string
-		k    float64
-	}{{"K=10 (strong LOS)", 10}, {"K=2 (cluttered)", 2}}
-
-	for _, kf := range kFactors {
+	for _, kf := range outageKFactors {
 		var series stats.Series
-		stream := rng.New(77)
-		nu := math.Sqrt(kf.k / (kf.k + 1))
-		sigma := math.Sqrt(1 / (2 * (kf.k + 1)))
-		for d := 0.3; d <= 3.0; d += 0.15 {
+		outageFades(kf.k, func(d float64, margins []units.DB) {
+			edge := newFadeEdge(base, units.Meter(d))
 			outages := 0
-			for i := 0; i < draws; i++ {
-				env := stream.Rician(nu, sigma)
-				faded := *base
-				// A fade multiplies the one-way amplitude by env; the
-				// round-trip backscatter link sees it twice.
-				faded.FadeMargin = units.DB(-40 * math.Log10(env))
-				if !faded.Available(phy.ModeBackscatter, units.Meter(d)) {
+			for _, m := range margins {
+				if ok, _ := edge.available(m); !ok {
 					outages++
 				}
 			}
-			series = append(series, stats.Point{X: d, Y: float64(outages) / draws})
-		}
+			series = append(series, stats.Point{X: d, Y: float64(outages) / outageDraws})
+		})
 		r.Series = append(r.Series, NamedSeries{
 			Name: fmt.Sprintf("backscatter outage vs m, %s", kf.name),
 			Data: series,
@@ -96,6 +85,88 @@ func ExtOutage() (*Report, error) {
 	}
 	r.AddNote("the §4.2 fallback machinery exists exactly for these realizations")
 	return r, nil
+}
+
+// outageKFactors are ext-outage's Rician K-factors.
+var outageKFactors = []struct {
+	name string
+	k    float64
+}{{"K=10 (strong LOS)", 10}, {"K=2 (cluttered)", 2}}
+
+// outageDraws is ext-outage's number of fades per distance.
+const outageDraws = 2000
+
+// outageFades walks ext-outage's sweep for Rician factor k: distances
+// 0.3–3.0 m in 0.15 m steps, outageDraws block fades at each, all from
+// one stream. It calls visit once per distance with each fade's margin
+// in dB: a fade multiplies the one-way amplitude by the Rician envelope,
+// and the round-trip backscatter link sees it twice. margins is reused
+// between calls.
+func outageFades(k float64, visit func(d float64, margins []units.DB)) {
+	stream := rng.New(77)
+	nu := math.Sqrt(k / (k + 1))
+	sigma := math.Sqrt(1 / (2 * (k + 1)))
+	margins := make([]units.DB, outageDraws)
+	for d := 0.3; d <= 3.0; d += 0.15 {
+		for i := range margins {
+			margins[i] = units.DB(-40 * math.Log10(stream.Rician(nu, sigma)))
+		}
+		visit(d, margins)
+	}
+}
+
+// fadeGuard is how near (dB) a fade margin must fall to its distance's
+// fade edge to be decided by phy.Available itself.
+const fadeGuard = 1e-6
+
+// fadeEdge is where backscatter at one distance stops being
+// phy.Available as the fade margin grows: Available holds at lo and
+// fails at hi, a nanodecibel or less apart.
+type fadeEdge struct {
+	faded  phy.Model
+	d      units.Meter
+	lo, hi units.DB
+}
+
+// newFadeEdge bisects base's backscatter availability at d over the fade
+// margin. Should Available not flip inside ±1000 dB, the edge spans
+// every margin and each one gets the exact call.
+func newFadeEdge(base *phy.Model, d units.Meter) *fadeEdge {
+	e := &fadeEdge{faded: *base, d: d, lo: -1000, hi: 1000}
+	if !e.exact(e.lo) || e.exact(e.hi) {
+		e.lo, e.hi = units.DB(math.Inf(-1)), units.DB(math.Inf(1))
+		return e
+	}
+	for e.hi-e.lo > 1e-9 {
+		if mid := (e.lo + e.hi) / 2; e.exact(mid) {
+			e.lo = mid
+		} else {
+			e.hi = mid
+		}
+	}
+	return e
+}
+
+// exact is phy.Available for backscatter at the edge's distance under
+// fade margin m.
+func (e *fadeEdge) exact(m units.DB) bool {
+	e.faded.FadeMargin = m
+	return e.faded.Available(phy.ModeBackscatter, e.d)
+}
+
+// available reports whether backscatter survives fade margin m. A margin
+// more than fadeGuard below the edge survives and one more than fadeGuard
+// above it does not, without a call; one inside the band gets the exact
+// call, reported by inBand, so the shortcut never leans on Available
+// being monotone at the scale of float rounding.
+func (e *fadeEdge) available(m units.DB) (ok, inBand bool) {
+	switch {
+	case m < e.lo-fadeGuard:
+		return true, false
+	case m > e.hi+fadeGuard:
+		return false, false
+	}
+	return e.exact(m), true
 }
 
 // ExtPump sweeps the charge pump's stage count: boost versus loaded sag

@@ -110,6 +110,13 @@ func Run(cfg Config, n int) (*Result, error) {
 	q := cfg.QInit
 	var tagSeconds float64 // summed over all tags
 
+	// slotOf holds each remaining tag's drawn slot and counts the
+	// responders per slot of the frame. Both are reused across frames:
+	// counts grows only when a frame outgrows it, and is re-zeroed from
+	// the drawn slots once the frame ends.
+	slotOf := make([]int, n)
+	var counts []int
+
 	// Safety valve far above any sane round length.
 	maxSlots := 1000 * (n + 16)
 	for remaining > 0 {
@@ -118,12 +125,14 @@ func Run(cfg Config, n int) (*Result, error) {
 		}
 		frameQ := int(math.Round(clampQ(q)))
 		frame := 1 << frameQ
+		if len(counts) < frame {
+			counts = make([]int, frame)
+		}
 		// Each remaining tag picks one slot in the frame.
-		slotOf := make([]int, remaining)
+		slotOf = slotOf[:remaining]
 		for i := range slotOf {
 			slotOf[i] = stream.Intn(frame)
 		}
-		counts := make(map[int]int, remaining)
 		for _, s := range slotOf {
 			counts[s]++
 		}
@@ -153,6 +162,9 @@ func Run(cfg Config, n int) (*Result, error) {
 			if int(math.Round(clampQ(q))) != frameQ {
 				break
 			}
+		}
+		for _, s := range slotOf {
+			counts[s] = 0
 		}
 		// Unread tags re-draw in the next frame (Gen2 re-query).
 	}

@@ -63,11 +63,8 @@ func (ru *Runner) RunCoded(cfg CodedConfig, data []byte, n int, res *Result) err
 		}
 		data = ru.payload
 	}
-	if cfg.SamplesPerBit < 4 {
-		return fmt.Errorf("rxchain: %d samples/symbol is too coarse", cfg.SamplesPerBit)
-	}
-	if cfg.Rate <= 0 || cfg.SignalAmplitude <= 0 || cfg.NoiseRMS < 0 {
-		return fmt.Errorf("rxchain: invalid config")
+	if err := cfg.check("symbol"); err != nil {
+		return err
 	}
 
 	ru.symbols = linecode.EncodeAppend(ru.symbols[:0], cfg.Code, data)
@@ -94,7 +91,7 @@ func (ru *Runner) RunCoded(cfg CodedConfig, data []byte, n int, res *Result) err
 	process := func(idx int, level float64) byte {
 		var integral float64
 		for s := 0; s < cfg.SamplesPerBit; s++ {
-			t := units.Second((float64(idx)*float64(cfg.SamplesPerBit) + float64(s)) * dt)
+			t := sampleTime(idx, s, cfg.SamplesPerBit, dt)
 			x := level + cfg.SelfInterference.Sample(t) + cfg.NoiseRMS*stream.Norm()
 			var y float64
 			if cfg.HighPass.Cutoff > 0 {

@@ -1,9 +1,12 @@
 package rxchain
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"braidio/internal/analog"
+	"braidio/internal/fading"
 	"braidio/internal/linecode"
 	"braidio/internal/units"
 )
@@ -147,25 +150,69 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestSweepBERPairsConfigs(t *testing.T) {
-	cfgs := []Config{DefaultConfig(units.Rate100k, 1), DefaultConfig(units.Rate100k, 2)}
-	points, err := SweepBER(cfgs, 400, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestRunAllSharedDriftMatchesRun pins the shared drift blocks: configs
+// that share a drift key but differ in everything the sines do not hold
+// (Level, DriftFraction, NoiseRMS, seed, HighPass) must equal sequential
+// Run field for field at every worker count, over several blocks, as
+// must the configs that keep calling Sample — one with its own
+// PhaseOffset, one with a shorter warm-up, and two static leaks
+// (CoherenceTime 0) whose keys would otherwise match.
+func TestRunAllSharedDriftMatchesRun(t *testing.T) {
+	base := DefaultConfig(units.Rate100k, 1)
+	base.SelfInterference = fading.SelfInterference{Level: 1, DriftFraction: 0.1, CoherenceTime: 5e-5}
+	vary := []func(*Config){
+		func(c *Config) {},
+		func(c *Config) { c.SelfInterference.Level = 0.3; c.Seed = 2 },
+		func(c *Config) { c.SelfInterference.DriftFraction = 0.4; c.Seed = 3 },
+		func(c *Config) { c.NoiseRMS = 6e-3; c.Seed = 4 },
+		func(c *Config) { c.HighPass = analog.HighPass{}; c.Seed = 5 },
+		func(c *Config) { c.SelfInterference.PhaseOffset = 1.25; c.Seed = 6 },
+		func(c *Config) { c.WarmupBits = 10; c.Seed = 7 },
+		func(c *Config) { c.SelfInterference.CoherenceTime = 0; c.Seed = 8 },
+		func(c *Config) { c.SelfInterference.CoherenceTime = 0; c.SelfInterference.Level = 2; c.Seed = 9 },
 	}
-	if len(points) != 2 {
-		t.Fatalf("%d points", len(points))
+	cfgs := make([]Config, len(vary))
+	for i, v := range vary {
+		cfgs[i] = base
+		v(&cfgs[i])
 	}
-	for i := range points {
-		if points[i].Config.Seed != cfgs[i].Seed {
-			t.Fatalf("point %d paired with wrong config", i)
+	const n = 2*driftBlockBits + 1000
+	chains := make([]chain, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := chains[i].start(cfg, n); err != nil {
+			t.Fatal(err)
 		}
-		if points[i].Result.Bits != 400 {
-			t.Fatalf("point %d ran %d bits", i, points[i].Result.Bits)
+	}
+	drift, blocks := sharedDrift(chains)
+	for i := range cfgs {
+		if wantShared := i < 5; (drift[i] != nil) != wantShared {
+			t.Fatalf("cfg %d: shares a drift block %v, want %v", i, drift[i] != nil, wantShared)
 		}
 	}
-	if _, err := SweepBER([]Config{{}}, 10, 1); err == nil {
-		t.Fatal("invalid sweep config did not surface")
+	if len(blocks) != 1 {
+		t.Fatalf("%d shared drift blocks, want 1", len(blocks))
+	}
+	want := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		r, err := Run(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = *r
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, workers := range []int{1, 2, 8} {
+		got, err := RunAll(cfgs, n, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Bits != w.Bits || g.Errors != w.Errors || !same(g.ResidualDC, w.ResidualDC) ||
+				!same(g.SwingAtComparator, w.SwingAtComparator) {
+				t.Fatalf("workers=%d cfg %d: %+v vs sequential %+v", workers, i, g, w)
+			}
+		}
 	}
 }
 

@@ -95,61 +95,118 @@ func (r Result) BER() float64 {
 // state callers (sweeps, Monte-Carlo loops) should hold a Runner.
 func Run(cfg Config, n int) (*Result, error) {
 	res := new(Result)
-	var stream rng.Stream
-	stream.Reseed(cfg.Seed)
-	if err := run(cfg, n, &stream, res); err != nil {
+	if err := run(cfg, n, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// run is the waveform loop shared by Run and Runner.Run. stream must be
-// freshly reseeded with cfg.Seed; res is overwritten. The sample-level
-// arithmetic (and therefore every draw and every float operation) is the
-// golden contract the experiment notes pin — optimizations here must be
-// bit-exact.
-func run(cfg Config, n int, stream *rng.Stream, res *Result) error {
-	if n <= 0 {
-		return errors.New("rxchain: need at least one bit")
-	}
+// check validates the fields run and RunCoded share; unit names what
+// SamplesPerBit samples span, a "bit" or a "symbol".
+func (cfg Config) check(unit string) error {
 	if cfg.SamplesPerBit < 4 {
-		return fmt.Errorf("rxchain: %d samples/bit is too coarse", cfg.SamplesPerBit)
+		return fmt.Errorf("rxchain: %d samples/%s is too coarse", cfg.SamplesPerBit, unit)
 	}
 	if cfg.Rate <= 0 || cfg.SignalAmplitude <= 0 || cfg.NoiseRMS < 0 {
 		return fmt.Errorf("rxchain: invalid config %+v", cfg)
 	}
-	dt := 1 / (float64(cfg.Rate) * float64(cfg.SamplesPerBit))
+	if cfg.WarmupBits < 0 {
+		return fmt.Errorf("rxchain: %d warm-up bits", cfg.WarmupBits)
+	}
+	return nil
+}
 
+// sampleTime is the time of sample s of bit (or symbol) i, dt apart.
+// The waveform loops and driftBlock.fill all use it, so a drift block
+// holds the phases SelfInterference.Sample would see.
+func sampleTime(i, s, samplesPerBit int, dt float64) units.Second {
+	return units.Second((float64(i)*float64(samplesPerBit) + float64(s)) * dt)
+}
+
+// run is the waveform loop of Run and Runner.Run: one chain over all of
+// its bits, overwriting *res.
+func run(cfg Config, n int, res *Result) error {
+	var c chain
+	if err := c.start(cfg, n); err != nil {
+		return err
+	}
+	c.advance(c.total, nil)
+	*res = c.finish()
+	return nil
+}
+
+// chain is one waveform run, resumable between blocks of bits so that
+// RunAll can advance runs sharing a drift waveform over one block of
+// it at a time. The sample-level arithmetic (and therefore every draw
+// and every float operation) is the golden contract the experiment
+// notes pin — optimizations here must be bit-exact.
+type chain struct {
+	cfg       Config
+	stream    rng.Stream
+	res       Result
+	dt, alpha float64
+	// next is the next bit to run and total the run's bit count, both
+	// warm-up included.
+	next, total int
+
+	// The filter, comparator and accumulators carried between blocks.
+	prevIn, prevOut    float64
+	initialized, latch bool
+	oneSum, zeroSum    float64
+	oneN, zeroN        int
+	dcSum              float64
+	samples            int
+}
+
+// start validates cfg and readies c to run n bits, its stream seeded
+// with cfg.Seed.
+func (c *chain) start(cfg Config, n int) error {
+	if n <= 0 {
+		return errors.New("rxchain: need at least one bit")
+	}
+	if err := cfg.check("bit"); err != nil {
+		return err
+	}
+	dt := 1 / (float64(cfg.Rate) * float64(cfg.SamplesPerBit))
 	// Single-pole high-pass: y[k] = a·(y[k-1] + x[k] − x[k-1]).
 	alpha := 1.0
 	if cfg.HighPass.Cutoff > 0 {
 		rc := 1 / (2 * math.Pi * float64(cfg.HighPass.Cutoff))
 		alpha = rc / (rc + dt)
 	}
+	*c = chain{cfg: cfg, res: Result{Bits: n}, dt: dt, alpha: alpha, total: n + cfg.WarmupBits}
+	c.stream.Reseed(cfg.Seed)
+	return nil
+}
 
-	*res = Result{Bits: n}
-	var prevIn, prevOut float64
-	var initialized bool
-	var oneSum, zeroSum float64
-	var oneN, zeroN int
-	var dcSum float64
-	var samples int
-	state := false // comparator latch
-
-	total := n + cfg.WarmupBits
-	for i := 0; i < total; i++ {
+// advance runs bits c.next up to end. drift, when not nil, holds the
+// drift sines of those bits' samples (see driftBlock) and stands in for
+// SelfInterference.Sample with the same arithmetic.
+func (c *chain) advance(end int, drift []float64) {
+	cfg, stream, dt, alpha := c.cfg, &c.stream, c.dt, c.alpha
+	si := cfg.SelfInterference
+	prevIn, prevOut, initialized, state := c.prevIn, c.prevOut, c.initialized, c.latch
+	oneSum, zeroSum, oneN, zeroN := c.oneSum, c.zeroSum, c.oneN, c.zeroN
+	dcSum, samples, errs := c.dcSum, c.samples, c.res.Errors
+	from := c.next
+	for i := from; i < end; i++ {
 		warm := i < cfg.WarmupBits
 		bit := stream.Bool()
 		// Integrate the filtered waveform over the bit for a matched
 		// decision, mimicking the comparator+controller sampling.
 		var integral float64
 		for s := 0; s < cfg.SamplesPerBit; s++ {
-			t := units.Second((float64(i)*float64(cfg.SamplesPerBit) + float64(s)) * dt)
 			level := 0.0
 			if bit {
 				level = cfg.SignalAmplitude
 			}
-			x := level + cfg.SelfInterference.Sample(t) + cfg.NoiseRMS*stream.Norm()
+			var leak float64
+			if drift != nil {
+				leak = si.Level * (1 + si.DriftFraction*drift[(i-from)*cfg.SamplesPerBit+s])
+			} else {
+				leak = si.Sample(sampleTime(i, s, cfg.SamplesPerBit, dt))
+			}
+			x := level + leak + cfg.NoiseRMS*stream.Norm()
 			var y float64
 			if cfg.HighPass.Cutoff > 0 {
 				if !initialized {
@@ -183,14 +240,22 @@ func run(cfg Config, n int, stream *rng.Stream, res *Result) error {
 			zeroN++
 		}
 		if decided != bit {
-			res.Errors++
+			errs++
 		}
 	}
-	res.ResidualDC = dcSum / float64(samples)
-	if oneN > 0 && zeroN > 0 {
-		res.SwingAtComparator = oneSum/float64(oneN) - zeroSum/float64(zeroN)
+	c.next = max(from, end)
+	c.prevIn, c.prevOut, c.initialized, c.latch = prevIn, prevOut, initialized, state
+	c.oneSum, c.zeroSum, c.oneN, c.zeroN = oneSum, zeroSum, oneN, zeroN
+	c.dcSum, c.samples, c.res.Errors = dcSum, samples, errs
+}
+
+// finish returns the run's result once every bit has run.
+func (c *chain) finish() Result {
+	c.res.ResidualDC = c.dcSum / float64(c.samples)
+	if c.oneN > 0 && c.zeroN > 0 {
+		c.res.SwingAtComparator = c.oneSum/float64(c.oneN) - c.zeroSum/float64(c.zeroN)
 	}
-	return nil
+	return c.res
 }
 
 // SNR returns the chain's effective per-bit SNR (linear): the matched

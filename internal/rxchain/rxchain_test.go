@@ -192,6 +192,27 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeWarmupRejected: a negative WarmupBits would run fewer bits
+// than the result reports (none at all once n + WarmupBits ≤ 0, leaving
+// a NaN residual), so every entry point refuses it.
+func TestNegativeWarmupRejected(t *testing.T) {
+	for _, warm := range []int{-100, -1} {
+		cfg := DefaultConfig(units.Rate100k, 1)
+		cfg.WarmupBits = warm
+		if res, err := Run(cfg, 10); err == nil {
+			t.Errorf("Run with %d warm-up bits: %+v, nil error", warm, *res)
+		}
+		if _, err := RunAll([]Config{cfg, cfg}, 10, 1); err == nil {
+			t.Errorf("RunAll with %d warm-up bits: nil error", warm)
+		}
+		coded := DefaultCodedConfig(units.Rate100k, 1)
+		coded.WarmupBits = warm
+		if _, err := RunCoded(coded, nil, 10); err == nil {
+			t.Errorf("RunCoded with %d warm-up bits: nil error", warm)
+		}
+	}
+}
+
 func TestSNRHelper(t *testing.T) {
 	cfg := DefaultConfig(units.Rate100k, 1)
 	if snr := cfg.SNR(); snr < 100 {
