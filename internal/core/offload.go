@@ -79,16 +79,17 @@ func (a *Allocation) Dominant() phy.Mode {
 // ErrNoLinks reports that no mode is available (out of range).
 var ErrNoLinks = errors.New("core: no links available")
 
-// validateInputs rejects nonsense budgets and dead links.
+// validateInputs rejects nonsense budgets and dead links. The negated
+// comparisons reject NaN too, which fails every ordered comparison.
 func validateInputs(links []phy.ModeLink, e1, e2 units.Joule) error {
 	if len(links) == 0 {
 		return ErrNoLinks
 	}
-	if e1 <= 0 || e2 <= 0 {
+	if !(e1 > 0) || !(e2 > 0) {
 		return fmt.Errorf("core: non-positive budgets %v/%v", float64(e1), float64(e2))
 	}
 	for _, l := range links {
-		if l.T <= 0 || l.R <= 0 || math.IsInf(float64(l.T), 1) || math.IsInf(float64(l.R), 1) {
+		if !(l.T > 0) || !(l.R > 0) || math.IsInf(float64(l.T), 1) || math.IsInf(float64(l.R), 1) {
 			return fmt.Errorf("core: link %v has unusable costs %v/%v", l.Mode, l.T, l.R)
 		}
 	}

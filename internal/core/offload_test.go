@@ -191,17 +191,29 @@ func TestSingleMode(t *testing.T) {
 	}
 }
 
+// TestValidation pins bad inputs as errors. NaN budgets and costs are
+// among them: NaN fails every ordered comparison, so a `<= 0` check
+// lets it through, and past validation a NaN budget makes no candidate
+// win and the enumeration would index the fraction row at -1.
 func TestValidation(t *testing.T) {
 	links := linksAt(t, 0.3)
 	if _, err := Optimize(nil, 1, 1); !errors.Is(err, ErrNoLinks) {
 		t.Errorf("no links: %v", err)
 	}
-	if _, err := Optimize(links, 0, 1); err == nil {
-		t.Error("zero budget should error")
+	nan := math.NaN()
+	for _, b := range [][2]float64{{0, 1}, {nan, 1}, {1, nan}, {nan, nan}} {
+		if _, err := Optimize(links, units.Joule(b[0]), units.Joule(b[1])); err == nil {
+			t.Errorf("budgets %v/%v: want an error", b[0], b[1])
+		}
 	}
-	dead := []phy.ModeLink{{Mode: phy.ModeActive, T: units.JoulesPerBit(math.Inf(1)), R: 1}}
-	if _, err := Optimize(dead, 1, 1); err == nil {
-		t.Error("infinite-cost link should error")
+	for _, l := range []phy.ModeLink{
+		{Mode: phy.ModeActive, T: units.JoulesPerBit(math.Inf(1)), R: 1},
+		{Mode: phy.ModeActive, T: units.JoulesPerBit(nan), R: 1},
+		{Mode: phy.ModeActive, T: 1, R: units.JoulesPerBit(nan)},
+	} {
+		if _, err := Optimize([]phy.ModeLink{l}, 1, 1); err == nil {
+			t.Errorf("link costs %v/%v: want an error", l.T, l.R)
+		}
 	}
 }
 

@@ -52,6 +52,32 @@ import (
 // track (indexed by phy.Mode in canonical order).
 const NumModes = len(phy.Modes)
 
+// Reasons a serve member is marked dirty (queued for re-planning): the
+// index of Recorder.ServeDirty and the reason label of
+// braidio_serve_dirty_total.
+const (
+	// DirtyRegister: a register applied (a new member, or a
+	// re-registration of a clean one).
+	DirtyRegister = iota
+	// DirtyRatio: an update moved E_hub/E_member out of tolerance of the
+	// planned ratio (checked before distance).
+	DirtyRatio
+	// DirtyDistance: an update moved the link distance out of tolerance
+	// of the planned distance.
+	DirtyDistance
+	// DirtyHub: a hub budget change moved the member's ratio out of
+	// tolerance.
+	DirtyHub
+	// DirtyRestore: the member was dirty in the snapshot the engine was
+	// restored from.
+	DirtyRestore
+	// NumDirtyReasons is the number of reasons.
+	NumDirtyReasons
+)
+
+// dirtyReasonLabels names each dirty reason as /metrics labels it.
+var dirtyReasonLabels = [NumDirtyReasons]string{"register", "ratio", "distance", "hub", "restore"}
+
 // Counter is a monotonically increasing event counter: an atomic
 // uint64 padded to a cache line so neighbouring counters updated by
 // concurrent planners never share a line (the same discipline as the
@@ -301,10 +327,18 @@ type Recorder struct {
 
 	// Serve daemon series (internal/serve) — online epoch accounting.
 
-	// ServeRegisters counts admitted member registrations.
+	// ServeRegisters counts member registrations applied by serve
+	// epochs.
 	ServeRegisters Counter
-	// ServeUpdates counts admitted member/hub state updates.
+	// ServeUpdates counts member updates applied by serve epochs. An
+	// update that reaches no registered member is skipped and not
+	// counted, and hub budget changes are never counted.
 	ServeUpdates Counter
+	// ServeDirty counts members marked dirty (queued for re-planning),
+	// indexed by reason (DirtyRegister..DirtyRestore). A member already
+	// dirty is not marked again, and a member whose solve failed stays
+	// queued without a new mark.
+	ServeDirty [NumDirtyReasons]Counter
 	// ServeSheds counts requests dropped by admission backpressure (the
 	// bounded queue was full or the member cap was hit).
 	ServeSheds Counter

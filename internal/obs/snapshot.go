@@ -69,6 +69,9 @@ type Snapshot struct {
 	ServeRegisters, ServeUpdates, ServeSheds, ServeEpochs, ServePlans, ServeClean uint64
 	ServeSnapshots, ServeRotations, ServeRecoveries, ServeTornRecords             uint64
 	ServeJournalErrors                                                            uint64
+	// ServeDirty counts members marked dirty, indexed by reason
+	// (DirtyRegister..DirtyRestore).
+	ServeDirty [NumDirtyReasons]uint64
 
 	// Bits, AirTime, DrainTX, DrainRX, SwitchEnergy are the dequantized
 	// float totals; RelayBits is the 2-hop-relayed subset of Bits.
@@ -148,6 +151,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	for i := range s.ModeBits {
 		s.ModeBits[i] = r.ModeBits[i].Load()
 		s.ModeTime[i] = r.ModeTime[i].Load()
+	}
+	for i := range s.ServeDirty {
+		s.ServeDirty[i] = r.ServeDirty[i].Load()
 	}
 	cs := linkcache.Snapshot()
 	s.Cache = CacheSnapshot{
@@ -282,6 +288,9 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"epochs", fmt.Sprint(s.ServeEpochs)},
 		{"plans solved", fmt.Sprint(s.ServePlans)},
 		{"clean skips", fmt.Sprint(s.ServeClean)},
+		{"dirty register/ratio/distance/hub/restore", fmt.Sprintf("%d/%d/%d/%d/%d",
+			s.ServeDirty[DirtyRegister], s.ServeDirty[DirtyRatio], s.ServeDirty[DirtyDistance],
+			s.ServeDirty[DirtyHub], s.ServeDirty[DirtyRestore])},
 		{"snapshots", fmt.Sprint(s.ServeSnapshots)},
 		{"segment rotations", fmt.Sprint(s.ServeRotations)},
 		{"recoveries", fmt.Sprint(s.ServeRecoveries)},
@@ -368,8 +377,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_relay_rounds_total", "Member-rounds committed through a 2-hop relay.", s.RelayRounds)
 	counter("braidio_carrier_shares_total", "Member-rounds committed on a borrowed carrier.", s.CarrierShares)
 	counter("braidio_interfered_rounds_total", "Member-rounds planned under co-channel interference.", s.InterferedRounds)
-	counter("braidio_serve_registers_total", "Member registrations admitted by the serve daemon.", s.ServeRegisters)
-	counter("braidio_serve_updates_total", "Member/hub state updates admitted by the serve daemon.", s.ServeUpdates)
+	counter("braidio_serve_registers_total", "Member registrations applied by serve epochs.", s.ServeRegisters)
+	counter("braidio_serve_updates_total", "Member updates applied by serve epochs (hub budget changes not counted).", s.ServeUpdates)
 	counter("braidio_serve_sheds_total", "Requests dropped by serve admission backpressure.", s.ServeSheds)
 	counter("braidio_serve_epochs_total", "Serving epochs executed.", s.ServeEpochs)
 	counter("braidio_serve_plans_total", "Member plans solved (dirty members only).", s.ServePlans)
@@ -379,6 +388,10 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_serve_recoveries_total", "Daemon startups recovered from a journal directory.", s.ServeRecoveries)
 	counter("braidio_serve_torn_records_total", "Torn trailing journal records truncated by recovery.", s.ServeTornRecords)
 	counter("braidio_serve_journal_errors_total", "Journal write failures and records dropped while broken.", s.ServeJournalErrors)
+	fmt.Fprintf(w, "# HELP braidio_serve_dirty_total Members marked dirty for re-planning, by reason.\n# TYPE braidio_serve_dirty_total counter\n")
+	for i, label := range dirtyReasonLabels {
+		fmt.Fprintf(w, "braidio_serve_dirty_total{reason=%q} %d\n", label, s.ServeDirty[i])
+	}
 	counter("braidio_linkcache_hits_total", "PHY link cache hits.", s.Cache.Hits)
 	counter("braidio_linkcache_misses_total", "PHY link cache misses.", s.Cache.Misses)
 	counter("braidio_linkcache_evictions_total", "PHY link cache evictions.", s.Cache.Evictions)

@@ -165,7 +165,9 @@ type op struct {
 // digest. live distinguishes a member whose register op has applied
 // from one the router pre-created for an op later in the same drain
 // (updates admitted before the register must still be skipped, exactly
-// as the single-lock engine skipped unknown ids).
+// as the single-lock engine skipped unknown ids). dirty is set only by
+// shard.markDirty, which also queues the member on its shard's dirty
+// list, and cleared only by a successful commit.
 type member struct {
 	id       string
 	seq      uint64
@@ -283,12 +285,12 @@ var ErrJournalBroken = errors.New("serve: journal broken, admission refused (fai
 func (e *Engine) admit(o op) error {
 	switch {
 	case o.kind == opHub:
-		if o.energy <= 0 {
+		if !positiveFinite(float64(o.energy)) {
 			return fmt.Errorf("serve: non-positive hub energy %v", float64(o.energy))
 		}
 	case o.id == "":
 		return errors.New("serve: empty member id")
-	case o.energy <= 0 || o.distance <= 0:
+	case !positiveFinite(float64(o.energy)) || !positiveFinite(float64(o.distance)):
 		return fmt.Errorf("serve: member %q has non-positive energy %v or distance %v", o.id, float64(o.energy), float64(o.distance))
 	}
 	e.queueMu.Lock()
@@ -318,6 +320,10 @@ func (e *Engine) admit(o op) error {
 	e.queueMu.Unlock()
 	return nil
 }
+
+// positiveFinite reports whether v is a usable energy or distance: NaN
+// would reach the solver, and ±Inf would break the journal's JSON.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // JournalErr returns the attached journal's sticky error, nil when no
 // journal is attached or it is healthy. Surfaced by /healthz and Stats.

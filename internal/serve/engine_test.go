@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -33,15 +35,19 @@ func mustEpoch(t *testing.T, e *Engine) EpochResult {
 
 // TestDirtySetTolerance walks one member across the tolerance boundary
 // in both directions — ratio via energy, then distance — and checks
-// exactly the crossings trigger re-plans.
+// exactly the crossings trigger re-plans, each counted under its reason.
 func TestDirtySetTolerance(t *testing.T) {
-	e := NewEngine(testConfig(nil))
+	rec := obs.NewRecorder()
+	e := NewEngine(testConfig(rec))
 	if err := e.Register("m1", 1.0, 2.0); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	res := mustEpoch(t, e)
 	if res.Planned != 1 || res.Clean != 0 {
 		t.Fatalf("first epoch: planned %d clean %d, want 1/0", res.Planned, res.Clean)
+	}
+	if got := rec.Snapshot().ServeDirty; got != [obs.NumDirtyReasons]uint64{obs.DirtyRegister: 1} {
+		t.Fatalf("first epoch: dirty marks %v, want one register", got)
 	}
 	base, ok := e.PlanFor("m1")
 	if !ok {
@@ -53,27 +59,39 @@ func TestDirtySetTolerance(t *testing.T) {
 		energy    float64
 		distance  float64
 		wantPlans int
+		why       int // the reason a re-plan is counted under
 	}{
 		// 1% energy drift: ratio moves 10/1.0 -> 10/1.01, ~1% < 5%.
-		{"within ratio tol", 1.01, 2.0, 0},
+		{"within ratio tol", 1.01, 2.0, 0, 0},
 		// halved battery: ratio doubles, far past 5%.
-		{"ratio crosses down", 0.505, 2.0, 1},
+		{"ratio crosses down", 0.505, 2.0, 1, obs.DirtyRatio},
 		// recover upward past tolerance the other way.
-		{"ratio crosses up", 1.0, 2.0, 1},
+		{"ratio crosses up", 1.0, 2.0, 1, obs.DirtyRatio},
 		// 2% distance drift stays clean.
-		{"within distance tol", 1.0, 2.04, 0},
+		{"within distance tol", 1.0, 2.04, 0, 0},
 		// 50% distance jump re-characterizes the link.
-		{"distance crosses up", 1.0, 3.0, 1},
+		{"distance crosses up", 1.0, 3.0, 1, obs.DirtyDistance},
 		// and back down again.
-		{"distance crosses down", 1.0, 2.0, 1},
+		{"distance crosses down", 1.0, 2.0, 1, obs.DirtyDistance},
 	}
 	for _, s := range steps {
 		if err := e.Update("m1", units.Joule(s.energy), units.Meter(s.distance)); err != nil {
 			t.Fatalf("%s: update: %v", s.name, err)
 		}
+		before := rec.Snapshot().ServeDirty
 		res = mustEpoch(t, e)
 		if res.Planned != s.wantPlans {
 			t.Errorf("%s: planned %d, want %d", s.name, res.Planned, s.wantPlans)
+		}
+		after := rec.Snapshot().ServeDirty
+		for why := range after {
+			want := uint64(0)
+			if why == s.why {
+				want = uint64(s.wantPlans)
+			}
+			if got := after[why] - before[why]; got != want {
+				t.Errorf("%s: %d marks under reason %d, want %d", s.name, got, why, want)
+			}
 		}
 		if res.Planned+res.Clean != 1 {
 			t.Errorf("%s: planned+clean = %d, want 1", s.name, res.Planned+res.Clean)
@@ -407,5 +425,47 @@ func TestPlanLatencyMetric(t *testing.T) {
 	}
 	if got := rec.ServePlanLatency.Count(); got != uint64(planned) {
 		t.Errorf("ServePlanLatency.Count = %d, want %d planning epochs", got, planned)
+	}
+}
+
+// TestAdmitRejectsNonFinite pins admission's refusal of NaN and ±Inf
+// energies, distances and hub budgets: a NaN that reached the solver
+// would fail the next epoch, and a +Inf record cannot be marshaled, so
+// the journal would break for good. Rejected ops leave the queue and
+// the journal untouched.
+func TestAdmitRejectsNonFinite(t *testing.T) {
+	e := NewEngine(testConfig(nil))
+	e.AttachJournal(NewJournal(io.Discard, e.Config()))
+	if err := e.Register("m", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustEpoch(t, e)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"register NaN energy", func() error { return e.Register("x", units.Joule(nan), 1) }},
+		{"register NaN distance", func() error { return e.Register("x", 1, units.Meter(nan)) }},
+		{"register +Inf energy", func() error { return e.Register("x", units.Joule(inf), 1) }},
+		{"register +Inf distance", func() error { return e.Register("x", 1, units.Meter(inf)) }},
+		{"update NaN energy", func() error { return e.Update("m", units.Joule(nan), 1) }},
+		{"update NaN distance", func() error { return e.Update("m", 1, units.Meter(nan)) }},
+		{"update +Inf energy", func() error { return e.Update("m", units.Joule(inf), 1) }},
+		{"update +Inf distance", func() error { return e.Update("m", 1, units.Meter(inf)) }},
+		{"update -Inf energy", func() error { return e.Update("m", units.Joule(-inf), 1) }},
+		{"hub NaN", func() error { return e.SetHubEnergy(units.Joule(nan)) }},
+		{"hub +Inf", func() error { return e.SetHubEnergy(units.Joule(inf)) }},
+	} {
+		if err := c.call(); err == nil || errors.Is(err, ErrShed) {
+			t.Errorf("%s: admitted (err %v), want a validation error", c.name, err)
+		}
+	}
+	if d := e.Stats().QueueDepth; d != 0 {
+		t.Fatalf("queue depth %d after rejected ops, want 0", d)
+	}
+	mustEpoch(t, e)
+	if err := e.JournalErr(); err != nil {
+		t.Fatalf("journal broken by rejected ops: %v", err)
 	}
 }

@@ -129,6 +129,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"braidio_serve_registers_total 10",
 		"braidio_serve_updates_total 1",
+		`braidio_serve_dirty_total{reason="register"} 10`,
+		`braidio_serve_dirty_total{reason="ratio"} 1`,
+		`braidio_serve_dirty_total{reason="hub"} 0`,
 		"braidio_serve_epochs_total 2",
 		"braidio_serve_plans_total 11",
 		"braidio_serve_clean_total 9",

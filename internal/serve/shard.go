@@ -1,8 +1,8 @@
 // Sharded member state: the engine's membership is striped into a
 // power-of-two number of shards selected by a SplitMix64-mixed hash of
 // the member id (the same recipe as internal/linkcache's 32-stripe
-// table). Each shard owns its members' inputs, dirty flags, and
-// committed plans behind its own RWMutex, so admission apply, plan
+// table). Each shard owns its members' inputs, dirty flags, dirty list
+// and committed plans behind its own RWMutex, so admission apply, plan
 // commit, and HTTP plan reads contend only per shard — the global lock
 // that used to serialize a million-member epoch against every
 // /v1/plan read is reduced to hub-budget and epoch-counter bookkeeping.
@@ -14,42 +14,54 @@
 // the op sequence it would have under a single lock). Shards then run
 // apply → plan → commit independently over internal/par — shard A can
 // be solving while shard B is still applying — each with its own
-// core.BatchScratch arena. A final fold walks the planned jobs in
-// global registration order (k-way merge over the shards' seq-sorted
-// job lists), so the FNV-1a epoch digest is bit-identical to the
-// single-lock engine's at any shard or worker count.
+// core.BatchScratch arena, sized to a chunk of planChunk jobs rather
+// than to the epoch. An epoch plans the shard's dirty list, so its cost
+// follows drift, not membership; only a hub-budget change walks every
+// member. A final fold walks the planned jobs in global registration
+// order (k-way merge over the shards' seq-sorted job lists), so the
+// FNV-1a epoch digest is bit-identical to the single-lock engine's at
+// any shard or worker count.
 
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"braidio/internal/core"
+	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/rng"
 	"braidio/internal/units"
 )
 
 // shard owns one stripe of the membership. The mutex guards members,
-// order, and every member's mutable fields; the stage scratch (ops,
-// jobs, batch) is owned by the epoch pipeline, which runs at most one
-// stage per shard at a time (under the engine's epochMu).
+// order, dirty, and every member's mutable fields; the stage scratch
+// (ops, jobs, batch, marks) is owned by the epoch pipeline, which runs at
+// most one stage per shard at a time (under the engine's epochMu).
 type shard struct {
 	mu      sync.RWMutex
 	members map[string]*member
 	// order is the shard-local registration order — the subsequence of
 	// the engine's global order that hashes here. Appended only by the
-	// sequenced router, read by the apply and plan stages.
+	// sequenced router, read by the hub-budget recheck.
 	order []*member
+	// dirty lists every member whose dirty flag is set, each once:
+	// markDirty appends, the plan phase sorts it by seq, and commit keeps
+	// only the members whose solve failed.
+	dirty []*member
 
 	// Epoch-stage scratch, reused across epochs. ops is this epoch's
 	// routed admission slice; jobs the dirty set in shard order; batch
-	// the shard's private column arena.
+	// the shard's private column arena, planChunk slots at most; marks
+	// the markDirty calls by reason since a stage last flushed them.
 	ops   []op
 	jobs  []planJob
 	batch core.BatchScratch
+	marks [obs.NumDirtyReasons]uint64
 
 	// Per-epoch stage results, merged by RunEpoch after the pipeline
 	// barrier: ops applied, plans committed, the first solve error in
@@ -76,22 +88,39 @@ func (e *Engine) shardFor(id string) *shard {
 	return e.shards[rng.Mix64(h)&e.shardMask]
 }
 
-// dirtyAgainst reports whether fresh inputs have drifted out of
-// tolerance from the member's planned inputs, against the hub budget at
-// the op's sequence point. A member with no plan yet is always dirty.
-func dirtyAgainst(m *member, hubE units.Joule, cfg *Config) bool {
+// markDirty queues a clean member for the next plan phase. It is the
+// only way a member turns dirty; why (an obs.Dirty* reason) is counted
+// into the recorder when the shard's next stage flushes its marks.
+func (s *shard) markDirty(m *member, why int) {
+	m.dirty = true
+	s.dirty = append(s.dirty, m)
+	s.marks[why]++
+}
+
+// drift reports whether fresh inputs have drifted out of tolerance from
+// the member's planned inputs, against the hub budget at the op's
+// sequence point, and why: obs.DirtyRatio (checked first) or
+// obs.DirtyDistance. A member with no plan yet has no planned ratio to
+// be within, so it always counts as ratio drift.
+func drift(m *member, hubE units.Joule, cfg *Config) (why int, dirty bool) {
 	if !m.hasPlan {
-		return true
+		return obs.DirtyRatio, true
 	}
 	ratio := float64(hubE) / float64(m.energy)
 	if !core.RatioWithin(ratio, m.plan.Ratio, cfg.RatioTolerance) {
-		return true
+		return obs.DirtyRatio, true
 	}
-	return !core.RatioWithin(float64(m.distance), m.plan.Distance, cfg.DistanceTolerance)
+	if !core.RatioWithin(float64(m.distance), m.plan.Distance, cfg.DistanceTolerance) {
+		return obs.DirtyDistance, true
+	}
+	return 0, false
 }
 
+// bySeq orders members by registration index.
+func bySeq(a, b *member) int { return cmp.Compare(a.seq, b.seq) }
+
 // runStage is one shard's slice of the epoch pipeline: apply the routed
-// ops in admission order under the shard lock, collect the dirty set,
+// ops in admission order under the shard lock, collect the dirty list,
 // solve it through the shard's private column arena with no lock held,
 // and commit the plans back under the lock. hubE is the hub budget at
 // epoch start; broadcast hub markers advance the local copy at their
@@ -100,11 +129,9 @@ func dirtyAgainst(m *member, hubE units.Joule, cfg *Config) bool {
 // intra-shard kernel parallelism (1 when the shard fan-out already
 // saturates the pool).
 func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int, applyStart time.Time) {
-	rec := e.cfg.Rec
-
 	s.mu.Lock()
 	localHub := hubE
-	applied := 0
+	var registers, updates uint64
 	for i := range s.ops {
 		o := &s.ops[i]
 		switch o.kind {
@@ -113,11 +140,11 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 			// exists; the first applied register makes it live.
 			m := s.members[o.id]
 			m.live = true
-			m.energy, m.distance, m.dirty = o.energy, o.distance, true
-			if rec != nil {
-				rec.ServeRegisters.Add(1)
+			m.energy, m.distance = o.energy, o.distance
+			if !m.dirty {
+				s.markDirty(m, obs.DirtyRegister)
 			}
-			applied++
+			registers++
 		case opUpdate:
 			m, found := s.members[o.id]
 			if !found || !m.live {
@@ -125,72 +152,76 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 			}
 			m.energy, m.distance = o.energy, o.distance
 			if !m.dirty {
-				m.dirty = dirtyAgainst(m, localHub, &e.cfg)
+				if why, dirty := drift(m, localHub, &e.cfg); dirty {
+					s.markDirty(m, why)
+				}
 			}
-			if rec != nil {
-				rec.ServeUpdates.Add(1)
-			}
-			applied++
+			updates++
 		case opHub:
 			// Broadcast marker: every member's ratio shares the hub
 			// term, so recheck the whole stripe at this sequence point.
-			// (Counted as applied once, by the router.)
+			// The walk re-lists the dirty set in seq order as it goes,
+			// so the collect step's sort finds it sorted. (Counted as
+			// applied once, by the router.)
 			localHub = o.energy
+			s.dirty = s.dirty[:0]
 			for _, m := range s.order {
-				if m.live && !m.dirty {
-					m.dirty = dirtyAgainst(m, localHub, &e.cfg)
+				if !m.live {
+					continue
+				}
+				if m.dirty {
+					s.dirty = append(s.dirty, m)
+				} else if _, dirty := drift(m, localHub, &e.cfg); dirty {
+					s.markDirty(m, obs.DirtyHub)
 				}
 			}
 		}
 	}
-	// Collect the dirty set in shard registration order and snapshot its
-	// solve inputs, so planning can proceed without the lock.
+	// Collect the dirty set in registration (seq) order — the order the
+	// digest merge and the lowest-seq first-error rule depend on — and
+	// snapshot its solve inputs, so planning can proceed without the lock.
+	slices.SortFunc(s.dirty, bySeq)
 	s.jobs = s.jobs[:0]
-	for _, m := range s.order {
-		if m.live && m.dirty {
-			s.jobs = append(s.jobs, planJob{m: m, energy: m.energy, distance: m.distance})
-		}
+	for _, m := range s.dirty {
+		s.jobs = append(s.jobs, planJob{m: m, energy: m.energy, distance: m.distance})
 	}
 	s.mu.Unlock()
-	s.applied = applied
+	s.applied = int(registers + updates)
 	s.applyEndNs = float64(time.Since(applyStart))
 	s.ops = s.ops[:0]
-
-	// Plan phase, lock-free: the shard's own arena reset, columnar
-	// characterization, offload kernel, and plan construction into
-	// index-owned job slots. solveHub is the post-apply hub budget —
-	// identical across shards, since every shard saw every hub marker.
-	planStart := time.Now()
-	n := len(s.jobs)
-	if n > 0 {
-		solveHub := localHub
-		s.batch.Reset(n)
-		for i := range s.jobs {
-			s.batch.Dists[i] = s.jobs[i].distance
-			s.batch.E1[i] = solveHub
-			s.batch.E2[i] = s.jobs[i].energy
-		}
-		e.view.CharacterizeColumns(workers, s.batch.Dists, &s.batch.Cols)
-		core.OptimizeBatch(&s.batch, workers)
-		if workers != 1 && n >= shardPlanParThreshold {
-			par.For(workers, n, func(i int) { s.buildPlan(e, i, epoch, solveHub) })
-		} else {
-			for i := 0; i < n; i++ {
-				s.buildPlan(e, i, epoch, solveHub)
+	if rec := e.cfg.Rec; rec != nil {
+		rec.ServeRegisters.Add(registers)
+		rec.ServeUpdates.Add(updates)
+		for why, n := range s.marks {
+			if n > 0 {
+				rec.ServeDirty[why].Add(n)
 			}
 		}
+	}
+	s.marks = [obs.NumDirtyReasons]uint64{}
+
+	// Plan phase, lock-free, planChunk jobs at a time through the
+	// shard's arena. solveHub is the post-apply hub budget — identical
+	// across shards, since every shard saw every hub marker.
+	planStart := time.Now()
+	solveHub := localHub
+	for lo := 0; lo < len(s.jobs); lo += planChunk {
+		s.solveChunk(e, s.jobs[lo:min(lo+planChunk, len(s.jobs))], epoch, solveHub, workers)
 	}
 
 	// Commit under the shard lock; readers of other shards never notice.
 	s.mu.Lock()
 	s.firstErr, s.firstErrSeq = nil, 0
+	s.dirty = s.dirty[:0]
 	plannedLocal := 0
 	for i := range s.jobs {
 		j := &s.jobs[i]
 		if j.err != nil {
-			// Out of range or drained: keep the member dirty so a
-			// recovering update re-plans it; surface the shard's first
-			// error (jobs are seq-ascending, so first is lowest).
+			// Out of range or drained: keep the member dirty and queued,
+			// so every epoch re-plans it until an update brings it back;
+			// surface the shard's first error (jobs are seq-ascending, so
+			// first is lowest).
+			s.dirty = append(s.dirty, j.m)
 			if s.firstErr == nil {
 				s.firstErr = fmt.Errorf("serve: member %q: %w", j.m.id, j.err)
 				s.firstErrSeq = j.m.seq
@@ -207,19 +238,47 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	s.planNs = float64(time.Since(planStart))
 }
 
+// planChunk bounds the shard's column arena: the plan phase solves the
+// dirty set this many jobs at a time, so a cold plan of the whole
+// membership leaves an arena of planChunk slots behind, not one slot
+// per member. Every kernel works per slot, so the chunking moves no bit.
+const planChunk = 4096
+
+// solveChunk characterizes, solves and builds the plans of jobs (at
+// most planChunk of them) in the shard's arena: columnar
+// characterization, the offload kernel, and plan construction into the
+// job slots.
+func (s *shard) solveChunk(e *Engine, jobs []planJob, epoch uint64, hubE units.Joule, workers int) {
+	n := len(jobs)
+	s.batch.Reset(n)
+	for i := range jobs {
+		s.batch.Dists[i] = jobs[i].distance
+		s.batch.E1[i] = hubE
+		s.batch.E2[i] = jobs[i].energy
+	}
+	e.view.CharacterizeColumns(workers, s.batch.Dists, &s.batch.Cols)
+	core.OptimizeBatch(&s.batch, workers)
+	if workers != 1 && n >= shardPlanParThreshold {
+		par.For(workers, n, func(k int) { s.buildPlan(e, &jobs[k], k, epoch, hubE) })
+	} else {
+		for k := range jobs {
+			s.buildPlan(e, &jobs[k], k, epoch, hubE)
+		}
+	}
+}
+
 // shardPlanParThreshold is the per-shard job count below which plan
 // construction stays sequential (same rationale as the batch kernels'
 // threshold: fanning out a handful of copies costs more than it saves).
 const shardPlanParThreshold = 64
 
-// buildPlan constructs job i's plan from the shard arena's slot i:
+// buildPlan constructs job j's plan from the shard arena's slot i:
 // fractions and mixture from the batch offload kernel, blocks from the
 // largest-remainder counts directly, mode names from the canonical
 // shared table. Fractions and Blocks are freshly allocated — committed
 // plans are retained and concurrently marshaled by PlanFor readers, so
 // arena rows must never escape into them.
-func (s *shard) buildPlan(e *Engine, i int, epoch uint64, hubE units.Joule) {
-	j := &s.jobs[i]
+func (s *shard) buildPlan(e *Engine, j *planJob, i int, epoch uint64, hubE units.Joule) {
 	n := int(s.batch.Cols.Len[i])
 	if n == 0 {
 		j.err = fmt.Errorf("out of range at %.2fm", float64(j.distance))

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"braidio/internal/obs"
 	"braidio/internal/units"
 )
 
@@ -107,9 +108,26 @@ func snapshotBytes(t *testing.T, e *Engine) []byte {
 	return b
 }
 
-// TestShardCountInvariance sweeps the shard × worker grid and demands
-// identical epoch digests, identical journal bytes, and identical
-// snapshot bytes everywhere.
+// scheduleMarks is driveSchedule's exact count of dirty marks by reason:
+// 302 registers (300, "far", "late"); 55 ratio drifts (m0–m39 halve
+// their energy, m45–m59 fall more than 5% below it, m40–m44 and the 60
+// jitters stay within); 300 hub marks (6 J moves every planned ratio
+// 40%); no distance drift and no restore. Updates that reach a member
+// already dirty — "late" after its register, the 30 after the hub
+// change — and "far", failing every epoch, add no mark.
+var scheduleMarks = [obs.NumDirtyReasons]uint64{
+	obs.DirtyRegister: 302, obs.DirtyRatio: 55, obs.DirtyHub: 300,
+}
+
+// scheduleUpdates is driveSchedule's count of applied member updates:
+// 120, then "late"'s second update and the 30 after the hub change.
+// The update that precedes "late"'s register is skipped.
+const scheduleUpdates = 151
+
+// TestShardCountInvariance sweeps the shard × worker grid, with the
+// recorder off and on, and demands identical epoch digests, identical
+// journal bytes, and identical snapshot bytes everywhere, and with the
+// recorder on, driveSchedule's exact register, update and dirty counts.
 func TestShardCountInvariance(t *testing.T) {
 	type outcome struct {
 		results  []EpochResult
@@ -119,32 +137,48 @@ func TestShardCountInvariance(t *testing.T) {
 	var ref *outcome
 	var refLabel string
 	for _, g := range shardGrid {
-		label := fmt.Sprintf("shards=%d/workers=%d", g.shards, g.workers)
-		cfg := testConfig(nil)
-		cfg.Shards = g.shards
-		cfg.Workers = g.workers
-		e := NewEngine(cfg)
-		var buf bytes.Buffer
-		e.AttachJournal(NewJournal(&buf, e.Config()))
-		results := driveSchedule(t, e)
-		got := &outcome{results: results, journal: buf.Bytes(), snapshot: snapshotBytes(t, e)}
-		if ref == nil {
-			ref, refLabel = got, label
-			continue
-		}
-		if len(got.results) != len(ref.results) {
-			t.Fatalf("%s: %d epochs, %s had %d", label, len(got.results), refLabel, len(ref.results))
-		}
-		for i := range got.results {
-			if got.results[i] != ref.results[i] {
-				t.Errorf("%s epoch %d: %+v\n%s: %+v", label, i+1, got.results[i], refLabel, ref.results[i])
+		for _, recorded := range []bool{false, true} {
+			label := fmt.Sprintf("shards=%d/workers=%d/recorder=%v", g.shards, g.workers, recorded)
+			var rec *obs.Recorder
+			if recorded {
+				rec = obs.NewRecorder()
 			}
-		}
-		if !bytes.Equal(got.journal, ref.journal) {
-			t.Errorf("%s: journal bytes diverge from %s (%d vs %d bytes)", label, refLabel, len(got.journal), len(ref.journal))
-		}
-		if !bytes.Equal(got.snapshot, ref.snapshot) {
-			t.Errorf("%s: snapshot bytes diverge from %s:\n%s\nvs\n%s", label, refLabel, got.snapshot, ref.snapshot)
+			cfg := testConfig(rec)
+			cfg.Shards = g.shards
+			cfg.Workers = g.workers
+			e := NewEngine(cfg)
+			var buf bytes.Buffer
+			e.AttachJournal(NewJournal(&buf, e.Config()))
+			results := driveSchedule(t, e)
+			got := &outcome{results: results, journal: buf.Bytes(), snapshot: snapshotBytes(t, e)}
+			if rec != nil {
+				snap := rec.Snapshot()
+				if snap.ServeDirty != scheduleMarks {
+					t.Errorf("%s: dirty marks by reason %v, want %v", label, snap.ServeDirty, scheduleMarks)
+				}
+				if snap.ServeRegisters != scheduleMarks[obs.DirtyRegister] || snap.ServeUpdates != scheduleUpdates {
+					t.Errorf("%s: registers/updates %d/%d, want %d/%d", label,
+						snap.ServeRegisters, snap.ServeUpdates, scheduleMarks[obs.DirtyRegister], scheduleUpdates)
+				}
+			}
+			if ref == nil {
+				ref, refLabel = got, label
+				continue
+			}
+			if len(got.results) != len(ref.results) {
+				t.Fatalf("%s: %d epochs, %s had %d", label, len(got.results), refLabel, len(ref.results))
+			}
+			for i := range got.results {
+				if got.results[i] != ref.results[i] {
+					t.Errorf("%s epoch %d: %+v\n%s: %+v", label, i+1, got.results[i], refLabel, ref.results[i])
+				}
+			}
+			if !bytes.Equal(got.journal, ref.journal) {
+				t.Errorf("%s: journal bytes diverge from %s (%d vs %d bytes)", label, refLabel, len(got.journal), len(ref.journal))
+			}
+			if !bytes.Equal(got.snapshot, ref.snapshot) {
+				t.Errorf("%s: snapshot bytes diverge from %s:\n%s\nvs\n%s", label, refLabel, got.snapshot, ref.snapshot)
+			}
 		}
 	}
 	// The planted out-of-range member must actually exercise the error

@@ -17,6 +17,7 @@ package serve
 import (
 	"fmt"
 
+	"braidio/internal/obs"
 	"braidio/internal/units"
 )
 
@@ -193,11 +194,15 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 		}
 		// Seq numbers are reassigned in snapshot (registration) order, so
 		// the cross-shard digest merge reproduces the capture's order.
-		m := &member{id: mr.ID, seq: e.nextSeq, live: true, energy: units.Joule(mr.E), distance: units.Meter(mr.D), dirty: mr.Dirty}
+		m := &member{id: mr.ID, seq: e.nextSeq, live: true, energy: units.Joule(mr.E), distance: units.Meter(mr.D)}
 		e.nextSeq++
 		if mr.Plan != nil {
 			m.plan = *mr.Plan
 			m.hasPlan = true
+		}
+		if mr.Dirty {
+			// Seed the shard's dirty list: the first epoch plans it.
+			sh.markDirty(m, obs.DirtyRestore)
 		}
 		sh.members[m.id] = m
 		sh.order = append(sh.order, m)
