@@ -118,10 +118,10 @@ func BenchmarkPairTransfer(b *testing.B) {
 }
 
 // BenchmarkGainMatrixBluetooth10 measures the full 10×10 Fig. 15 gain
-// matrix at 0.5 m with the scheduling-layer caches on (the default) —
-// the acceptance benchmark for the linkcache + allocation-memo +
-// block-costing work, which must beat the seed's per-row-goroutine,
-// map-heavy implementation by ≥ 3× while staying bit-identical.
+// matrix at 0.5 m with the link cache on (the default) — the acceptance
+// benchmark for the link cache and block-costing work, which must beat
+// the seed's per-row-goroutine, map-heavy implementation by ≥ 3× while
+// staying bit-identical.
 func BenchmarkGainMatrixBluetooth10(b *testing.B) {
 	devices := Devices()
 	b.ReportAllocs()
@@ -137,16 +137,12 @@ func BenchmarkGainMatrixBluetooth10(b *testing.B) {
 }
 
 // BenchmarkGainMatrixBluetooth10Uncached is the same matrix with the
-// link cache and allocation memo forced off — the contrast run that
-// isolates what the caches contribute beyond the cheaper window costing.
+// link cache forced off — the contrast run that isolates what the cache
+// contributes.
 func BenchmarkGainMatrixBluetooth10Uncached(b *testing.B) {
 	devices := Devices()
 	linkcache.SetEnabled(false)
-	core.DefaultDisableAllocationMemo = true
-	defer func() {
-		linkcache.SetEnabled(true)
-		core.DefaultDisableAllocationMemo = false
-	}()
+	defer linkcache.SetEnabled(true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := GainMatrix(0.5, devices)
@@ -155,20 +151,6 @@ func BenchmarkGainMatrixBluetooth10Uncached(b *testing.B) {
 		}
 		if m.Max() <= 0 {
 			b.Fatal("empty matrix")
-		}
-	}
-}
-
-// BenchmarkPairTransferTolerant measures a full braid run with a 1%
-// allocation re-solve tolerance — the explicit "periodically
-// re-computes" knob trading solver invocations for throughput precision.
-func BenchmarkPairTransferTolerant(b *testing.B) {
-	watch, _ := DeviceByName("Apple Watch")
-	phone, _ := DeviceByName("iPhone 6S")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewPair(watch, phone, 0.5, WithAllocationTolerance(0.01)).Transfer(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

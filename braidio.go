@@ -203,16 +203,6 @@ func WithoutSwitchOverhead() Option {
 	return func(p *Pair) { p.braid.IncludeSwitchOverhead = false }
 }
 
-// WithAllocationTolerance sets the relative battery-ratio drift the braid
-// tolerates before re-solving the carrier-offload allocation — §4.2's
-// "periodically re-computes" made explicit. Zero (the default) re-solves
-// whenever the ratio moves at all, keeping results bit-identical to an
-// unmemoized run; a small positive value (e.g. 0.01) trades precision
-// for fewer solver invocations on long transfers.
-func WithAllocationTolerance(tol float64) Option {
-	return func(p *Pair) { p.braid.AllocationTolerance = tol }
-}
-
 // WithWalk drives packet-level sessions opened on this pair with a
 // mobility trace: the session re-reads the walk at probe/recompute
 // boundaries so BER and FER track live distance instead of the initial

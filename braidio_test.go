@@ -1,8 +1,12 @@
 package braidio
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"braidio/internal/core"
 )
 
 func mustDevice(t *testing.T, name string) Device {
@@ -306,5 +310,44 @@ func TestGainErrorsOutOfRange(t *testing.T) {
 	}
 	if _, err := GainMatrix(5000, []Device{watch}); err == nil {
 		t.Error("out-of-range matrix should error")
+	}
+}
+
+// TestNonPositiveDistance: a distance that is not positive has no link,
+// so every public entry point returns the error it returns for an
+// unreachable pair instead of panicking in the path-loss model.
+func TestNonPositiveDistance(t *testing.T) {
+	watch, phone := mustDevice(t, "Apple Watch"), mustDevice(t, "iPhone 6S")
+	for _, d := range []Meter{0, -1} {
+		p := NewPair(watch, phone, d)
+		for _, c := range []struct {
+			name string
+			want error
+			call func() error
+		}{
+			{"Transfer", core.ErrOutOfRange, func() error { _, err := p.Transfer(); return err }},
+			{"TransferBits", core.ErrOutOfRange, func() error { _, err := p.TransferBits(1e6); return err }},
+			{"Plan", core.ErrNoLinks, func() error { _, err := p.Plan(); return err }},
+			{"PlanQoS", core.ErrNoLinks, func() error { _, err := p.PlanQoS(Rate100k); return err }},
+			{"NewSession", core.ErrOutOfRange, func() error { _, err := p.NewSession(1); return err }},
+			{"NewDuplex", core.ErrOutOfRange, func() error { _, err := p.NewDuplex(1); return err }},
+			{"GainVsBluetooth", core.ErrOutOfRange, func() error { _, err := p.GainVsBluetooth(); return err }},
+			{"GainVsBestMode", core.ErrOutOfRange, func() error { _, err := p.GainVsBestMode(); return err }},
+			{"GainMatrix", core.ErrOutOfRange, func() error { _, err := GainMatrix(d, []Device{watch}); return err }},
+		} {
+			if err := c.call(); !errors.Is(err, c.want) {
+				t.Errorf("d=%v: %s = %v, want %v", float64(d), c.name, err, c.want)
+			}
+		}
+		if r := p.Regime(); r != OutOfRange {
+			t.Errorf("d=%v: Regime = %v, want %v", float64(d), r, OutOfRange)
+		}
+		if ls := p.Links(); len(ls) != 0 {
+			t.Errorf("d=%v: Links = %d links, want none", float64(d), len(ls))
+		}
+		err := NewHub(phone).Add(HubMember{Device: watch, Distance: d, Load: 1000})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("d=%v: Hub.Add = %v, want the out-of-range error", float64(d), err)
+		}
 	}
 }

@@ -56,7 +56,7 @@ func runFleet(o fleetOpts) {
 		fail(err)
 	}
 
-	lp, reuses := res.Solves()
+	lp, _ := res.Solves()
 	fmt.Printf("fleet: %d hubs × %d members over %.0f s (%d rounds, seed %d)\n\n",
 		o.shards, o.members, o.horizon, o.rounds, o.seed)
 	rows := [][]string{}
@@ -83,8 +83,7 @@ func runFleet(o fleetOpts) {
 		res.TotalBits(), float64(res.HubDrain()))
 	fmt.Printf("hubs exhausted: %d/%d, members quarantined: %d\n",
 		res.Exhausted(), o.shards, res.Quarantines())
-	fmt.Printf("offload solves: %d LP, %d memo reuses (%.1f%% reused)\n",
-		lp, reuses, 100*float64(reuses)/float64(max(lp+reuses, 1)))
+	fmt.Printf("offload solves: %d LP\n", lp)
 }
 
 // startProfiles turns on the requested pprof outputs and returns the

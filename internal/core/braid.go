@@ -38,25 +38,10 @@ type Braid struct {
 	// bits instead of waiting for a battery to die — used to interleave
 	// directions in bidirectional scenarios.
 	MaxBits float64
-	// AllocationTolerance is the relative battery-ratio (E1:E2) drift
-	// tolerated before the allocation is re-solved — the paper's
-	// "periodically re-computes" made explicit. At the default 0 the
-	// memoized allocation is reused only when the ratio is bit-identical
-	// (which preserves results exactly, since the optimizer's fractions
-	// depend on the budgets only through their ratio); any positive value
-	// trades precision for fewer solver runs.
-	AllocationTolerance float64
-	// DisableAllocationMemo forces a fresh optimizer solve every epoch,
-	// even when the ratio has not moved. The golden tests flip it to
-	// prove memoization changes no bits.
-	DisableAllocationMemo bool
 	// Links, when non-nil, supplies the run's characterized links
 	// directly and skips per-run characterization. The round engine
-	// (internal/net) sets each slot's kept link row here every round. The cross-run allocation memo compares slice identity to
-	// detect moved members, so a caller that passes a private row — as
-	// net does for carrier-shared rounds — must turn the memo off
-	// (DisableAllocationMemo) and reset the scratch, and must never
-	// mutate a shared row in place.
+	// (internal/net) sets each slot's kept link row here every round.
+	// The run only reads the row.
 	Links []phy.ModeLink
 	// Obs, when non-nil, receives run totals, per-mode occupancy, and
 	// solver metrics. Nil falls back to the process default recorder
@@ -70,11 +55,6 @@ const scheduleWindow = 128
 // epochFraction is the fraction of the currently projected lifetime
 // transferred between allocation re-computations.
 const epochFraction = 0.02
-
-// DefaultDisableAllocationMemo seeds NewBraid's DisableAllocationMemo
-// field — golden tests and benchmarks flip it to compare memoized and
-// unmemoized runs across code paths that construct braids internally.
-var DefaultDisableAllocationMemo bool
 
 // NewBraid returns a Braid with the defaults used by the evaluation.
 func NewBraid(m *phy.Model, d units.Meter) *Braid {
@@ -90,7 +70,6 @@ func DefaultBraid(m *phy.Model, d units.Meter) Braid {
 		Model:                 m,
 		Distance:              d,
 		IncludeSwitchOverhead: true,
-		DisableAllocationMemo: DefaultDisableAllocationMemo,
 	}
 }
 
@@ -113,10 +92,10 @@ type Result struct {
 	SwitchEnergy1, SwitchEnergy2 units.Joule
 	// Epochs counts allocation re-computations.
 	Epochs int
-	// LPSolves counts epochs whose allocation came from an actual
-	// optimizer solve; AllocReuses counts epochs served from the
-	// ratio-keyed memo instead. LPSolves+AllocReuses == Epochs.
-	LPSolves, AllocReuses int
+	// LPSolves counts optimizer solves. Every epoch solves afresh, so it
+	// equals Epochs, plus one when a run ends on a solve that projects
+	// no bits.
+	LPSolves int
 }
 
 // ModeFraction returns the fraction of bits carried by a mode.
@@ -145,39 +124,19 @@ var ErrDegenerateAllocation = errors.New("core: allocation drains no energy over
 var ErrLinkDead = errors.New("core: link dead after bounded recovery attempts")
 
 // RunScratch holds the reusable buffers one braid needs across Run
-// calls: the block-schedule count/remainder vectors, the default
-// optimizer's allocation target, and the cross-run allocation memo. A
-// zero RunScratch is ready to use. Reusing one scratch across many
-// RunInto calls (the hub serves each member thousands of rounds) drops
-// the per-call allocation count to zero on the default-optimizer path.
-//
-// A RunScratch is not safe for concurrent use and must not be shared
-// between braids with different optimizers: the memo assumes the same
-// allocation function throughout, and it is keyed on (model, distance,
-// battery ratio) only.
+// calls: the block-schedule count/remainder vectors and the default
+// optimizer's allocation target. A zero RunScratch is ready to use.
+// Reusing one scratch across many RunInto calls (the round engine
+// serves each member thousands of rounds) drops the per-call allocation
+// count to zero on the default-optimizer path. The scratch carries no
+// state between runs, so a run's result never depends on what the
+// scratch last held. A RunScratch is not safe for concurrent use.
 type RunScratch struct {
 	counts     []int
 	remainders []float64
 	// alloc backs the default optimizer's in-place solves.
 	alloc Allocation
-	// Allocation memo: the last solved fractions (owned copy — the
-	// in-place solver overwrites alloc.P) and the state they were
-	// solved at. Unlike the pre-scratch engine the memo survives across
-	// Run calls, so a hub round can reuse the previous round's solve
-	// when the battery ratio has not drifted past the tolerance.
-	memoValid      bool
-	memoRatio      float64
-	memoLinks      []phy.ModeLink
-	memoP          []float64
-	memoTX, memoRX units.JoulesPerBit
 }
-
-// Reset invalidates the cross-run allocation memo while keeping the
-// scratch buffers for reuse. Engines that recycle scratch across
-// logically independent runs (internal/net's sync.Pool) must call it so
-// a run's results never depend on what the recycled scratch last
-// solved.
-func (s *RunScratch) Reset() { s.memoValid = false }
 
 // Run drains the two batteries (b1 at the data transmitter, b2 at the
 // data receiver) until either is empty, returning the totals. The
@@ -191,12 +150,11 @@ func (b *Braid) Run(b1, b2 *energy.Battery) (*Result, error) {
 }
 
 // RunInto is Run with caller-owned result and scratch storage: res is
-// reset in place and s, when non-nil,
-// supplies the schedule/optimizer buffers and carries the allocation
-// memo across calls. A nil s uses throwaway scratch, making RunInto
-// byte-identical to Run. The round engine (internal/net) calls this
-// once per member per round with persistent per-member scratch, which
-// is what takes the steady-state round to zero heap allocations.
+// reset in place and s, when non-nil, supplies the schedule/optimizer
+// buffers. A nil s uses throwaway scratch, making RunInto byte-identical
+// to Run. The round engine (internal/net) calls this once per member per
+// round with persistent per-member scratch, which is what takes the
+// steady-state round to zero heap allocations.
 func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) error {
 	if b.Model == nil || b1 == nil || b2 == nil {
 		return errors.New("core: braid needs a model and two batteries")
@@ -212,20 +170,6 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 	if len(links) == 0 {
 		return ErrOutOfRange
 	}
-	// The memo assumes the optimizer's fractions depend on the budgets
-	// only through their ratio — true of Optimize (and OptimizeQoS /
-	// BestSingleMode). Arbitrary custom optimizers get memoized only when
-	// the caller opted into a tolerance.
-	memoOK := !b.DisableAllocationMemo && (b.Optimizer == nil || b.AllocationTolerance > 0)
-	// A memo carried over from an earlier Run is only meaningful while
-	// the characterized links are literally the same slice (the cached
-	// Characterize result for this model value and distance); a moved
-	// member, a mutated model, or a disabled link cache all produce a
-	// different slice and invalidate it.
-	if s.memoValid && (len(links) != len(s.memoLinks) || &links[0] != &s.memoLinks[0]) {
-		s.memoValid = false
-	}
-
 	payloadBits := float64(8 * b.Model.PayloadLen)
 	windowBits := payloadBits * scheduleWindow
 	prevMode := phy.ModeActive // sessions start on the active radio (§4.2)
@@ -252,51 +196,26 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 			return errors.New("core: braid failed to converge")
 		}
 		e1, e2 := b1.Remaining(), b2.Remaining()
-		ratio := float64(e1) / float64(e2)
 
-		var aLinks []phy.ModeLink
-		var p []float64
-		var projBits float64
-		if s.memoValid && RatioWithin(ratio, s.memoRatio, b.AllocationTolerance) {
-			aLinks, p = s.memoLinks, s.memoP
-			projBits = bitsFor(s.memoTX, s.memoRX, e1, e2)
-			res.AllocReuses++
-		} else {
-			var alloc *Allocation
-			var solveStart time.Time
-			if rec != nil {
-				solveStart = time.Now()
-			}
-			if b.Optimizer != nil {
-				a, err := b.Optimizer(links, e1, e2)
-				if err != nil {
-					return err
-				}
-				alloc = a
-			} else {
-				if err := optimizeInto(&s.alloc, links, e1, e2); err != nil {
-					return err
-				}
-				alloc = &s.alloc
-			}
-			if rec != nil {
-				rec.LPSolveLatency.Observe(float64(time.Since(solveStart)))
-			}
-			aLinks, p, projBits = alloc.Links, alloc.P, alloc.Bits
-			res.LPSolves++
-			if memoOK && alloc.TX > 0 && alloc.RX > 0 {
-				s.memoValid = true
-				s.memoRatio = ratio
-				s.memoLinks = alloc.Links
-				s.memoP = append(s.memoP[:0], alloc.P...)
-				s.memoTX, s.memoRX = alloc.TX, alloc.RX
-				if alloc == &s.alloc {
-					// The in-place solver will overwrite alloc.P on the
-					// next solve; schedule this epoch from the owned copy.
-					p = s.memoP
-				}
-			}
+		var solveStart time.Time
+		if rec != nil {
+			solveStart = time.Now()
 		}
+		alloc := &s.alloc
+		if b.Optimizer != nil {
+			a, err := b.Optimizer(links, e1, e2)
+			if err != nil {
+				return err
+			}
+			alloc = a
+		} else if err := optimizeInto(alloc, links, e1, e2); err != nil {
+			return err
+		}
+		if rec != nil {
+			rec.LPSolveLatency.Observe(float64(time.Since(solveStart)))
+		}
+		res.LPSolves++
+		aLinks, p, projBits := alloc.Links, alloc.P, alloc.Bits
 		if projBits <= 0 || math.IsNaN(projBits) {
 			break
 		}
@@ -434,7 +353,6 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 		rec.BraidRuns.Add(1)
 		rec.Epochs.Add(uint64(res.Epochs))
 		rec.LPSolves.Add(uint64(res.LPSolves))
-		rec.AllocReuses.Add(uint64(res.AllocReuses))
 		rec.Switches.Add(uint64(res.Switches))
 		rec.Bits.Add(res.Bits)
 		rec.AirTime.Add(float64(res.Duration))
@@ -456,15 +374,15 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 
 // RatioWithin reports whether two ratios agree to within a symmetric
 // relative tolerance: |a−b| ≤ tol·max(|a|, |b|). A non-positive
-// tolerance demands bit-identical values. It is the predicate behind
-// the braid's allocation memo and the serve daemon's dirty-set
-// scheduler (both reuse a plan while its input ratio has not drifted).
+// tolerance demands bit-identical values. It is the serve daemon's
+// dirty-set predicate: a member keeps its plan while its energy ratio
+// has not drifted past the tolerance.
 //
-// The tolerance is symmetric in its arguments on purpose: the earlier
-// |a−b| ≤ tol·b form made a zero memoized ratio — a fully drained
-// endpoint — demand exact equality (tol·0 = 0), silently defeating memo
-// reuse, and gave different verdicts depending on which value was the
-// memo. Two zeros always agree.
+// The tolerance is symmetric in its arguments on purpose: an
+// |a−b| ≤ tol·b form would make a zero planned ratio — a fully drained
+// endpoint — demand exact equality (tol·0 = 0), and would give
+// different verdicts depending on which value was the planned one. Two
+// zeros always agree.
 func RatioWithin(a, b, tol float64) bool {
 	if tol <= 0 {
 		return a == b

@@ -305,3 +305,83 @@ func BenchmarkSolveEq1(b *testing.B) {
 		}
 	}
 }
+
+// TestBraidDegenerateAllocation: a custom optimizer handing back
+// zero-cost links used to make maxWin NaN/Inf, drain nothing, and spin
+// until the opaque convergence failure; now it fails fast with a typed
+// error.
+func TestBraidDegenerateAllocation(t *testing.T) {
+	b := NewBraid(phy.NewModel(), 0.3)
+	b.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
+		free := []phy.ModeLink{{Mode: phy.ModeActive, Rate: units.Rate1M, Good: units.Rate1M, T: 0, R: 0}}
+		return &Allocation{Links: free, P: []float64{1}, Bits: 1e12}, nil
+	}
+	_, err := b.RunFresh(0.001, 0.001)
+	if !errors.Is(err, ErrDegenerateAllocation) {
+		t.Fatalf("err = %v, want ErrDegenerateAllocation", err)
+	}
+}
+
+// TestBraidSwitchCountRounding: fractional windows must not truncate the
+// switch count to zero while SwitchEnergy still charges the fractional
+// cost. Run exactly half a window of a forced two-mode mix: one block
+// transition at 0.5 windows rounds to one switch.
+func TestBraidSwitchCountRounding(t *testing.T) {
+	m := phy.NewModel()
+	b := NewBraid(m, 0.3)
+	b.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
+		if len(links) < 2 {
+			t.Fatal("need two links")
+		}
+		p := make([]float64, len(links))
+		p[0], p[1] = 0.5, 0.5
+		a := &Allocation{Links: links, P: p}
+		a.TX, a.RX = mixture(links, p)
+		a.Bits = bitsFor(a.TX, a.RX, e1, e2)
+		return a, nil
+	}
+	b.MaxBits = float64(8*m.PayloadLen) * scheduleWindow * 0.5
+	res, err := b.RunFresh(0.01, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SwitchEnergy1 <= 0 {
+		t.Fatal("no switch energy charged — test setup broken")
+	}
+	if res.Switches < 1 {
+		t.Errorf("Switches = %d with switch energy %v charged: fractional windows truncated",
+			res.Switches, res.SwitchEnergy1)
+	}
+}
+
+// TestRatioWithin pins the dirty-set predicate, in particular the
+// drained-endpoint path: a zero planned ratio must not make the
+// tolerance zero and demand exact equality for fully drained hubs. The
+// tolerance must also be symmetric — the verdict cannot depend on which
+// value happens to be the planned one.
+func TestRatioWithin(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b float64
+		tol  float64
+		want bool
+	}{
+		{"identical, zero tol", 1.5, 1.5, 0, true},
+		{"different, zero tol", 1.5, 1.5000001, 0, false},
+		{"within 5%", 1.0, 1.04, 0.05, true},
+		{"outside 5%", 1.0, 1.06, 0.05, false},
+		{"both drained", 0, 0, 0.05, true},
+		{"both drained, zero tol", 0, 0, 0, true},
+		{"drained plan vs live ratio", 0, 0.5, 0.05, false},
+		{"near-drained pair within tol", 1e-12, 1.04e-12, 0.05, true},
+		{"near-drained pair outside tol", 1e-12, 2e-12, 0.05, false},
+	}
+	for _, tc := range cases {
+		if got := RatioWithin(tc.a, tc.b, tc.tol); got != tc.want {
+			t.Errorf("%s: RatioWithin(%v, %v, %v) = %v, want %v", tc.name, tc.a, tc.b, tc.tol, got, tc.want)
+		}
+		if fwd, rev := RatioWithin(tc.a, tc.b, tc.tol), RatioWithin(tc.b, tc.a, tc.tol); fwd != rev {
+			t.Errorf("%s: asymmetric verdict: (a,b)=%v but (b,a)=%v", tc.name, fwd, rev)
+		}
+	}
+}

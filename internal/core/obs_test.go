@@ -32,9 +32,9 @@ func TestBraidRecorderObservational(t *testing.T) {
 	if s.BraidRuns != 1 {
 		t.Errorf("BraidRuns = %d, want 1", s.BraidRuns)
 	}
-	if s.Epochs != uint64(got.Epochs) || s.LPSolves != uint64(got.LPSolves) || s.AllocReuses != uint64(got.AllocReuses) {
-		t.Errorf("solver counters (%d/%d/%d) disagree with Result (%d/%d/%d)",
-			s.Epochs, s.LPSolves, s.AllocReuses, got.Epochs, got.LPSolves, got.AllocReuses)
+	if s.Epochs != uint64(got.Epochs) || s.LPSolves != uint64(got.LPSolves) {
+		t.Errorf("solver counters (%d/%d) disagree with Result (%d/%d)",
+			s.Epochs, s.LPSolves, got.Epochs, got.LPSolves)
 	}
 	if s.Switches != uint64(got.Switches) {
 		t.Errorf("Switches = %d, want %d", s.Switches, got.Switches)

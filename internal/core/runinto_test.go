@@ -50,8 +50,8 @@ func TestRunIntoMatchesRun(t *testing.T) {
 }
 
 // TestRunIntoCrossRunMemo: with persistent scratch, a second run from
-// the same battery state reuses the previous run's allocation instead
-// of re-solving — and still produces identical totals.
+// the same battery state produces identical totals — the scratch
+// carries nothing from one run into the next.
 func TestRunIntoCrossRunMemo(t *testing.T) {
 	m := phy.NewModel()
 	b := NewBraid(m, 0.4)
@@ -67,14 +67,6 @@ func TestRunIntoCrossRunMemo(t *testing.T) {
 	}
 	if r1.Bits != r2.Bits || r1.Drain1 != r2.Drain1 || r1.Drain2 != r2.Drain2 {
 		t.Errorf("identical reruns diverged: %+v vs %+v", r1, r2)
-	}
-	// The second run starts from the exact same battery ratio, so its
-	// first epoch must come from the memo carried across runs.
-	if r2.AllocReuses < r1.AllocReuses {
-		t.Errorf("cross-run memo never fired: run1 %d reuses, run2 %d", r1.AllocReuses, r2.AllocReuses)
-	}
-	if r2.LPSolves > r1.LPSolves {
-		t.Errorf("scratch reuse increased solves: %d -> %d", r1.LPSolves, r2.LPSolves)
 	}
 }
 

@@ -108,16 +108,16 @@ func (f *FleetResult) Quarantines() int {
 	return n
 }
 
-// Solves returns the fleet-wide LP solve and allocation-reuse totals —
-// the cache-effectiveness counters the perf work tracks.
+// Solves returns the fleet-wide LP solve total. The second result, the
+// allocation-reuse total, is always zero, since every braid epoch
+// solves afresh; it stays because bench/ reads it.
 func (f *FleetResult) Solves() (lpSolves, allocReuses int) {
 	for _, r := range f.Shards {
 		if r != nil {
 			lpSolves += r.LPSolves
-			allocReuses += r.AllocReuses
 		}
 	}
-	return lpSolves, allocReuses
+	return lpSolves, 0
 }
 
 // Run simulates every shard for the horizon, fanning shards out over

@@ -163,9 +163,9 @@ type Result struct {
 	// OutageRounds totals rounds lost to injected outages across
 	// members.
 	OutageRounds int
-	// LPSolves and AllocReuses aggregate the braid engine's offload
-	// solver counters across every member run: how many allocations were
-	// actually solved versus served from the ratio-keyed memo.
+	// LPSolves aggregates the braid engine's offload solves across
+	// every member run. AllocReuses is always zero, since every braid
+	// epoch solves afresh; it stays because bench/ reads it.
 	LPSolves, AllocReuses int
 	// HubDiedRound is the round during which the hub battery hit empty
 	// (checked after every member commit), or -1 if it survived the
@@ -237,7 +237,6 @@ func (h *Hub) Run(horizon units.Second, rounds int) (*Result, error) {
 		Members:      make([]MemberResult, len(hr.Members)),
 		Quarantines:  nr.Quarantines,
 		LPSolves:     hr.LPSolves,
-		AllocReuses:  hr.AllocReuses,
 		HubDiedRound: hr.DiedRound,
 		Replans:      hr.Replans,
 	}

@@ -53,15 +53,14 @@ func TestHubMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rec.Snapshot().Canonical()
-	t.Logf("golden: HubRounds=%d MemberRounds=%d BraidRuns=%d Epochs=%d LPSolves=%d AllocReuses=%d RawBits=%d EnergyPerBitCount=%d",
-		s.HubRounds, s.MemberRounds, s.BraidRuns, s.Epochs, s.LPSolves, s.AllocReuses, s.RawBits, s.EnergyPerBit.Count)
+	t.Logf("golden: HubRounds=%d MemberRounds=%d BraidRuns=%d Epochs=%d LPSolves=%d RawBits=%d EnergyPerBitCount=%d",
+		s.HubRounds, s.MemberRounds, s.BraidRuns, s.Epochs, s.LPSolves, s.RawBits, s.EnergyPerBit.Count)
 	golden := map[string][2]uint64{
 		"HubRounds":    {s.HubRounds, 12},
 		"MemberRounds": {s.MemberRounds, 36},
 		"BraidRuns":    {s.BraidRuns, 36},
 		"Epochs":       {s.Epochs, 72},
 		"LPSolves":     {s.LPSolves, 72},
-		"AllocReuses":  {s.AllocReuses, 0},
 		"Replans":      {s.Replans, 0},
 		"Quarantines":  {s.Quarantines, 0},
 		"HubDeaths":    {s.HubDeaths, 0},

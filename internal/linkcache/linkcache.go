@@ -1,23 +1,22 @@
-// Package linkcache memoizes the deterministic PHY computations the
-// scheduling layer re-runs constantly: link characterization
-// (phy.Model.Characterize), per-mode SNR, and per-mode BER at a given
-// distance. A phy.Model is a plain value struct that is immutable after
-// calibration, so every one of these is a pure function of (model,
-// distance[, mode, rate]) — the Fig. 15–17 gain matrices, the hub
-// scheduler, and the bidirectional scenarios otherwise recompute
-// identical answers thousands of times per run.
+// Package linkcache memoizes link characterization
+// (phy.Model.Characterize), the deterministic PHY computation the
+// scheduling layer re-runs constantly. A phy.Model is a plain value
+// struct that is immutable after calibration, so a characterization is
+// a pure function of (model, distance) — the Fig. 15–17 gain matrices,
+// the hub scheduler, and the bidirectional scenarios otherwise
+// recompute identical rows thousands of times per run.
 //
 // Keys identify the model *by value*: mutating a model (fade margin,
 // ARQ accounting, payload length, co-channel interference) simply keys
-// a different entry, so stale reads are impossible. Link rows key on an
+// a different entry, so stale reads are impossible. Rows key on an
 // interned model ID, which stands for one model value and is never
-// reused; SNR and BER points embed the model itself. Cached slices are
-// shared between callers and must be treated as read-only.
+// reused. Cached slices are shared between callers and must be treated
+// as read-only.
 //
 // A View pins one model for an engine's lifetime and keys a private
 // table by distance and added co-channel interference, the two inputs
 // that vary between an engine's lookups; misses resolve through the
-// global tables. The network scheduler reads its relay legs' links
+// global table. The network scheduler reads its relay legs' links
 // there, so a static topology characterizes each interfered leg once
 // instead of every round. Its slots read through View.Read, which does
 // not store rows in the view, and keep their own last row.
@@ -25,7 +24,7 @@
 // The cache is process-global and safe for concurrent use. To keep a
 // fleet of parallel hub engines from serializing on one lock, it is
 // striped into 2^k independent shards selected by a hash of the lookup
-// key; each shard holds its own tables, lock, and hit/miss counters
+// key; each shard holds its own table, lock, and hit/miss counters
 // (Snapshot aggregates them). Eviction is per-shard and bounded: a full
 // shard drops one resident victim to admit the new entry, so a mobility
 // workload that overflows the cache degrades smoothly instead of
@@ -34,7 +33,7 @@
 //
 // SetEnabled turns the cache off globally (the golden tests prove
 // results are bit-identical either way); it is the one switch. Because
-// every cached value is a pure function of its key, eviction policy and
+// every cached row is a pure function of its key, eviction policy and
 // shard layout can never change results — only hit rates.
 package linkcache
 
@@ -49,10 +48,10 @@ import (
 	"braidio/internal/units"
 )
 
-// maxEntries bounds the total resident entries per table kind across
-// all shards. Steady workloads (fixed scenario distances) stay far
-// below it; continuous-mobility workloads churn against the per-shard
-// bound instead of growing without bound.
+// maxEntries bounds the total resident rows across all shards. Steady
+// workloads (fixed scenario distances) stay far below it;
+// continuous-mobility workloads churn against the per-shard bound
+// instead of growing without bound.
 const maxEntries = 4096
 
 // shardBits selects the stripe count: 2^shardBits independent shards.
@@ -64,8 +63,8 @@ const shardBits = 5
 // shardCount is the number of lock stripes.
 const shardCount = 1 << shardBits
 
-// maxPerShard bounds each shard's tables so the global footprint stays
-// at maxEntries per table kind.
+// maxPerShard bounds each shard's table so the global footprint stays
+// at maxEntries.
 const maxPerShard = maxEntries / shardCount
 
 // linkKey identifies one Characterize result: the model's intern ID
@@ -75,21 +74,11 @@ type linkKey struct {
 	d     units.Meter
 }
 
-// pointKey identifies one SNR or BER evaluation.
-type pointKey struct {
-	model phy.Model
-	mode  phy.Mode
-	rate  units.BitRate
-	d     units.Meter
-}
-
-// shard is one lock stripe: its own tables and counters. The counters
+// shard is one lock stripe: its own table and counters. The counters
 // are atomics so hits (the hot path) only take the read lock.
 type shard struct {
 	mu    sync.RWMutex
 	links map[linkKey][]phy.ModeLink
-	snrs  map[pointKey]units.DB
-	bers  map[pointKey]float64
 
 	hits, misses atomic.Uint64
 	evictions    atomic.Uint64
@@ -143,8 +132,6 @@ func modelID(m *phy.Model) uint64 {
 func init() {
 	for i := range shards {
 		shards[i].links = make(map[linkKey][]phy.ModeLink)
-		shards[i].snrs = make(map[pointKey]units.DB)
-		shards[i].bers = make(map[pointKey]float64)
 	}
 }
 
@@ -153,27 +140,6 @@ func init() {
 // distinct models apart.
 func linkShard(id uint64, d units.Meter) *shard {
 	h := rng.Mix64(math.Float64bits(float64(d))) ^ rng.Mix64(id)
-	return &shards[h>>(64-shardBits)]
-}
-
-// shardFor selects the stripe for an SNR or BER point. Distance is the
-// high-cardinality dimension (mobility sweeps thousands of distinct
-// separations), so it must dominate the spread; mode/rate and a cheap
-// fingerprint of the model's scalar knobs are folded in so distinct
-// models and link points do not pile onto one stripe; Mix64(0) == 0,
-// so an interference-free model hashes exactly as if that field were
-// not folded in. Models differing only in deep rf.Link internals may
-// share a stripe — that costs at most capacity sharing, never
-// correctness, because the full model value is still part of the map
-// key.
-func shardFor(m *phy.Model, mode phy.Mode, rate units.BitRate, d units.Meter) *shard {
-	h := rng.Mix64(math.Float64bits(float64(d)))
-	h ^= rng.Mix64(uint64(mode)<<32 ^ math.Float64bits(float64(rate)))
-	h ^= rng.Mix64(uint64(m.PayloadLen)<<1 ^ math.Float64bits(float64(m.FadeMargin)))
-	h ^= rng.Mix64(math.Float64bits(m.Interference))
-	if m.Retransmit {
-		h = rng.Mix64(h)
-	}
 	return &shards[h>>(64-shardBits)]
 }
 
@@ -228,66 +194,10 @@ func characterize(id uint64, m *phy.Model, d units.Meter) []phy.ModeLink {
 	return ls
 }
 
-// SNR returns m.SNR(mode, r, d), memoized — the MAC calls this once per
-// frame to synthesize its noisy channel observations.
-func SNR(m *phy.Model, mode phy.Mode, r units.BitRate, d units.Meter) units.DB {
-	if disabled.Load() {
-		return m.SNR(mode, r, d)
-	}
-	sh := shardFor(m, mode, r, d)
-	k := pointKey{model: *m, mode: mode, rate: r, d: d}
-	sh.mu.RLock()
-	v, ok := sh.snrs[k]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-		return v
-	}
-	sh.misses.Add(1)
-	v = m.SNR(mode, r, d)
-	sh.mu.Lock()
-	if _, ok := sh.snrs[k]; !ok && len(sh.snrs) >= maxPerShard {
-		evictOne(sh.snrs)
-		sh.evictions.Add(1)
-	}
-	sh.snrs[k] = v
-	sh.mu.Unlock()
-	return v
-}
-
-// BER returns m.BER(mode, r, d), memoized — the MAC's per-frame loss
-// model.
-func BER(m *phy.Model, mode phy.Mode, r units.BitRate, d units.Meter) float64 {
-	if disabled.Load() {
-		return m.BER(mode, r, d)
-	}
-	sh := shardFor(m, mode, r, d)
-	k := pointKey{model: *m, mode: mode, rate: r, d: d}
-	sh.mu.RLock()
-	v, ok := sh.bers[k]
-	sh.mu.RUnlock()
-	if ok {
-		sh.hits.Add(1)
-		return v
-	}
-	sh.misses.Add(1)
-	v = m.BER(mode, r, d)
-	sh.mu.Lock()
-	if _, ok := sh.bers[k]; !ok && len(sh.bers) >= maxPerShard {
-		evictOne(sh.bers)
-		sh.evictions.Add(1)
-	}
-	sh.bers[k] = v
-	sh.mu.Unlock()
-	return v
-}
-
 // maxViewEntries bounds a View's private table. A view that overflows
 // (keys that keep changing, such as a leg whose interference aggregate
-// drifts) evicts one resident victim per admit,
-// exactly like the global shards; evicted keys re-resolve through the
-// global cache, so the canonical slice per (model, distance) never
-// changes identity while it stays resident there.
+// drifts) evicts one resident victim per admit, exactly like the global
+// shards; evicted keys re-resolve through the global cache.
 const maxViewEntries = 4096
 
 // viewKey identifies one row of a View: a distance and the co-channel
@@ -302,9 +212,7 @@ type viewKey struct {
 // distance instead of the ~200-byte model value. Its private table keys
 // rows by distance and added interference (two float64s), and misses
 // resolve through the global cache, so the slices it returns are the
-// same canonical shared slices Characterize returns: callers that
-// compare slice identity (the braid allocation memo) see exactly the
-// behavior of the global path.
+// same shared slices Characterize returns.
 //
 // Interference is in the key because the network scheduler's receivers
 // hear other hubs' carriers, and in a static topology each receiver's
@@ -371,9 +279,8 @@ func (v *View) CharacterizeAt(d units.Meter, mw float64) []phy.ModeLink {
 }
 
 // Read returns the row CharacterizeAt(d, mw) returns, resolved through
-// the global cache without storing it in the view's table. The row's
-// identity lasts only while the global table keeps it, so a caller that
-// needs a stable slice across reads keeps the row itself.
+// the global cache without storing it in the view's table: the lookup
+// for keys that rarely repeat, such as a walker's distance.
 func (v *View) Read(d units.Meter, mw float64) []phy.ModeLink {
 	if mw == 0 && !disabled.Load() {
 		return characterize(v.id, v.model, d)
@@ -415,8 +322,7 @@ type Stats struct {
 	// Evictions counts resident entries dropped by full shards since the
 	// last ResetStats, summed across shards.
 	Evictions uint64
-	// Entries is the current resident entry count across all tables and
-	// shards.
+	// Entries is the current resident row count across all shards.
 	Entries int
 	// Shards is the number of lock stripes the cache runs with.
 	Shards int
@@ -432,7 +338,7 @@ func Snapshot() Stats {
 		s.Misses += sh.misses.Load()
 		s.Evictions += sh.evictions.Load()
 		sh.mu.RLock()
-		s.Entries += len(sh.links) + len(sh.snrs) + len(sh.bers)
+		s.Entries += len(sh.links)
 		sh.mu.RUnlock()
 	}
 	return s
@@ -454,8 +360,6 @@ func Flush() {
 		sh := &shards[i]
 		sh.mu.Lock()
 		clear(sh.links)
-		clear(sh.snrs)
-		clear(sh.bers)
 		sh.mu.Unlock()
 	}
 }

@@ -97,27 +97,6 @@ func TestInternClearNeverReusesIDs(t *testing.T) {
 	}
 }
 
-func TestSNRAndBERMatchDirect(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	for _, mode := range phy.Modes {
-		for _, r := range phy.Rates {
-			for _, d := range []units.Meter{0.2, 1.5} {
-				if got, want := SNR(m, mode, r, d), m.SNR(mode, r, d); got != want {
-					t.Errorf("SNR(%v,%v,%v) = %v, want %v", mode, r, float64(d), got, want)
-				}
-				if got, want := BER(m, mode, r, d), m.BER(mode, r, d); got != want {
-					t.Errorf("BER(%v,%v,%v) = %v, want %v", mode, r, float64(d), got, want)
-				}
-				// Second lookups must serve the memo with identical bits.
-				if got, want := SNR(m, mode, r, d), m.SNR(mode, r, d); got != want {
-					t.Errorf("memoized SNR differs: %v vs %v", got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestDisabledBypassesCache(t *testing.T) {
 	resetAll()
 	SetEnabled(false)
@@ -233,8 +212,8 @@ func TestShardSpread(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess hammers all three memo tables from many
-// goroutines; run under -race this is the cache's data-race test.
+// TestConcurrentAccess hammers the link table from many goroutines;
+// run under -race this is the cache's data-race test.
 func TestConcurrentAccess(t *testing.T) {
 	resetAll()
 	m := phy.NewModel()
@@ -247,8 +226,6 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				d := units.Meter(0.1 + float64((g+i)%7)*0.3)
 				Characterize(m, d)
-				SNR(m, phy.ModePassive, units.Rate100k, d)
-				BER(m, phy.ModeBackscatter, units.Rate10k, d)
 			}
 			if got := Characterize(m, 0.5); !reflect.DeepEqual(got, want) {
 				panic(fmt.Sprintf("goroutine %d saw wrong links", g))

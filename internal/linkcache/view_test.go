@@ -66,8 +66,8 @@ func TestViewCharacterizeAtMatchesRaisedModel(t *testing.T) {
 }
 
 // TestViewZeroInterferenceIsCanonical: with no added interference the
-// View serves the global cache's canonical slice, the identity the
-// braid allocation memo keys on.
+// View serves the global cache's canonical slice, so the view and the
+// global table hold one row per key between them.
 func TestViewZeroInterferenceIsCanonical(t *testing.T) {
 	resetAll()
 	m := phy.NewModel()

@@ -31,7 +31,6 @@ import (
 	"braidio/internal/energy"
 	"braidio/internal/faults"
 	"braidio/internal/frame"
-	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
 	"braidio/internal/rng"
@@ -344,12 +343,11 @@ func refRate(m phy.Mode) units.BitRate {
 }
 
 // measureSNR returns a noisy per-frame SNR observation for a mode at its
-// reference rate. The true channel provides the mean (memoized per
-// distance — this runs once per frame); the session only ever acts on
-// the noisy estimate.
+// reference rate. The true channel provides the mean, computed from the
+// model each frame; the session only ever acts on the noisy estimate.
 func (s *Session) measureSNR(m phy.Mode) (units.DB, units.BitRate) {
 	r := refRate(m)
-	snr := float64(linkcache.SNR(s.cfg.Model, m, r, s.dist))
+	snr := float64(s.cfg.Model.SNR(m, r, s.dist))
 	return units.DB(snr + s.rng.Norm()*snrNoise), r
 }
 
@@ -614,7 +612,7 @@ func (s *Session) SendFrame(payloadLen int) (bool, error) {
 	}
 	s.switchTo(mode, rate)
 
-	ber := linkcache.BER(s.cfg.Model, mode, rate, s.dist)
+	ber := s.cfg.Model.BER(mode, rate, s.dist)
 	fer := frame.FrameErrorRate(ber, payloadLen)
 	wire := float64(frame.WireBits(payloadLen))
 

@@ -9,7 +9,6 @@ import (
 	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/faults"
-	"braidio/internal/linkcache"
 	"braidio/internal/modem"
 	"braidio/internal/phy"
 	"braidio/internal/sim"
@@ -216,7 +215,7 @@ func TestFallbackHysteresisBoundsFlapping(t *testing.T) {
 	const d = units.Meter(2.6)
 	const frames = 4000
 	need := float64(units.DBFromRatio(modem.SNRForBER(phy.SchemeAt(phy.ModePassive, units.Rate10k), phy.RangeBERTarget)))
-	trueSNR := float64(linkcache.SNR(m, phy.ModePassive, units.Rate10k, d))
+	trueSNR := float64(m.SNR(phy.ModePassive, units.Rate10k, d))
 	// Mean perceived SNR pinned at the fallback threshold (need − margin),
 	// with enough estimator variance that probes still re-admit the link.
 	bias := (need - 3.0) - trueSNR

@@ -4,10 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"braidio/internal/faults"
-	"braidio/internal/field"
 	"braidio/internal/linkcache"
-	"braidio/internal/phy"
 	"braidio/internal/units"
 )
 
@@ -174,55 +171,6 @@ func TestRunLeavesCachedRowsIntact(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("dense grid planned no carrier-shared slot; test is vacuous")
-	}
-}
-
-// TestPrivateRoundsSolveAfresh: every dense-grid slot is interfered or
-// carrier-shared, and such rounds run with the allocation memo off, so
-// even a loose re-solve tolerance reuses no allocation.
-func TestPrivateRoundsSolveAfresh(t *testing.T) {
-	res := runNet(t, denseGrid(t), Config{Workers: 1, AllocationTolerance: 0.5}, 1800, 6)
-	solves := 0
-	for h := range res.Hubs {
-		hr := &res.Hubs[h]
-		solves += hr.LPSolves
-		if hr.AllocReuses != 0 {
-			t.Errorf("hub %d reused %d allocations on interfered or shared rounds", h, hr.AllocReuses)
-		}
-	}
-	if solves == 0 {
-		t.Fatal("dense grid solved nothing; test is vacuous")
-	}
-}
-
-// TestPrivateRoundIgnoresIsolatedMemo: an interferer too faint to move
-// the model's ambient Interference sum makes a slot's interfered row the
-// very slice its isolated round memoized. The interfered round must
-// still solve afresh, so the run equals the cache-off run, where every
-// round's row is a new slice. Hub 1 sits 1e110 m away and its only
-// member drops out in round 0, so hub 0's member is isolated in round 0
-// and interfered from round 1.
-func TestPrivateRoundIgnoresIsolatedMemo(t *testing.T) {
-	t.Cleanup(func() { linkcache.SetEnabled(true) })
-	m := phy.NewModel()
-	m.Interference = 1e-200
-	phone, watch := dev(t, "iPhone 6S"), dev(t, "Apple Watch")
-	topo := &Topology{Hubs: []Hub{
-		{Device: phone, Members: []Member{{Device: watch, Pos: field.Vec2{X: 0.4}, Load: 20000}}},
-		{Device: phone, Pos: field.Vec2{X: 1e110}, Members: []Member{{Device: watch, Pos: field.Vec2{X: 1e110, Y: 0.4}, Load: 20000}}},
-	}}
-	run := func(cached bool) *Result {
-		linkcache.SetEnabled(cached)
-		topo.Hubs[1].Members[0].Faults = &faults.Dropout{Period: 1e9, Duration: 100} // fresh state per run
-		return runNet(t, topo, Config{Model: m, Workers: 1, AllocationTolerance: 0.5}, 1800, 6)
-	}
-	on, off := run(true), run(false)
-	if on.InterferedRounds == 0 {
-		t.Fatal("no interfered rounds; test is vacuous")
-	}
-	if on.Digest() != off.Digest() {
-		t.Errorf("cache on: hub 0 %d solves / %d reuses; cache off: %d / %d",
-			on.Hubs[0].LPSolves, on.Hubs[0].AllocReuses, off.Hubs[0].LPSolves, off.Hubs[0].AllocReuses)
 	}
 }
 

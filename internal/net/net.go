@@ -169,9 +169,6 @@ type Config struct {
 	// Workers bounds plan-phase concurrency: 0 selects GOMAXPROCS, 1
 	// plans sequentially. Results are bit-identical at any value.
 	Workers int
-	// AllocationTolerance is propagated to every member braid (see
-	// core.Braid.AllocationTolerance).
-	AllocationTolerance float64
 	// DisableInterference ignores cross-hub interference: every link is
 	// characterized against the isolated-pair model.
 	DisableInterference bool
@@ -287,39 +284,31 @@ type seed struct {
 type slot struct {
 	seed
 
-	braid    core.Braid
-	memoBase bool            // braid's constructed DisableAllocationMemo
-	qos      core.QoSScratch // a MinRate member's optimizer buffers
-	scr      core.RunScratch
-	plan     core.Result
-	planB1   energy.Battery
-	planB2   energy.Battery
-	alloc    core.Allocation // direct / relay appraisal target
-	alloc2   core.Allocation // relay hop-2 appraisal target
-	strikes  int             // consecutive failed rounds
+	braid   core.Braid
+	qos     core.QoSScratch // a MinRate member's optimizer buffers
+	scr     core.RunScratch
+	plan    core.Result
+	planB1  energy.Battery
+	planB2  energy.Battery
+	alloc   core.Allocation // direct / relay appraisal target
+	alloc2  core.Allocation // relay hop-2 appraisal target
+	strikes int             // consecutive failed rounds
 
 	// row is the home link row phase 0 last read, at (rowDist, rowMW).
-	// The slot reuses it while that key repeats, so within a run a row's
-	// identity — which the braid memo compares — stays fixed whatever
-	// the global cache evicts.
+	// The slot reuses it while that key repeats, which spares a global
+	// cache lookup per round for a member that does not move.
 	row     []phy.ModeLink
 	rowDist units.Meter
 	rowMW   float64
 
 	// priv backs the slot's carrier-shared link set: the view's row with
-	// the bistatic link substituted. Its address is stable across rounds
-	// while its contents change — exactly the stale-reuse hazard the
-	// braid memo's slice-identity check cannot see — so shared rounds
-	// run with the memo disabled.
+	// the bistatic link substituted. The shared row stays read-only.
 	priv []phy.ModeLink
 
-	// Round verdict, reset in phase 0. private marks an interfered or
-	// carrier-shared round, which runs with the braid's allocation memo
-	// off and solves afresh: the digests count LPSolves and AllocReuses.
+	// Round verdict, reset in phase 0.
 	err                          error
 	active, outage               bool
 	skipQuarantined, skipStarved bool
-	private                      bool
 	dist                         units.Meter // this round's home distance
 	txScale, rxScale             float64     // brownout drain scales
 	mw                           float64
@@ -346,8 +335,8 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // acquire returns a scratch sized for this network with every slot
-// reseeded and its braid rebuilt. Allocation memos are invalidated, so
-// a run's results never depend on what a recycled scratch last solved.
+// reseeded and its braid rebuilt, so a run's results never depend on
+// what a recycled scratch last held.
 func (n *Network) acquire() *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if cap(sc.slots) < len(n.seeds) {
@@ -369,15 +358,12 @@ func (n *Network) acquire() *scratch {
 		s.seed = n.seeds[i]
 		s.braid = core.DefaultBraid(n.model, s.homeDist)
 		s.braid.Obs = n.cfg.Obs
-		s.braid.AllocationTolerance = n.cfg.AllocationTolerance
 		if minRate := s.m.MinRate; minRate > 0 {
 			qos := &s.qos
 			s.braid.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*core.Allocation, error) {
 				return qos.Optimize(links, e1, e2, minRate)
 			}
 		}
-		s.memoBase = s.braid.DisableAllocationMemo
-		s.scr.Reset()
 		s.row = nil
 		s.strikes = 0
 	}

@@ -164,7 +164,6 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 		s.err = nil
 		s.active = false
 		s.outage = false
-		s.private = false
 		s.mw = 0
 		s.donor = -1
 		s.sharedOK = false
@@ -206,7 +205,6 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 		if s.donor < 0 && !n.cfg.DisableInterference {
 			s.mw = n.interferenceAt(sc, s.hub, -1)
 		}
-		s.private = s.mw > 0 || s.sharedOK
 		if s.row == nil || s.rowDist != s.dist || s.rowMW != s.mw {
 			s.row, s.rowDist, s.rowMW = n.view.Read(s.dist, s.mw), s.dist, s.mw
 		}
@@ -301,7 +299,6 @@ func (n *Network) planSlot(sc *scratch, i int, memberBatts []*energy.Battery, sl
 	}
 	s.braid.Distance = s.dist
 	s.braid.MaxBits = load
-	s.braid.DisableAllocationMemo = s.memoBase || s.private
 	s.planB1 = *memberBatts[i]
 	s.planB2 = hs.snap
 	if len(s.links) == 0 {
@@ -312,13 +309,6 @@ func (n *Network) planSlot(sc *scratch, i int, memberBatts []*energy.Battery, sl
 		return
 	}
 	s.braid.Links = s.links
-	if s.private {
-		// Private rounds solve afresh. When mw is too small to move the
-		// model's Interference sum, the interfered row is the isolated
-		// row's own slice, so slice identity would not stop an isolated
-		// round's memo from serving this round.
-		s.scr.Reset()
-	}
 	s.err = s.braid.RunInto(&s.plan, &s.scr, &s.planB1, &s.planB2)
 }
 

@@ -53,8 +53,10 @@ type HubResult struct {
 	DiedRound int
 	// Replans counts commit-time re-solves against drifted budgets.
 	Replans int
-	// LPSolves and AllocReuses aggregate the braid solver counters
-	// across the hub's members.
+	// LPSolves aggregates the braid solver counter across the hub's
+	// members. AllocReuses is always zero, since every braid epoch
+	// solves afresh; it stays because bench/ reads it and Digest hashes
+	// it, which keeps pinned digests valid.
 	LPSolves, AllocReuses int
 	// Members holds per-member outcomes in registration order.
 	Members []MemberResult
@@ -353,7 +355,6 @@ func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 					}
 					mr.Bits += run.Bits
 					hr.LPSolves += run.LPSolves
-					hr.AllocReuses += run.AllocReuses
 					mr.MemberDrain += run.Drain1
 					mr.HubDrain += run.Drain2
 					hr.Drain += run.Drain2

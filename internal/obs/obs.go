@@ -6,12 +6,12 @@
 // fractions so the two endpoints consume in proportion to their battery
 // ratio. Evaluating that claim at fleet scale needs first-class
 // accounting of mode occupancy (bit and time fractions per mode),
-// energy per delivered bit, solver effort (LP solves vs memo reuses and
-// their latency), and resilience churn (fallbacks, backoffs,
-// quarantines, replans) — without perturbing the engines being
-// measured. Everything here is therefore allocation-free on the record
-// path and strictly observational: attaching a Recorder never changes a
-// single bit of any engine's result.
+// energy per delivered bit, solver effort (LP solves and their
+// latency), and resilience churn (fallbacks, backoffs, quarantines,
+// replans) — without perturbing the engines being measured. Everything
+// here is therefore allocation-free on the record path and strictly
+// observational: attaching a Recorder never changes a single bit of any
+// engine's result.
 //
 // # Determinism contract
 //
@@ -246,8 +246,6 @@ type Recorder struct {
 	// BatchRounds counts planning rounds, not members: one per net or
 	// hub round, and one per serve epoch that planned members.
 	BatchRounds Counter
-	// AllocReuses counts epochs served from the ratio-keyed memo.
-	AllocReuses Counter
 	// Switches counts mode transitions (braid schedule transitions and
 	// MAC radio reconfigurations alike).
 	Switches Counter

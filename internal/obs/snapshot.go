@@ -45,7 +45,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // (two planners can both miss a cold key), so this section is zeroed by
 // Canonical.
 type CacheSnapshot struct {
-	// Hits and Misses count lookups served from / added to the memo.
+	// Hits and Misses count lookups served from / added to the cache.
 	Hits, Misses uint64
 	// Evictions counts resident entries dropped by full shards.
 	Evictions uint64
@@ -61,7 +61,7 @@ type CacheSnapshot struct {
 type Snapshot struct {
 	// BraidRuns..HubDeaths mirror the Recorder counters; see Recorder
 	// for per-field semantics.
-	BraidRuns, Epochs, LPSolves, AllocReuses, Switches, BatchRounds               uint64
+	BraidRuns, Epochs, LPSolves, Switches, BatchRounds                            uint64
 	FramesDelivered, FramesLost, Retransmissions, Probes, Recomputes              uint64
 	Fallbacks, FallbacksSuppressed, BackoffWaits, LinkDeaths                      uint64
 	HubRounds, MemberRounds, Replans, Quarantines, OutageRounds, HubDeaths        uint64
@@ -104,7 +104,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		Epochs:              r.Epochs.Load(),
 		LPSolves:            r.LPSolves.Load(),
 		BatchRounds:         r.BatchRounds.Load(),
-		AllocReuses:         r.AllocReuses.Load(),
 		Switches:            r.Switches.Load(),
 		FramesDelivered:     r.FramesDelivered.Load(),
 		FramesLost:          r.FramesLost.Load(),
@@ -264,7 +263,6 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"epochs", fmt.Sprint(s.Epochs)},
 		{"LP solves", fmt.Sprint(s.LPSolves)},
 		{"batch rounds", fmt.Sprint(s.BatchRounds)},
-		{"alloc memo reuses", fmt.Sprint(s.AllocReuses)},
 		{"mode switches", fmt.Sprint(s.Switches)},
 		{"hub rounds", fmt.Sprint(s.HubRounds)},
 		{"member rounds", fmt.Sprint(s.MemberRounds)},
@@ -356,7 +354,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_epochs_total", "Allocation epochs.", s.Epochs)
 	counter("braidio_lp_solves_total", "Offload optimizer solves.", s.LPSolves)
 	counter("braidio_batch_rounds_total", "Planning rounds: one per net or hub round, and one per serve epoch that planned members.", s.BatchRounds)
-	counter("braidio_alloc_reuses_total", "Allocations served from the ratio memo.", s.AllocReuses)
 	counter("braidio_mode_switches_total", "Radio mode transitions.", s.Switches)
 	counter("braidio_frames_delivered_total", "MAC data frames delivered.", s.FramesDelivered)
 	counter("braidio_frames_lost_total", "MAC data frames lost after retries.", s.FramesLost)

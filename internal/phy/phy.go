@@ -229,16 +229,24 @@ func (m *Model) BestRate(mode Mode, d units.Meter) (units.BitRate, bool) {
 // activeRates is the active link's only rate.
 var activeRates = [1]units.BitRate{units.Rate1M}
 
-// bestLink is the per-mode step every characterization shares: it
-// computes the received power at d once, then each candidate rate's SINR
-// and BER once, fastest first, and returns the first rate meeting
-// RangeBERTarget with its BER.
+// bestLink is the per-mode step every characterization shares: the
+// fastest rate meeting RangeBERTarget at the received power at d. A
+// distance that is not positive (or NaN) has no link.
 func (m *Model) bestLink(mode Mode, d units.Meter) (r units.BitRate, ber float64, ok bool) {
+	if !(d > 0) {
+		return 0, 0, false
+	}
+	return m.fastestRate(mode, m.ReceivedPower(mode, d))
+}
+
+// fastestRate computes each of a mode's rates' SINR and BER once at
+// received power rx, fastest first, and returns the first rate meeting
+// RangeBERTarget with its BER.
+func (m *Model) fastestRate(mode Mode, rx units.DBm) (r units.BitRate, ber float64, ok bool) {
 	rates := Rates[:]
 	if mode == ModeActive {
 		rates = activeRates[:]
 	}
-	rx := m.ReceivedPower(mode, d)
 	for _, r = range rates {
 		if ber = modem.BERFromDB(SchemeAt(mode, r), m.sinr(mode, r, rx)); ber <= RangeBERTarget {
 			return r, ber, true
@@ -294,7 +302,8 @@ func (r Regime) String() string {
 	}
 }
 
-// Regime classifies the distance per Fig. 8.
+// Regime classifies the distance per Fig. 8. A distance that is not
+// positive is OutOfRange.
 func (m *Model) Regime(d units.Meter) Regime {
 	switch {
 	case m.Available(ModeBackscatter, d):
@@ -354,7 +363,8 @@ func (m *Model) link(mode Mode, r units.BitRate, ber float64) ModeLink {
 
 // Characterize returns the available modes at distance d with their best
 // rates and per-bit costs, in canonical mode order. Unavailable modes are
-// omitted.
+// omitted, and a distance that is not positive has none: the result is
+// empty, which callers report as out of range.
 func (m *Model) Characterize(d units.Meter) []ModeLink {
 	return m.CharacterizeInto(nil, d)
 }
@@ -426,25 +436,16 @@ func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
 // bistatic path.
 func (m *Model) SharedCarrierLink(dForward, dReverse units.Meter) (ModeLink, bool) {
 	rx := m.RoundTrip.Received(CarrierPower, dForward, dReverse).Sub(m.FadeMargin)
-	for _, r := range Rates {
-		ber := modem.BERFromDB(SchemeAt(ModeBackscatter, r), m.sinr(ModeBackscatter, r, rx))
-		if ber > RangeBERTarget {
-			continue
-		}
-		good := m.goodput(ModeBackscatter, r, ber)
-		if good <= 0 {
-			continue
-		}
-		return ModeLink{
-			Mode: ModeBackscatter,
-			Rate: r,
-			BER:  ber,
-			Good: good,
-			T:    units.PerBit(BackscatterTXPower(r), good),
-			R:    units.PerBit(PassiveRXPower(r), good),
-		}, true
+	r, ber, ok := m.fastestRate(ModeBackscatter, rx)
+	if !ok {
+		return ModeLink{}, false
 	}
-	return ModeLink{}, false
+	l := m.link(ModeBackscatter, r, ber)
+	if l.Good <= 0 {
+		return ModeLink{}, false
+	}
+	l.R = units.PerBit(PassiveRXPower(r), l.Good)
+	return l, true
 }
 
 // LinkAt characterizes one specific mode/rate at a distance regardless of

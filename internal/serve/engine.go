@@ -2,11 +2,11 @@
 // daemon: a multi-tenant, epoch-batched version of the Eq. (1) offload
 // planner. Devices register once, stream energy and link updates, and
 // read back mode-fraction plans; the engine re-solves only for members
-// whose inputs drifted past tolerance since their last plan (the
-// dirty-set generalization of core.Braid's allocation memo), batches
-// admissions per epoch, sheds load when the admission queue is full,
-// and journals every admitted operation so a captured session replays
-// bit-identically through the same batch planner.
+// whose inputs drifted past tolerance since their last plan (the dirty
+// set, judged by core.RatioWithin), batches admissions per epoch, sheds
+// load when the admission queue is full, and journals every admitted
+// operation so a captured session replays bit-identically through the
+// same batch planner.
 //
 // Member state is sharded (see shard.go): each power-of-two shard owns
 // its members behind its own lock, epochs pipeline apply → plan →
@@ -55,11 +55,10 @@ type Config struct {
 	// only: nothing is preallocated, and the queue grows with what is
 	// admitted.
 	QueueCap int
-	// RatioTolerance is the symmetric relative tolerance on the battery
-	// ratio E_hub/E_member within which a member's existing plan is
-	// reused — the serve-side analogue of core.Braid's
-	// AllocationTolerance. Zero demands exact equality (every update
-	// dirties its member).
+	// RatioTolerance is the symmetric relative tolerance
+	// (core.RatioWithin) on the battery ratio E_hub/E_member within
+	// which a member's existing plan is reused. Zero demands exact
+	// equality (every update dirties its member).
 	RatioTolerance float64
 	// DistanceTolerance is the same predicate applied to the reported
 	// link distance, the input to PHY characterization.

@@ -7,16 +7,14 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/linkcache"
 	"braidio/internal/phy"
 )
 
-// TestMatrixGoldenCacheOnOff is the golden test for the scheduling-layer
-// caches: at allocation tolerance 0 (the default) every cell of the
-// Fig. 15 and Fig. 16 matrices must be bit-identical whether the link
-// cache and the allocation memo are on (the default) or both forced off.
+// TestMatrixGoldenCacheOnOff is the golden test for the link cache:
+// every cell of the Fig. 15 and Fig. 16 matrices must be bit-identical
+// whether the cache is on (the default) or forced off.
 func TestMatrixGoldenCacheOnOff(t *testing.T) {
 	m := phy.NewModel()
 	devices := energy.Catalog
@@ -35,10 +33,8 @@ func TestMatrixGoldenCacheOnOff(t *testing.T) {
 		}
 
 		linkcache.SetEnabled(false)
-		core.DefaultDisableAllocationMemo = true
 		off, err := f()
 		linkcache.SetEnabled(true)
-		core.DefaultDisableAllocationMemo = false
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
 		}
