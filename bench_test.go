@@ -93,6 +93,26 @@ func BenchmarkCharacterize(b *testing.B) {
 	}
 }
 
+// BenchmarkCharacterizeSpread measures one characterization at each of
+// 1,024 distances spread evenly over 0.3–4.5 m, the span serve-epoch's
+// members are drawn from. Unlike 0.5 m, where every mode passes at its
+// fastest rate, at most of these distances some mode refuses one or more
+// of its rates.
+func BenchmarkCharacterizeSpread(b *testing.B) {
+	m := phy.NewModel()
+	dists := make([]units.Meter, 1024)
+	for i := range dists {
+		dists[i] = units.Meter(0.3 + 4.2*float64(i)/float64(len(dists)-1))
+	}
+	var links []phy.ModeLink
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if links = m.CharacterizeInto(links, dists[i%len(dists)]); len(links) == 0 {
+			b.Fatal("no link in range")
+		}
+	}
+}
+
 // BenchmarkOffloadOptimize measures the closed-form Eq. 1 solve.
 func BenchmarkOffloadOptimize(b *testing.B) {
 	links := phy.NewModel().Characterize(0.5)

@@ -313,11 +313,53 @@ func TestGainErrorsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestNonPositiveDistance: a distance that is not positive has no link,
-// so every public entry point returns the error it returns for an
-// unreachable pair instead of panicking in the path-loss model.
+// TestNonPositiveDistance: a distance that is not positive receives no
+// power and has no link, so every public entry point returns the error it
+// returns for an unreachable pair instead of panicking in the path-loss
+// model: the model's SNR is −Inf and its BER 0.5 there, and a session
+// whose walk reaches it finds no rate or strikes until the link is dead.
 func TestNonPositiveDistance(t *testing.T) {
 	watch, phone := mustDevice(t, "Apple Watch"), mustDevice(t, "iPhone 6S")
+	m := NewModel()
+	for _, d := range []Meter{0, -1, Meter(math.NaN())} {
+		if p := m.ReceivedPower(ModeBackscatter, d); !math.IsInf(float64(p), -1) {
+			t.Errorf("d=%v: ReceivedPower = %v dBm, want -Inf", float64(d), p)
+		}
+		if snr := m.SNR(ModeActive, Rate1M, d); !math.IsInf(float64(snr), -1) {
+			t.Errorf("d=%v: SNR = %v dB, want -Inf", float64(d), snr)
+		}
+		if ber := m.BER(ModePassive, Rate10k, d); ber != 0.5 {
+			t.Errorf("d=%v: BER = %v, want 0.5", float64(d), ber)
+		}
+		if l := m.LinkAt(ModeActive, Rate1M, d); l.Good != 0 || !math.IsInf(float64(l.T), 1) || !math.IsInf(float64(l.R), 1) {
+			t.Errorf("d=%v: LinkAt = %+v, want zero goodput and +Inf costs", float64(d), l)
+		}
+		for _, hops := range [][2]Meter{{d, 1}, {1, d}} {
+			if l, ok := m.SharedCarrierLink(hops[0], hops[1]); ok {
+				t.Errorf("d=%v: SharedCarrierLink(%v, %v) = %+v, want no link", float64(d), float64(hops[0]), float64(hops[1]), l)
+			}
+		}
+	}
+	for _, d := range []Meter{0, -1} {
+		// The walk starts in range and reaches d once any air time has
+		// passed: right after the battery exchange, or 50 ms in.
+		vanishing := NewPair(watch, phone, 0.5, WithWalk(LinearWalk{Start: 0.5, End: d, Duration: 1e-9}))
+		if _, err := vanishing.NewSession(1); !errors.Is(err, core.ErrOutOfRange) {
+			t.Errorf("d=%v: NewSession on a walk reaching d after the battery exchange = %v, want %v", float64(d), err, core.ErrOutOfRange)
+		}
+		leaving := NewPair(watch, phone, 0.5, WithWalk(LinearWalk{Start: 0.5, End: d, Duration: 0.05}))
+		s, err := leaving.NewSession(1)
+		if err != nil {
+			t.Fatalf("d=%v: NewSession on a walk starting at 0.5 m: %v", float64(d), err)
+		}
+		var sendErr error
+		for i := 0; i < 100_000 && sendErr == nil; i++ {
+			_, sendErr = s.SendFrame(64)
+		}
+		if !errors.Is(sendErr, core.ErrLinkDead) {
+			t.Errorf("d=%v: SendFrame after the walk reaches d = %v, want %v", float64(d), sendErr, core.ErrLinkDead)
+		}
+	}
 	for _, d := range []Meter{0, -1} {
 		p := NewPair(watch, phone, d)
 		for _, c := range []struct {

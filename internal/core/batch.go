@@ -20,7 +20,10 @@ type BatchScratch struct {
 	// Cols holds each slot's characterized links, the input
 	// OptimizeBatch reads.
 	Cols phy.LinkColumns
-	// Dists is the distance column the characterization consumes.
+	// Dists is a distance column for a caller that characterizes the
+	// whole batch through linkcache.View.CharacterizeColumns; only
+	// bench's replay does. The serve planner fills Cols row by row and
+	// leaves Dists stale.
 	Dists []units.Meter
 	// E1 and E2 are the per-slot budget columns.
 	E1, E2 []units.Joule

@@ -300,8 +300,10 @@ const batchParThreshold = 64
 // large batches (each index writes only its own row, so results are
 // identical at any worker count). Rows are computed directly, not read
 // from the cache; values are bit-identical to Characterize's because
-// both run CharacterizeInto. The serve daemon's epoch planner feeds
-// core.OptimizeBatch from this.
+// both run CharacterizeInto. Its one caller is the bench module, whose
+// serve-epoch replay times it as serve.characterize_ms; the serve engine
+// itself fills its columns row by row through phy, rebuilding the rows
+// whose distance has not moved since their last plan.
 func (v *View) CharacterizeColumns(workers int, dists []units.Meter, cols *phy.LinkColumns) {
 	cols.Reset(len(dists))
 	fill := func(i int) { v.model.CharacterizeColumns(cols, i, dists[i]) }

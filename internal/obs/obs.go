@@ -78,6 +78,23 @@ const (
 // dirtyReasonLabels names each dirty reason as /metrics labels it.
 var dirtyReasonLabels = [NumDirtyReasons]string{"register", "ratio", "distance", "hub", "restore"}
 
+// Where a serve re-plan's link row came from: the index of
+// Recorder.ServeLinkRows and the source label of
+// braidio_serve_link_rows_total.
+const (
+	// LinkRowsCharacterized: the PHY model characterized the member's
+	// link at its distance.
+	LinkRowsCharacterized = iota
+	// LinkRowsRebuilt: the member's last plan was characterized at the
+	// same distance, and the row was rebuilt from that plan's rate code.
+	LinkRowsRebuilt
+	// NumLinkRowSources is the number of sources.
+	NumLinkRowSources
+)
+
+// linkRowSourceLabels names each link-row source as /metrics labels it.
+var linkRowSourceLabels = [NumLinkRowSources]string{"characterized", "rebuilt"}
+
 // Counter is a monotonically increasing event counter: an atomic
 // uint64 padded to a cache line so neighbouring counters updated by
 // concurrent planners never share a line (the same discipline as the
@@ -217,9 +234,10 @@ var applyLatencyBounds = []float64{
 }
 
 // planLatencyBounds buckets serve epoch plan-phase wall-clock latency in
-// nanoseconds. A plan characterizes and solves the epoch's whole dirty
-// set, from a handful of drifted members to a cold plan of every member
-// of a million-member daemon, so the range runs from 10 µs to 10 s.
+// nanoseconds. A plan fills link rows for and solves the epoch's whole
+// dirty set, from a handful of drifted members to a cold plan of every
+// member of a million-member daemon, so the range runs from 10 µs to
+// 10 s.
 var planLatencyBounds = []float64{
 	1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7,
 	1e8, 2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10,
@@ -337,6 +355,10 @@ type Recorder struct {
 	// dirty is not marked again, and a member whose solve failed stays
 	// queued without a new mark.
 	ServeDirty [NumDirtyReasons]Counter
+	// ServeLinkRows counts the link rows serve epochs filled for the
+	// members they re-planned, indexed by source (LinkRowsCharacterized,
+	// LinkRowsRebuilt). A failed solve counts its row too.
+	ServeLinkRows [NumLinkRowSources]Counter
 	// ServeSheds counts requests dropped by admission backpressure (the
 	// bounded queue was full or the member cap was hit).
 	ServeSheds Counter
@@ -368,9 +390,9 @@ type Recorder struct {
 	// Wall-clock, so excluded from Canonical snapshots.
 	ServeApplyLatency Histogram
 	// ServePlanLatency distributes serve epoch plan-phase wall-clock
-	// latency (characterize and solve the dirty set, build and commit
-	// plans; the slowest shard) in nanoseconds, once per epoch that
-	// planned. Wall-clock, so excluded from Canonical snapshots.
+	// latency (fill link rows for and solve the dirty set, build and
+	// commit plans; the slowest shard) in nanoseconds, once per epoch
+	// that planned. Wall-clock, so excluded from Canonical snapshots.
 	ServePlanLatency Histogram
 
 	// Tracer, when non-nil, receives mode-switch/fallback/replan/

@@ -72,6 +72,9 @@ type Snapshot struct {
 	// ServeDirty counts members marked dirty, indexed by reason
 	// (DirtyRegister..DirtyRestore).
 	ServeDirty [NumDirtyReasons]uint64
+	// ServeLinkRows counts re-planned members' link rows by source
+	// (LinkRowsCharacterized, LinkRowsRebuilt).
+	ServeLinkRows [NumLinkRowSources]uint64
 
 	// Bits, AirTime, DrainTX, DrainRX, SwitchEnergy are the dequantized
 	// float totals; RelayBits is the 2-hop-relayed subset of Bits.
@@ -153,6 +156,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	for i := range s.ServeDirty {
 		s.ServeDirty[i] = r.ServeDirty[i].Load()
+	}
+	for i := range s.ServeLinkRows {
+		s.ServeLinkRows[i] = r.ServeLinkRows[i].Load()
 	}
 	cs := linkcache.Snapshot()
 	s.Cache = CacheSnapshot{
@@ -289,6 +295,8 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"dirty register/ratio/distance/hub/restore", fmt.Sprintf("%d/%d/%d/%d/%d",
 			s.ServeDirty[DirtyRegister], s.ServeDirty[DirtyRatio], s.ServeDirty[DirtyDistance],
 			s.ServeDirty[DirtyHub], s.ServeDirty[DirtyRestore])},
+		{"link rows characterized/rebuilt", fmt.Sprintf("%d/%d",
+			s.ServeLinkRows[LinkRowsCharacterized], s.ServeLinkRows[LinkRowsRebuilt])},
 		{"snapshots", fmt.Sprint(s.ServeSnapshots)},
 		{"segment rotations", fmt.Sprint(s.ServeRotations)},
 		{"recoveries", fmt.Sprint(s.ServeRecoveries)},
@@ -388,6 +396,10 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(w, "# HELP braidio_serve_dirty_total Members marked dirty for re-planning, by reason.\n# TYPE braidio_serve_dirty_total counter\n")
 	for i, label := range dirtyReasonLabels {
 		fmt.Fprintf(w, "braidio_serve_dirty_total{reason=%q} %d\n", label, s.ServeDirty[i])
+	}
+	fmt.Fprintf(w, "# HELP braidio_serve_link_rows_total Link rows of re-planned members, by source: characterized by the PHY model, or rebuilt from the last plan's rate code at an unchanged distance.\n# TYPE braidio_serve_link_rows_total counter\n")
+	for i, label := range linkRowSourceLabels {
+		fmt.Fprintf(w, "braidio_serve_link_rows_total{source=%q} %d\n", label, s.ServeLinkRows[i])
 	}
 	counter("braidio_linkcache_hits_total", "PHY link cache hits.", s.Cache.Hits)
 	counter("braidio_linkcache_misses_total", "PHY link cache misses.", s.Cache.Misses)

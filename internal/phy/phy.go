@@ -10,6 +10,7 @@ package phy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"braidio/internal/frame"
 	"braidio/internal/modem"
@@ -160,18 +161,37 @@ func NewModel() *Model {
 }
 
 // ReceivedPower returns the signal power arriving at the data receiver in
-// the given mode at distance d.
+// the given mode at distance d. A distance that is not positive (or NaN)
+// receives no power, −Inf dBm: its SNR is −Inf, its BER 0.5, and no rate
+// meets RangeBERTarget there.
 func (m *Model) ReceivedPower(mode Mode, d units.Meter) units.DBm {
-	var rx units.DBm
 	switch mode {
 	case ModeActive, ModePassive:
-		rx = m.OneWay.Received(CarrierPower, d)
+		return m.oneWayPower(d)
 	case ModeBackscatter:
-		rx = m.RoundTrip.ReceivedMonostatic(CarrierPower, d)
+		return m.backscatterPower(d)
 	default:
 		panic(fmt.Sprintf("phy: unknown mode %d", int(mode)))
 	}
-	return rx.Sub(m.FadeMargin)
+}
+
+// noPower is the power received at a distance that is not positive.
+var noPower = units.DBm(math.Inf(-1))
+
+// oneWayPower is the active and passive links' received power at d.
+func (m *Model) oneWayPower(d units.Meter) units.DBm {
+	if !(d > 0) {
+		return noPower
+	}
+	return m.OneWay.Received(CarrierPower, d).Sub(m.FadeMargin)
+}
+
+// backscatterPower is the monostatic round trip's received power at d.
+func (m *Model) backscatterPower(d units.Meter) units.DBm {
+	if !(d > 0) {
+		return noPower
+	}
+	return m.RoundTrip.ReceivedMonostatic(CarrierPower, d).Sub(m.FadeMargin)
 }
 
 // snrTargets holds, per scheme, the SNR (dB) that meets RangeBERTarget:
@@ -201,7 +221,7 @@ func (m *Model) sinr(mode Mode, r units.BitRate, rx units.DBm) units.DB {
 // d: received power over the mode's calibrated effective noise floor,
 // raised by the model's co-channel Interference when one is set. With
 // zero Interference this is the plain SNR, bit-identical to the
-// pre-interference model.
+// pre-interference model. It is −Inf at a distance that is not positive.
 func (m *Model) SNR(mode Mode, r units.BitRate, d units.Meter) units.DB {
 	return m.sinr(mode, r, m.ReceivedPower(mode, d))
 }
@@ -222,33 +242,35 @@ func (m *Model) Available(mode Mode, d units.Meter) bool {
 // RangeBERTarget, and whether any does. The active link only runs at
 // 1 Mbps.
 func (m *Model) BestRate(mode Mode, d units.Meter) (units.BitRate, bool) {
-	r, _, ok := m.bestLink(mode, d)
+	r, _, ok := m.fastestRate(mode, m.ReceivedPower(mode, d))
 	return r, ok
 }
 
 // activeRates is the active link's only rate.
 var activeRates = [1]units.BitRate{units.Rate1M}
 
-// bestLink is the per-mode step every characterization shares: the
-// fastest rate meeting RangeBERTarget at the received power at d. A
-// distance that is not positive (or NaN) has no link.
-func (m *Model) bestLink(mode Mode, d units.Meter) (r units.BitRate, ber float64, ok bool) {
-	if !(d > 0) {
-		return 0, 0, false
-	}
-	return m.fastestRate(mode, m.ReceivedPower(mode, d))
-}
+// rateGuard is how far (dB) below its SNR target a rate's SINR must sit
+// for fastestRate to refuse the rate without computing its BER. The BER
+// at the target is RangeBERTarget to within float rounding, and a step of
+// rateGuard moves it by about a millionth of itself, so a SINR that far
+// below the target always fails; one nearer, or above, gets the exact BER.
+const rateGuard = 1e-6
 
-// fastestRate computes each of a mode's rates' SINR and BER once at
-// received power rx, fastest first, and returns the first rate meeting
-// RangeBERTarget with its BER.
+// fastestRate tries a mode's rates fastest first at received power rx and
+// returns the first meeting RangeBERTarget, with its BER. A rate whose
+// SINR is more than rateGuard below its SNR target is refused from the
+// SINR alone; every other rate's BER is computed exactly, once.
 func (m *Model) fastestRate(mode Mode, rx units.DBm) (r units.BitRate, ber float64, ok bool) {
 	rates := Rates[:]
 	if mode == ModeActive {
 		rates = activeRates[:]
 	}
 	for _, r = range rates {
-		if ber = modem.BERFromDB(SchemeAt(mode, r), m.sinr(mode, r, rx)); ber <= RangeBERTarget {
+		sinr := m.sinr(mode, r, rx)
+		if sinr < SNRTarget(mode, r)-rateGuard {
+			continue
+		}
+		if ber = modem.BERFromDB(SchemeAt(mode, r), sinr); ber <= RangeBERTarget {
 			return r, ber, true
 		}
 	}
@@ -373,10 +395,17 @@ func (m *Model) Characterize(d units.Meter) []ModeLink {
 // dst is truncated and refilled, so a caller reusing one buffer across
 // distances characterizes without heap allocation once the buffer has
 // grown to NumModes capacity.
+//
+// Active and Passive share the one-way received power, computed once.
 func (m *Model) CharacterizeInto(dst []ModeLink, d units.Meter) []ModeLink {
 	dst = dst[:0]
+	oneWay := m.oneWayPower(d)
 	for _, mode := range Modes {
-		if r, ber, ok := m.bestLink(mode, d); ok {
+		rx := oneWay
+		if mode == ModeBackscatter {
+			rx = m.backscatterPower(d)
+		}
+		if r, ber, ok := m.fastestRate(mode, rx); ok {
 			dst = append(dst, m.link(mode, r, ber))
 		}
 	}
@@ -385,9 +414,11 @@ func (m *Model) CharacterizeInto(dst []ModeLink, d units.Meter) []ModeLink {
 
 // LinkColumns is a batch of link characterizations in one flat
 // stride-NumModes buffer: Row(k) is member k's links, in canonical mode
-// order with unavailable modes omitted, exactly as Characterize returns
-// them. Batch kernels walk the buffer linearly with no per-member slice
-// or allocation.
+// order with unavailable modes omitted. A row filled by
+// CharacterizeColumns holds the links exactly as Characterize returns
+// them; a row filled by RebuildColumns holds the same links with a NaN
+// BER. Batch kernels walk the buffer linearly with no per-member slice or
+// allocation.
 type LinkColumns struct {
 	// Len[k] is the number of available modes for member k.
 	Len   []int32
@@ -422,6 +453,41 @@ func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
 	cols.Len[k] = int32(len(m.CharacterizeInto(cols.links[lo:lo:lo+NumModes], d)))
 }
 
+// RateCode packs member k's rate choices into one byte, two bits per
+// mode (bits 2·Mode and 2·Mode+1): 0 when the mode is absent from the
+// row, i+1 when it runs at Rates[i]. Every rate a row holds is one of
+// Rates, so only an empty row encodes to 0. RebuildColumns inverts it.
+func (c *LinkColumns) RateCode(k int) uint8 {
+	var code uint8
+	for _, l := range c.Row(k) {
+		code |= uint8(slices.Index(Rates[:], l.Rate)+1) << (2 * l.Mode)
+	}
+	return code
+}
+
+// RebuildColumns fills member k's row of cols from a RateCode: each coded
+// mode at its coded rate, with its goodput and per-bit costs, and a NaN
+// BER. Without Retransmit a link's Good, T and R follow from its mode and
+// rate alone, so the row rebuilt from the code of a characterization at
+// distance d equals CharacterizeColumns at d in every field but BER. With
+// Retransmit they depend on the BER; RebuildColumns then leaves the row
+// as it was and returns false, and the caller characterizes. Like
+// CharacterizeColumns, it touches only row k.
+func (m *Model) RebuildColumns(cols *LinkColumns, k int, code uint8) bool {
+	if m.Retransmit {
+		return false
+	}
+	lo := k * NumModes
+	row := cols.links[lo : lo : lo+NumModes]
+	for _, mode := range Modes {
+		if i := code >> (2 * mode) & 3; i > 0 {
+			row = append(row, m.link(mode, Rates[i-1], math.NaN()))
+		}
+	}
+	cols.Len[k] = int32(len(row))
+	return true
+}
+
 // SharedCarrierLink characterizes the backscatter mode when the carrier
 // comes from a *different* hub's active transmitter: the donor's carrier
 // travels dForward to the tag, is modulated, and the sidebands travel
@@ -433,9 +499,13 @@ func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
 // the carrier bill moves off this braid entirely, which is the whole
 // point of sharing. The model's FadeMargin and Interference apply as in
 // SNR. Returns ok=false when no rate meets RangeBERTarget over the
-// bistatic path.
+// bistatic path, as at a hop that is not positive, which receives no
+// power.
 func (m *Model) SharedCarrierLink(dForward, dReverse units.Meter) (ModeLink, bool) {
-	rx := m.RoundTrip.Received(CarrierPower, dForward, dReverse).Sub(m.FadeMargin)
+	rx := noPower
+	if dForward > 0 && dReverse > 0 {
+		rx = m.RoundTrip.Received(CarrierPower, dForward, dReverse).Sub(m.FadeMargin)
+	}
 	r, ber, ok := m.fastestRate(ModeBackscatter, rx)
 	if !ok {
 		return ModeLink{}, false
@@ -449,7 +519,9 @@ func (m *Model) SharedCarrierLink(dForward, dReverse units.Meter) (ModeLink, boo
 }
 
 // LinkAt characterizes one specific mode/rate at a distance regardless of
-// whether it meets the range target (used for BER sweeps).
+// whether it meets the range target (used for BER sweeps). At a distance
+// that is not positive the BER is 0.5, the goodput zero and the per-bit
+// costs +Inf.
 func (m *Model) LinkAt(mode Mode, r units.BitRate, d units.Meter) ModeLink {
 	return m.link(mode, r, m.BER(mode, r, d))
 }

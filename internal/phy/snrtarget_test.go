@@ -267,3 +267,120 @@ func TestSharedCarrierLinkAndRangeMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRateGuardMatchesBER pins fastestRate's SINR shortcut to the exact
+// BER decision over dense distances × modes × rates × gridModels' fade
+// and interference settings (Retransmit does not enter the decision):
+// wherever a rate's SINR sits more than rateGuard below its target, its
+// BER misses RangeBERTarget. Each model's distances add points around
+// every mode/rate's range, so some SINRs land inside the guard band and
+// take the exact call. BestRate must give the exact decision's rate
+// everywhere, and Characterize the reference's links at the edge points.
+func TestRateGuardMatchesBER(t *testing.T) {
+	base := gridDistances()
+	for i := 0; i <= 4096; i++ {
+		base = append(base, units.Meter(0.3+4.2*float64(i)/4096))
+	}
+	refused, inBand := 0, 0
+	for mi, m := range gridModels() {
+		if m.Retransmit {
+			continue
+		}
+		var edges []units.Meter
+		for _, mode := range Modes {
+			for _, r := range Rates {
+				edge := float64(m.Range(mode, r))
+				for _, x := range []float64{1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-4} {
+					edges = append(edges, units.Meter(edge*(1-x)), units.Meter(edge*(1+x)))
+				}
+			}
+		}
+		for _, d := range append(edges, base...) {
+			for _, mode := range Modes {
+				rx := m.ReceivedPower(mode, d)
+				var best units.BitRate
+				for _, r := range Rates {
+					sinr, target := m.sinr(mode, r, rx), SNRTarget(mode, r)
+					pass := modem.BERFromDB(SchemeAt(mode, r), sinr) <= RangeBERTarget
+					if pass && best == 0 && (mode != ModeActive || r == units.Rate1M) {
+						best = r
+					}
+					switch {
+					case sinr < target-rateGuard:
+						refused++
+						if pass {
+							t.Fatalf("model %d d=%v %v@%v: SINR %v dB is %g dB below its target, yet the BER passes",
+								mi, float64(d), mode, r, float64(sinr), float64(target-sinr))
+						}
+					case sinr <= target+rateGuard:
+						inBand++
+					}
+				}
+				if r, ok := m.BestRate(mode, d); r != best || ok != (best != 0) {
+					t.Fatalf("model %d d=%v %v: BestRate %v/%v, the exact decision %v", mi, float64(d), mode, r, ok, best)
+				}
+			}
+		}
+		for _, d := range edges {
+			got, want := m.Characterize(d), refCharacterize(m, d)
+			if len(got) != len(want) {
+				t.Fatalf("model %d d=%v: %d links, want %d", mi, float64(d), len(got), len(want))
+			}
+			for i := range want {
+				if !sameLink(got[i], want[i]) {
+					t.Fatalf("model %d d=%v link %d: %+v, want %+v", mi, float64(d), i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if inBand == 0 {
+		t.Fatal("no SINR fell within the guard band: the edge points do not reach the exact call")
+	}
+	t.Logf("%d rates refused from the SINR alone, %d within %g dB of their target", refused, inBand, float64(rateGuard))
+}
+
+// TestRebuildColumnsMatchesCharacterize rebuilds every row of
+// gridDistances from its RateCode under each grid model without
+// Retransmit: the row must equal CharacterizeColumns's in every field
+// but BER, which is NaN, and encode to the same code. A Retransmit model
+// refuses the rebuild and leaves the row as it was.
+func TestRebuildColumnsMatchesCharacterize(t *testing.T) {
+	dists := gridDistances()
+	var want, got LinkColumns
+	codes := map[uint8]bool{}
+	for mi, m := range gridModels() {
+		want.Reset(len(dists))
+		got.Reset(len(dists))
+		for k, d := range dists {
+			m.CharacterizeColumns(&want, k, d)
+			code := want.RateCode(k)
+			if m.Retransmit {
+				m.CharacterizeColumns(&got, k, d)
+				if m.RebuildColumns(&got, k, 0) {
+					t.Fatalf("model %d: a Retransmit model rebuilt a row", mi)
+				}
+			} else {
+				if !m.RebuildColumns(&got, k, code) {
+					t.Fatalf("model %d d=%v: rebuild refused", mi, float64(d))
+				}
+				codes[code] = true
+			}
+			w, g := want.Row(k), got.Row(k)
+			if len(g) != len(w) || got.RateCode(k) != code {
+				t.Fatalf("model %d d=%v: %d links coded %#x, want %d coded %#x", mi, float64(d), len(g), got.RateCode(k), len(w), code)
+			}
+			for i := range w {
+				rebuilt := w[i]
+				if !m.Retransmit {
+					rebuilt.BER = math.NaN()
+				}
+				if !sameLink(g[i], rebuilt) {
+					t.Fatalf("model %d d=%v link %d: rebuilt %+v, characterized %+v", mi, float64(d), i, g[i], w[i])
+				}
+			}
+		}
+	}
+	if len(codes) < 8 {
+		t.Fatalf("the grid reached only %d distinct codes", len(codes))
+	}
+}

@@ -25,11 +25,30 @@ func dirtyListLen(e *Engine) int {
 	return n
 }
 
+// heldJobs reports a shard whose job list, between epochs, keeps more
+// than planChunk slots or any entry: a member or a superseded plan the
+// list would keep alive until the next epoch.
+func heldJobs(e *Engine) error {
+	for si, s := range e.shards {
+		if c := cap(s.jobs); c > planChunk {
+			return fmt.Errorf("shard %d keeps a %d-slot job list", si, c)
+		}
+		for k, j := range s.jobs[:cap(s.jobs)] {
+			if j.m != nil || j.plan.Modes != nil || j.plan.Fractions != nil || j.plan.Blocks != nil || j.err != nil {
+				return fmt.Errorf("shard %d job slot %d still holds a member, plan or error", si, k)
+			}
+		}
+	}
+	return nil
+}
+
 // TestChunkedEpochs plans 10,000 members, more than two arena chunks at
 // one shard and one chunk per shard at sixteen, through a cold plan, a
 // 1% drift epoch, a hub change and another drift epoch. Every epoch's
-// counts must be exact, every digest equal across the grid, and the
-// journal must verify against a fresh replay.
+// counts must be exact, every digest equal across the grid, the journal
+// must verify against a fresh replay, and no epoch may leave its job
+// list behind: the cold plan's and the hub change's 10,000 entries at
+// one shard are released before the next epoch runs.
 func TestChunkedEpochs(t *testing.T) {
 	const n = 10_000
 	if n <= 2*planChunk {
@@ -85,6 +104,9 @@ func TestChunkedEpochs(t *testing.T) {
 				}
 				if got := dirtyListLen(e); got != 0 {
 					t.Errorf("%s epoch %d: %d members still queued", label, k+1, got)
+				}
+				if err := heldJobs(e); err != nil {
+					t.Errorf("%s epoch %d: %v", label, k+1, err)
 				}
 				digests = append(digests, res.Digest)
 			}

@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/phy"
@@ -166,16 +165,23 @@ type op struct {
 // (updates admitted before the register must still be skipped, exactly
 // as the single-lock engine skipped unknown ids). dirty is set only by
 // shard.markDirty, which also queues the member on its shard's dirty
-// list, and cleared only by a successful commit.
+// list, and cleared only by a successful commit. rateCode is the
+// phy.LinkColumns.RateCode of the characterization plan was solved
+// from, at plan.Distance, so a re-plan at that distance can rebuild the
+// link row from it; 0, which no plan's row encodes to (a plan has at
+// least one mode), means unknown. Commit writes it with every plan, and
+// snapshot restore leaves it 0. (The small fields sit last, sharing one
+// word.)
 type member struct {
 	id       string
 	seq      uint64
-	live     bool
 	energy   units.Joule
 	distance units.Meter
-	dirty    bool
 	plan     Plan
+	live     bool
+	dirty    bool
 	hasPlan  bool
+	rateCode uint8
 }
 
 // EpochResult summarizes one RunEpoch: how many members were re-planned
@@ -201,7 +207,6 @@ type EpochResult struct {
 type Engine struct {
 	cfg   Config
 	model *phy.Model
-	view  *linkcache.View
 
 	queueMu  sync.Mutex
 	queue    []op
@@ -228,7 +233,7 @@ type Engine struct {
 
 	// Stage latency rings for /v1/stats percentiles: wall time of each
 	// epoch's apply phase (drain-to-applied, max across shards) and plan
-	// phase (characterize + batch solve + plan build, max across
+	// phase (link rows + batch solve + plan build, max across
 	// planning shards). Only epochs that applied (resp. planned) at
 	// least one op (member) are recorded. Strictly observational —
 	// never touches EpochResult or the digest.
@@ -242,11 +247,9 @@ type Engine struct {
 // NewEngine builds an engine from a config, applying defaults.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	m := phy.NewModel()
 	e := &Engine{
 		cfg:       cfg,
-		model:     m,
-		view:      linkcache.NewView(m),
+		model:     phy.NewModel(),
 		hubEnergy: cfg.HubEnergy,
 		shards:    make([]*shard, cfg.Shards),
 		shardMask: uint64(cfg.Shards - 1),
@@ -386,7 +389,7 @@ type Stats struct {
 	// when healthy or no journal is attached.
 	JournalError string `json:"journal_error,omitempty"`
 	// PlanP50Millis and PlanP99Millis are percentiles of the per-epoch
-	// plan-phase wall time (characterize + batch solve + plan build)
+	// plan-phase wall time (link rows + batch solve + plan build)
 	// over the most recent planning epochs; FirstPlanMillis is the
 	// first planning epoch — typically the cold bulk plan of the whole
 	// membership — and LastPlanMillis the most recent (warm) one. Zero
@@ -463,11 +466,17 @@ func (e *Engine) Stats() Stats {
 }
 
 // planJob snapshots one dirty member's solve inputs; results land in
-// index-owned slots for deterministic in-order commit.
+// index-owned slots for deterministic in-order commit. rebuild says the
+// member's link row is rebuilt from code instead of characterized, its
+// last plan having been characterized at this distance; the plan phase
+// clears it when the model refuses the rebuild, and then stores the
+// characterized row's code.
 type planJob struct {
 	m        *member
 	energy   units.Joule
 	distance units.Meter
+	rebuild  bool
+	code     uint8
 	plan     Plan
 	err      error
 }
@@ -610,8 +619,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		e.applyLat.observe(applyNs)
 		e.latMu.Unlock()
 	}
-	clear(ops) // the shards applied copies; drop the ids before reuse
-	e.spare = ops[:0]
+	e.spare = reuse(ops) // the shards applied copies
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServePlanLatency.Observe(planNs)
@@ -638,6 +646,9 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		Clean:   clean,
 		Members: total,
 		Digest:  e.epochDigest(epoch, jobsTotal),
+	}
+	for _, s := range e.shards {
+		s.jobs = releaseJobs(s.jobs)
 	}
 	if journal != nil {
 		journal.epoch(res)

@@ -132,6 +132,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 		`braidio_serve_dirty_total{reason="register"} 10`,
 		`braidio_serve_dirty_total{reason="ratio"} 1`,
 		`braidio_serve_dirty_total{reason="hub"} 0`,
+		`braidio_serve_link_rows_total{source="characterized"} 10`,
+		`braidio_serve_link_rows_total{source="rebuilt"} 1`, // d3's update kept its distance
 		"braidio_serve_epochs_total 2",
 		"braidio_serve_plans_total 11",
 		"braidio_serve_clean_total 9",

@@ -13,8 +13,11 @@ import (
 // heapPerMemberBudget bounds the live heap an engine holds per member
 // once warm: the member, its plan, its map entry and ordering slots,
 // and its share of the retained epoch scratch. The plan arena is
-// bounded by planChunk, so it is not part of the per-member share.
-const heapPerMemberBudget = 600
+// bounded by planChunk, the job list is released at the end of any
+// epoch it outgrows planChunk, and the routed ops, the dirty list and
+// the drained queue once an epoch uses a quarter of their capacity, so
+// none of them is part of the per-member share.
+const heapPerMemberBudget = 400
 
 // TestHeapPerMemberBudget registers 100k members, runs the cold plan
 // and five 1% drift epochs, and bounds the heap in use per member. One

@@ -1,11 +1,12 @@
 // Sharded member state: the engine's membership is striped into a
 // power-of-two number of shards selected by a SplitMix64-mixed hash of
 // the member id (the same recipe as internal/linkcache's 32-stripe
-// table). Each shard owns its members' inputs, dirty flags, dirty list
-// and committed plans behind its own RWMutex, so admission apply, plan
-// commit, and HTTP plan reads contend only per shard — the global lock
-// that used to serialize a million-member epoch against every
-// /v1/plan read is reduced to hub-budget and epoch-counter bookkeeping.
+// table). Each shard owns its members' inputs, dirty flags, dirty list,
+// committed plans and their rate codes behind its own RWMutex, so
+// admission apply, plan commit, and HTTP plan reads contend only per
+// shard — the global lock that used to serialize a million-member epoch
+// against every /v1/plan read is reduced to hub-budget and epoch-counter
+// bookkeeping.
 //
 // Epoch pipeline: RunEpoch routes the drained admission queue into
 // per-shard op queues with a single sequenced router (admission order is
@@ -17,10 +18,12 @@
 // core.BatchScratch arena, sized to a chunk of planChunk jobs rather
 // than to the epoch. An epoch plans the shard's dirty list, so its cost
 // follows drift, not membership; only a hub-budget change walks every
-// member. A final fold walks the planned jobs in global registration
-// order (k-way merge over the shards' seq-sorted job lists), so the
-// FNV-1a epoch digest is bit-identical to the single-lock engine's at
-// any shard or worker count.
+// member. A re-planned member whose distance has not moved since its
+// last plan has its link row rebuilt from that plan's rate code rather
+// than characterized again. A final fold walks the planned jobs in
+// global registration order (k-way merge over the shards' seq-sorted job
+// lists), so the FNV-1a epoch digest is bit-identical to the single-lock
+// engine's at any shard or worker count.
 
 package serve
 
@@ -180,15 +183,23 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	// Collect the dirty set in registration (seq) order — the order the
 	// digest merge and the lowest-seq first-error rule depend on — and
 	// snapshot its solve inputs, so planning can proceed without the lock.
+	// A member whose last plan was characterized at its current distance
+	// (bit for bit; distances are positive and finite) has its row
+	// rebuilt from the plan's rate code. RunEpoch left s.jobs empty (and
+	// nil past planChunk); it is grown once to the dirty list's length,
+	// not by doubling.
 	slices.SortFunc(s.dirty, bySeq)
-	s.jobs = s.jobs[:0]
+	s.jobs = slices.Grow(s.jobs, len(s.dirty))
 	for _, m := range s.dirty {
-		s.jobs = append(s.jobs, planJob{m: m, energy: m.energy, distance: m.distance})
+		s.jobs = append(s.jobs, planJob{
+			m: m, energy: m.energy, distance: m.distance,
+			rebuild: m.rateCode != 0 && float64(m.distance) == m.plan.Distance, code: m.rateCode,
+		})
 	}
 	s.mu.Unlock()
 	s.applied = int(registers + updates)
 	s.applyEndNs = float64(time.Since(applyStart))
-	s.ops = s.ops[:0]
+	s.ops = reuse(s.ops)
 	if rec := e.cfg.Rec; rec != nil {
 		rec.ServeRegisters.Add(registers)
 		rec.ServeUpdates.Add(updates)
@@ -212,10 +223,16 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	// Commit under the shard lock; readers of other shards never notice.
 	s.mu.Lock()
 	s.firstErr, s.firstErrSeq = nil, 0
-	s.dirty = s.dirty[:0]
+	s.dirty = reuse(s.dirty)
 	plannedLocal := 0
+	var rows [obs.NumLinkRowSources]uint64
 	for i := range s.jobs {
 		j := &s.jobs[i]
+		if j.rebuild {
+			rows[obs.LinkRowsRebuilt]++
+		} else {
+			rows[obs.LinkRowsCharacterized]++
+		}
 		if j.err != nil {
 			// Out of range or drained: keep the member dirty and queued,
 			// so every epoch re-plans it until an update brings it back;
@@ -230,12 +247,46 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 		}
 		j.m.plan = j.plan
 		j.m.hasPlan = true
+		j.m.rateCode = j.code
 		j.m.dirty = false
 		plannedLocal++
 	}
 	s.mu.Unlock()
 	s.planned = plannedLocal
 	s.planNs = float64(time.Since(planStart))
+	if rec := e.cfg.Rec; rec != nil {
+		for src, n := range rows {
+			rec.ServeLinkRows[src].Add(n)
+		}
+	}
+}
+
+// reuse empties an append-grown stage scratch slice (routed ops, the
+// dirty list, the drained queue) for the next epoch. It drops the slice
+// when its capacity exceeds both planChunk and four times the entries
+// this epoch used, so one large epoch (the cold plan, a registration
+// wave) does not pin its size for good; otherwise it zeroes the used
+// entries, so no id or member is kept alive past its epoch, and keeps
+// the capacity.
+func reuse[T any](s []T) []T {
+	if c := cap(s); c > planChunk && c > 4*len(s) {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// releaseJobs empties the job list at the end of its epoch. A list
+// longer than planChunk is dropped at once: the collect step regrows it
+// in one allocation, so the cold plan or a hub change leaves neither
+// its full-length list nor the superseded plans it points at behind,
+// even when no epoch follows.
+func releaseJobs(jobs []planJob) []planJob {
+	if cap(jobs) > planChunk {
+		return nil
+	}
+	clear(jobs)
+	return jobs[:0]
 }
 
 // planChunk bounds the shard's column arena: the plan phase solves the
@@ -244,32 +295,48 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 // per member. Every kernel works per slot, so the chunking moves no bit.
 const planChunk = 4096
 
-// solveChunk characterizes, solves and builds the plans of jobs (at
-// most planChunk of them) in the shard's arena: columnar
-// characterization, the offload kernel, and plan construction into the
-// job slots.
+// solveChunk fills, solves and builds the plans of jobs (at most
+// planChunk of them) in the shard's arena: each job's link row, rebuilt
+// from its rate code or characterized at its distance, then the offload
+// kernel, then plan construction into the job slots.
 func (s *shard) solveChunk(e *Engine, jobs []planJob, epoch uint64, hubE units.Joule, workers int) {
 	n := len(jobs)
 	s.batch.Reset(n)
+	s.batch.Cols.Reset(n)
 	for i := range jobs {
-		s.batch.Dists[i] = jobs[i].distance
 		s.batch.E1[i] = hubE
 		s.batch.E2[i] = jobs[i].energy
 	}
-	e.view.CharacterizeColumns(workers, s.batch.Dists, &s.batch.Cols)
-	core.OptimizeBatch(&s.batch, workers)
-	if workers != 1 && n >= shardPlanParThreshold {
-		par.For(workers, n, func(k int) { s.buildPlan(e, &jobs[k], k, epoch, hubE) })
-	} else {
-		for k := range jobs {
-			s.buildPlan(e, &jobs[k], k, epoch, hubE)
+	stripe(workers, n, func(k int) {
+		j := &jobs[k]
+		if j.rebuild && e.model.RebuildColumns(&s.batch.Cols, k, j.code) {
+			return
 		}
+		j.rebuild = false
+		e.model.CharacterizeColumns(&s.batch.Cols, k, j.distance)
+		j.code = s.batch.Cols.RateCode(k)
+	})
+	core.OptimizeBatch(&s.batch, workers)
+	stripe(workers, n, func(k int) { s.buildPlan(e, &jobs[k], k, epoch, hubE) })
+}
+
+// stripe runs fn(k) for every k < n, striped over the worker pool once n
+// reaches shardPlanParThreshold. Each index writes only its own slot, so
+// the result is the same at any worker count.
+func stripe(workers, n int, fn func(k int)) {
+	if workers != 1 && n >= shardPlanParThreshold {
+		par.For(workers, n, fn)
+		return
+	}
+	for k := range n {
+		fn(k)
 	}
 }
 
-// shardPlanParThreshold is the per-shard job count below which plan
-// construction stays sequential (same rationale as the batch kernels'
-// threshold: fanning out a handful of copies costs more than it saves).
+// shardPlanParThreshold is the per-shard job count below which row
+// filling and plan construction stay sequential (same rationale as the
+// batch kernels' threshold: fanning out a handful of rows costs more than
+// it saves).
 const shardPlanParThreshold = 64
 
 // buildPlan constructs job j's plan from the shard arena's slot i:
