@@ -263,22 +263,12 @@ func BenchmarkWaveformFrameZeroAlloc(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarloSweep is the sequential 1M-bit OOK Monte-Carlo
-// sweep — the baseline for the sharded version.
+// BenchmarkMonteCarloSweep is the 1M-bit OOK Monte-Carlo sweep.
 func BenchmarkMonteCarloSweep(b *testing.B) {
 	r := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = modem.MonteCarloBER(modem.OOKNonCoherent, 10, 1_000_000, r)
-	}
-}
-
-// BenchmarkMonteCarloSweepParallel is the sharded sweep on the shared
-// pool — bit-identical at any worker count, ~Nx faster on N cores.
-func BenchmarkMonteCarloSweepParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = modem.MonteCarloBERParallel(modem.OOKNonCoherent, 10, 1_000_000, 1, 0)
 	}
 }
 

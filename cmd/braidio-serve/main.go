@@ -4,15 +4,14 @@
 // epoch-batched and dirty-set scheduled — each epoch re-solves only the
 // members whose inputs drifted past tolerance — with bounded admission
 // queues, load shedding, Prometheus metrics at /metrics, and an
-// optional journal from which a captured session replays
-// bit-identically.
+// optional journal directory from which a captured session replays
+// bit-identically and a restart recovers.
 //
 // Usage:
 //
 //	braidio-serve -addr :8080                      # run the daemon
-//	braidio-serve -journal session.jsonl           # ... with single-file capture
 //	braidio-serve -journal-dir journal.d           # ... durable: snapshots, segments, crash recovery
-//	braidio-serve -replay session.jsonl            # verify a capture (file or journal dir)
+//	braidio-serve -replay journal.d                # verify a capture (journal dir or one file)
 //	braidio-serve -load -n 100000 -epochs 5        # self-contained load run
 //	braidio-serve -load -n 5000 -epochs 3 -check   # CI smoke (exit != 0 on failure)
 package main
@@ -46,7 +45,6 @@ func main() {
 	queueCap := flag.Int("queue-cap", 1<<16, "admission queue bound; overflow is shed with 503")
 	workers := flag.Int("workers", 0, "planning pool size (0 = GOMAXPROCS; plans identical at any value)")
 	shards := flag.Int("shards", 0, "member-state shards, rounded up to a power of two (0 = GOMAXPROCS; plans identical at any value)")
-	journalPath := flag.String("journal", "", "capture admitted ops and epoch digests to this JSONL file")
 	journalDir := flag.String("journal-dir", "", "durable segmented journal directory; restart recovers state from it")
 	snapshotEvery := flag.Uint64("snapshot-every", 16, "journal-dir mode: epochs between snapshots (and segment rotations)")
 	syncPolicy := flag.String("sync", "epoch", "journal fsync policy: none|epoch|always")
@@ -75,15 +73,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *journalPath != "" && *journalDir != "" {
-		fail(errors.New("-journal and -journal-dir are mutually exclusive"))
-	}
 	js := journalSetup{
-		path: *journalPath,
 		dir:  *journalDir,
 		opts: serve.JournalOptions{Sync: sync, SnapshotEvery: *snapshotEvery, Retain: *retain},
 	}
-	if js.path != "" || js.dir != "" {
+	if js.dir != "" {
 		cfg.JournalFailStop = *failStop
 	}
 
@@ -131,10 +125,9 @@ func (w *windowFlag) Set(s string) error {
 	return nil
 }
 
-// journalSetup carries the daemon's durability flags: a single capture
-// file (path), a segmented recovery directory (dir), or neither.
+// journalSetup carries the daemon's durability flags: the segmented
+// recovery directory (dir; empty journals nothing) and its options.
 type journalSetup struct {
-	path string
 	dir  string
 	opts serve.JournalOptions
 }
@@ -158,8 +151,9 @@ func runDaemon(addr string, epochEvery time.Duration, cfg serve.Config, js journ
 		eng     *serve.Engine
 		journal *serve.Journal
 	)
-	switch {
-	case js.dir != "":
+	if js.dir == "" {
+		eng = serve.NewEngine(cfg)
+	} else {
 		var st serve.RecoveryStats
 		var err error
 		eng, journal, st, err = serve.Open(js.dir, cfg, js.opts)
@@ -176,17 +170,6 @@ func runDaemon(addr string, epochEvery time.Duration, cfg serve.Config, js journ
 		} else {
 			fmt.Printf("braidio-serve: starting fresh journal directory %s\n", js.dir)
 		}
-	case js.path != "":
-		eng = serve.NewEngine(cfg)
-		f, err := os.Create(js.path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		journal = serve.NewJournalFile(f, eng.Config(), js.opts)
-		eng.AttachJournal(journal)
-	default:
-		eng = serve.NewEngine(cfg)
 	}
 
 	ln, err := net.Listen("tcp", addr)
@@ -256,10 +239,11 @@ func runDaemon(addr string, epochEvery time.Duration, cfg serve.Config, js journ
 	return nil
 }
 
-// runReplay verifies a captured journal end to end: a single-file
-// capture through Replay, a segmented journal directory through
-// VerifyDir (snapshot restore + tail digest verification). Both run
-// the same journal reader and report the same counts.
+// runReplay verifies a captured journal end to end: a segmented
+// journal directory through VerifyDir (snapshot restore + tail digest
+// verification), a single file — one segment, or a config-headed
+// capture written before journal directories — through Replay. Both
+// run the same journal reader and report the same counts.
 func runReplay(path string) error {
 	info, err := os.Stat(path)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"braidio/internal/par"
 	"braidio/internal/rng"
 	"braidio/internal/units"
 )
@@ -207,12 +206,10 @@ func DetectOOKInto(dst []byte, wave []float64, samplesPerBit int, low, high floa
 // detector.
 //
 // The n bits are drawn in fixed 64 Ki shards, shard i from the i-th
-// Jump-chained substream of the passed stream's current state — exactly
-// the layout MonteCarloBERParallel uses — so the sequential and parallel
-// estimators are bit-identical: MonteCarloBER(s, snr, n, rng.New(seed))
-// == MonteCarloBERParallel(s, snr, n, seed, w) for every worker count w.
-// The stream is advanced by one Jump (2^128 steps) per shard, so
-// successive calls on one stream still draw disjoint sequences.
+// Jump-chained substream of the passed stream's current state (the
+// layout of rng.Substreams). The stream is advanced by one Jump (2^128
+// steps) per shard, so successive calls on one stream still draw
+// disjoint sequences.
 func MonteCarloBER(s Scheme, snr float64, n int, stream *rng.Stream) float64 {
 	if n <= 0 {
 		panic("modem: non-positive sample count")
@@ -241,10 +238,8 @@ func MonteCarloBER(s Scheme, snr float64, n int, stream *rng.Stream) float64 {
 }
 
 // monteCarloErrors simulates n bits through the scheme's envelope/noise
-// channel on the given stream and returns the error count. It is the
-// shared core of the sequential MonteCarloBER and the sharded
-// MonteCarloBERParallel; the draw sequence per (scheme, n, stream) is
-// part of the golden contract.
+// channel on the given stream and returns the error count: one shard of
+// MonteCarloBER.
 func monteCarloErrors(s Scheme, snr float64, n int, stream *rng.Stream) int {
 	errs := 0
 	switch s {
@@ -303,54 +298,10 @@ func monteCarloErrors(s Scheme, snr float64, n int, stream *rng.Stream) int {
 	return errs
 }
 
-// mcShardBits is the fixed Monte-Carlo shard size. The shard layout for
-// n bits — how many shards, each shard's size, and each shard's rng
-// substream — is a pure function of (n, seed), never of the worker
-// count, so a sweep's result is byte-identical whether it runs on one
-// core or sixty-four. 64 Ki bits per shard keeps per-shard dispatch
-// overhead ≪ 1% while still splitting the experiment-sized runs
-// (400k–1M bits) into enough pieces to load every core.
+// mcShardBits is MonteCarloBER's fixed shard size: the shard layout for
+// n bits (how many shards, each shard's size and substream) is a pure
+// function of n and the stream's state.
 const mcShardBits = 1 << 16
-
-// MonteCarloBERParallel estimates the same error rate as MonteCarloBER
-// but shards the n bits over a GOMAXPROCS-bounded worker pool (workers
-// <= 0 selects GOMAXPROCS). Each shard draws from its own rng substream
-// (rng.Substreams: 2^128-step Jump offsets of the seed, the
-// reader-side sharding discipline of the WISP/backscatter simulators),
-// and shard error counts merge in index order. The result is a
-// deterministic function of (s, snr, n, seed) alone, byte-identical to
-// the sequential MonteCarloBER(s, snr, n, rng.New(seed)) — the golden
-// bit-identity test pins the sequential path against every worker
-// count.
-func MonteCarloBERParallel(s Scheme, snr float64, n int, seed uint64, workers int) float64 {
-	if n <= 0 {
-		panic("modem: non-positive sample count")
-	}
-	switch s {
-	case OOKNonCoherent, FSKNonCoherent, PSKCoherent:
-	default:
-		// Reject on the caller's goroutine, not inside a worker.
-		panic(fmt.Sprintf("modem: unknown scheme %d", int(s)))
-	}
-	if snr <= 0 {
-		return 0.5
-	}
-	shards := (n + mcShardBits - 1) / mcShardBits
-	streams := rng.Substreams(seed, shards)
-	errs := make([]int, shards)
-	par.For(workers, shards, func(i int) {
-		size := mcShardBits
-		if i == shards-1 {
-			size = n - (shards-1)*mcShardBits
-		}
-		errs[i] = monteCarloErrors(s, snr, size, streams[i])
-	})
-	total := 0
-	for _, e := range errs {
-		total += e
-	}
-	return float64(total) / float64(n)
-}
 
 // SchemeForMode returns the detection scheme each Braidio mode uses:
 // the active link is a coherent radio; both envelope-detected links are

@@ -169,6 +169,22 @@ func TestMonteCarloValidatesAnalytic(t *testing.T) {
 	}
 }
 
+// TestMonteCarloBERMatchesShardLoop pins MonteCarloBER's draws: the
+// estimate equals summing monteCarloErrors over explicit 64 Ki shards
+// drawn from rng.Substreams in index order.
+func TestMonteCarloBERMatchesShardLoop(t *testing.T) {
+	const n, seed = 150000, 12345
+	streams := rng.Substreams(seed, 3) // ceil(150000/65536) = 3 shards
+	errs := 0
+	for i, size := range []int{65536, 65536, n - 2*65536} {
+		errs += monteCarloErrors(OOKNonCoherent, 9, size, streams[i])
+	}
+	want := float64(errs) / float64(n)
+	if got := MonteCarloBER(OOKNonCoherent, 9, n, rng.New(seed)); got != want {
+		t.Fatalf("MonteCarloBER %v vs explicit shard loop %v", got, want)
+	}
+}
+
 func TestMonteCarloZeroSNR(t *testing.T) {
 	r := rng.New(5)
 	if got := MonteCarloBER(OOKNonCoherent, 0, 100, r); got != 0.5 {
@@ -337,87 +353,10 @@ func TestIntoVariantsMatchAndReuse(t *testing.T) {
 	}
 }
 
-// TestMonteCarloBERParallelBitIdentical is the golden bit-identity test
-// for the sharded sweep: any worker count must reproduce the sequential
-// MonteCarloBER result exactly, for sizes below, at, and straddling
-// shard boundaries.
-func TestMonteCarloBERParallelBitIdentical(t *testing.T) {
-	for _, s := range []Scheme{OOKNonCoherent, FSKNonCoherent, PSKCoherent} {
-		for _, n := range []int{100, 65536, 65537, 200001} {
-			want := MonteCarloBER(s, 8, n, rng.New(77))
-			if got := MonteCarloBERParallel(s, 8, n, 77, 1); got != want {
-				t.Fatalf("%v n=%d: workers=1 gave %v, sequential gave %v", s, n, got, want)
-			}
-			for _, workers := range []int{2, 3, 7, 16, 0} {
-				if got := MonteCarloBERParallel(s, 8, n, 77, workers); got != want {
-					t.Fatalf("%v n=%d: workers=%d gave %v, workers=1 gave %v", s, n, workers, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestMonteCarloBERParallelMatchesShardLoop pins the shard layout
-// itself: the parallel result equals summing monteCarloErrors over
-// explicit 64 Ki shards drawn from rng.Substreams in index order.
-func TestMonteCarloBERParallelMatchesShardLoop(t *testing.T) {
-	const n, seed = 150000, 12345
-	streams := rng.Substreams(seed, 3) // ceil(150000/65536) = 3 shards
-	errs := 0
-	for i, size := range []int{65536, 65536, n - 2*65536} {
-		errs += monteCarloErrors(OOKNonCoherent, 9, size, streams[i])
-	}
-	want := float64(errs) / float64(n)
-	if got := MonteCarloBERParallel(OOKNonCoherent, 9, n, seed, 4); got != want {
-		t.Fatalf("parallel %v vs explicit shard loop %v", got, want)
-	}
-}
-
-func TestMonteCarloBERParallelValidatesAnalytic(t *testing.T) {
-	for _, s := range []Scheme{OOKNonCoherent, FSKNonCoherent, PSKCoherent} {
-		for _, snr := range []float64{6, 10} {
-			analytic := BER(s, snr)
-			if analytic < 5e-5 {
-				continue
-			}
-			mc := MonteCarloBERParallel(s, snr, 400000, 99, 0)
-			if ratio := mc / analytic; ratio < 0.3 || ratio > 3 {
-				t.Errorf("%v snr=%v: parallel Monte-Carlo %v vs analytic %v", s, snr, mc, analytic)
-			}
-		}
-	}
-}
-
-func TestMonteCarloBERParallelEdges(t *testing.T) {
-	if got := MonteCarloBERParallel(OOKNonCoherent, 0, 100, 1, 4); got != 0.5 {
-		t.Errorf("zero SNR = %v, want 0.5", got)
-	}
-	for name, f := range map[string]func(){
-		"n=0":        func() { MonteCarloBERParallel(OOKNonCoherent, 1, 0, 1, 4) },
-		"bad scheme": func() { MonteCarloBERParallel(Scheme(99), 1, 10, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func BenchmarkMonteCarloBERSequential1M(b *testing.B) {
 	r := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = MonteCarloBER(OOKNonCoherent, 10, 1_000_000, r)
-	}
-}
-
-func BenchmarkMonteCarloBERParallel1M(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = MonteCarloBERParallel(OOKNonCoherent, 10, 1_000_000, 1, 0)
 	}
 }

@@ -359,8 +359,9 @@ type Recorder struct {
 	// members they re-planned, indexed by source (LinkRowsCharacterized,
 	// LinkRowsRebuilt). A failed solve counts its row too.
 	ServeLinkRows [NumLinkRowSources]Counter
-	// ServeSheds counts requests dropped by admission backpressure (the
-	// bounded queue was full or the member cap was hit).
+	// ServeSheds counts operations refused admission, one per refused
+	// operation: the bounded queue was full (serve.ErrShed), or a
+	// fail-stop engine's journal had failed (serve.ErrJournalBroken).
 	ServeSheds Counter
 	// ServeEpochs counts serving epochs executed.
 	ServeEpochs Counter

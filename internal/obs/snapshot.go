@@ -384,7 +384,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_interfered_rounds_total", "Member-rounds planned under co-channel interference.", s.InterferedRounds)
 	counter("braidio_serve_registers_total", "Member registrations applied by serve epochs.", s.ServeRegisters)
 	counter("braidio_serve_updates_total", "Member updates applied by serve epochs (hub budget changes not counted).", s.ServeUpdates)
-	counter("braidio_serve_sheds_total", "Requests dropped by serve admission backpressure.", s.ServeSheds)
+	counter("braidio_serve_sheds_total", "Operations refused serve admission: queue full, or journal broken under fail-stop.", s.ServeSheds)
 	counter("braidio_serve_epochs_total", "Serving epochs executed.", s.ServeEpochs)
 	counter("braidio_serve_plans_total", "Member plans solved (dirty members only).", s.ServePlans)
 	counter("braidio_serve_clean_total", "Member-epochs skipped as within-tolerance.", s.ServeClean)

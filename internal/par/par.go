@@ -1,10 +1,9 @@
-// Package par provides the bounded worker pool the waveform engine and
-// the experiment figures share. Every parallel sweep in the module —
-// Monte-Carlo BER shards, rxchain config sweeps, figure cells — fans out
-// through For/ForErr, so the whole repo has exactly one concurrency
-// idiom to audit: a GOMAXPROCS-bounded pool pulling indices off an
-// atomic counter, with results written to caller-owned, index-addressed
-// slots.
+// Package par provides the bounded worker pool the module shares. Every
+// parallel fan-out — rxchain config sweeps, figure cells, fleet and
+// network rounds, batch solves, serve's shard stages — goes through
+// For/ForErr, so the whole repo has exactly one concurrency idiom to
+// audit: a GOMAXPROCS-bounded pool pulling indices off an atomic
+// counter, with results written to caller-owned, index-addressed slots.
 //
 // Determinism contract: For(workers, n, f) calls f(i) exactly once for
 // every i in [0, n). Which goroutine runs which index (and in what

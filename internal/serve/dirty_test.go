@@ -42,13 +42,48 @@ func heldJobs(e *Engine) error {
 	return nil
 }
 
+// heldScratch reports the rest of the epoch scratch that, between
+// epochs, keeps more than planChunk slots or any entry: the drained
+// queue and every shard's routed ops and dirty list (a test whose every
+// solve succeeds leaves no member queued).
+func heldScratch(e *Engine) error {
+	if err := held("drained queue", e.spare); err != nil {
+		return err
+	}
+	for si, s := range e.shards {
+		if err := held(fmt.Sprintf("shard %d routed ops", si), s.ops); err != nil {
+			return err
+		}
+		if err := held(fmt.Sprintf("shard %d dirty list", si), s.dirty); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// held reports a scratch slice with more than planChunk slots or a
+// non-zero slot.
+func held[T comparable](name string, s []T) error {
+	if c := cap(s); c > planChunk {
+		return fmt.Errorf("%s keeps %d slots", name, c)
+	}
+	var zero T
+	for k, v := range s[:cap(s)] {
+		if v != zero {
+			return fmt.Errorf("%s slot %d still holds an entry", name, k)
+		}
+	}
+	return nil
+}
+
 // TestChunkedEpochs plans 10,000 members, more than two arena chunks at
 // one shard and one chunk per shard at sixteen, through a cold plan, a
 // 1% drift epoch, a hub change and another drift epoch. Every epoch's
 // counts must be exact, every digest equal across the grid, the journal
-// must verify against a fresh replay, and no epoch may leave its job
-// list behind: the cold plan's and the hub change's 10,000 entries at
-// one shard are released before the next epoch runs.
+// must verify against a fresh replay, and no epoch may leave its
+// scratch behind: the cold plan's and the hub change's 10,000 jobs at
+// one shard, and the cold plan's 10,000 routed ops and drained queue,
+// are released before the next epoch runs.
 func TestChunkedEpochs(t *testing.T) {
 	const n = 10_000
 	if n <= 2*planChunk {
@@ -106,6 +141,9 @@ func TestChunkedEpochs(t *testing.T) {
 					t.Errorf("%s epoch %d: %d members still queued", label, k+1, got)
 				}
 				if err := heldJobs(e); err != nil {
+					t.Errorf("%s epoch %d: %v", label, k+1, err)
+				}
+				if err := heldScratch(e); err != nil {
 					t.Errorf("%s epoch %d: %v", label, k+1, err)
 				}
 				digests = append(digests, res.Digest)

@@ -45,8 +45,8 @@ type Config struct {
 	// Workers bounds the planning pool (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Shards is the member-state shard count, rounded up to a power of
-	// two (<= 0 selects a power of two at least GOMAXPROCS, capped at
-	// 64). Purely operational: digests, journals, and snapshots are
+	// two (<= 0 selects a power of two at least GOMAXPROCS) and capped
+	// at 1024. Purely operational: digests, journals, and snapshots are
 	// bit-identical at any shard count.
 	Shards int
 	// QueueCap bounds the admission queue; operations arriving when the
@@ -76,9 +76,9 @@ type Config struct {
 	// engine keeps serving and the broken journal is visible only through
 	// Stats and /healthz.
 	JournalFailStop bool
-	// Rec receives serve counters and, once Open or NewJournalFile
-	// attaches a journal, its durability counters; Server's /metrics
-	// exports it. Nil disables recording.
+	// Rec receives serve counters and, once Open attaches a journal, its
+	// durability counters; Server's /metrics exports it. Nil disables
+	// recording.
 	Rec *obs.Recorder
 }
 
@@ -210,7 +210,7 @@ type Engine struct {
 
 	queueMu  sync.Mutex
 	queue    []op
-	spare    []op   // the last drained queue, emptied for reuse (under epochMu)
+	spare    []op   // the last drained queue, released for reuse (under epochMu)
 	admitted uint64 // cumulative ops admitted, ever (incl. restored history)
 
 	// mu is the residual global lock: hub budget, epoch counter, and
@@ -263,10 +263,10 @@ func NewEngine(cfg Config) *Engine {
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// AttachJournal starts capturing admitted operations and epoch digests
-// to j. Attach before serving traffic — operations admitted earlier are
-// not in the journal and the replay would diverge.
-func (e *Engine) AttachJournal(j *Journal) {
+// attachJournal starts capturing admitted operations and epoch digests
+// to j. Open attaches before returning the engine, so no operation is
+// admitted unjournaled and the replay cannot diverge.
+func (e *Engine) attachJournal(j *Journal) {
 	e.queueMu.Lock()
 	e.journal = j
 	e.queueMu.Unlock()
@@ -501,7 +501,8 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	e.queueMu.Lock()
 	ops := e.queue
 	// Swap in the last drained buffer: the queue keeps the capacity
-	// admissions grew it to instead of being reallocated every epoch.
+	// admissions grew it to, up to planChunk (see release), instead of
+	// being reallocated every epoch.
 	e.queue, e.spare = e.spare, nil
 	// The drain marker sits in the same critical section, so every
 	// journaled op unambiguously belongs to exactly one epoch.
@@ -619,7 +620,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		e.applyLat.observe(applyNs)
 		e.latMu.Unlock()
 	}
-	e.spare = reuse(ops) // the shards applied copies
+	e.spare = release(ops) // the shards applied copies
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServePlanLatency.Observe(planNs)
@@ -648,7 +649,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		Digest:  e.epochDigest(epoch, jobsTotal),
 	}
 	for _, s := range e.shards {
-		s.jobs = releaseJobs(s.jobs)
+		s.jobs = release(s.jobs)
 	}
 	if journal != nil {
 		journal.epoch(res)

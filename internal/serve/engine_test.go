@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"testing"
@@ -434,8 +433,11 @@ func TestPlanLatencyMetric(t *testing.T) {
 // the journal would break for good. Rejected ops leave the queue and
 // the journal untouched.
 func TestAdmitRejectsNonFinite(t *testing.T) {
-	e := NewEngine(testConfig(nil))
-	e.AttachJournal(NewJournal(io.Discard, e.Config()))
+	e, j, _, err := Open(t.TempDir(), testConfig(nil), JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	if err := e.Register("m", 1, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -294,7 +294,7 @@ func TestHTTPJournalBroken(t *testing.T) {
 	cfg := testConfig(rec)
 	cfg.JournalFailStop = true
 	ts, e := newTestServer(t, cfg)
-	e.AttachJournal(brokenJournal(rec))
+	e.attachJournal(brokenJournal(rec))
 
 	r, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,9 +31,7 @@ func (shortWriter) Write(p []byte) (int, error) {
 // tiny bufio buffer in front of a failing writer, so the config header
 // flush hits the error immediately.
 func brokenJournal(rec *obs.Recorder) *Journal {
-	j := &Journal{w: bufio.NewWriterSize(errWriter{err: errors.New("disk gone")}, 8), rec: rec}
-	j.writeConfigHeader(testConfig(nil))
-	return j
+	return configJournal(bufio.NewWriterSize(errWriter{err: errors.New("disk gone")}, 8), testConfig(rec))
 }
 
 // TestJournalStickyErrorAndCounter checks the first write failure is
@@ -66,8 +62,7 @@ func TestJournalStickyErrorAndCounter(t *testing.T) {
 func TestJournalShortWrite(t *testing.T) {
 	// The record sits in the bufio buffer; the flush at Close is what
 	// hands it to the misbehaving writer.
-	j := &Journal{w: bufio.NewWriterSize(shortWriter{}, 1<<16)}
-	j.writeConfigHeader(testConfig(nil))
+	j := configJournal(bufio.NewWriterSize(shortWriter{}, 1<<16), testConfig(nil))
 	if err := j.Close(); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("Close() = %v, want io.ErrShortWrite", err)
 	}
@@ -76,16 +71,19 @@ func TestJournalShortWrite(t *testing.T) {
 	}
 }
 
-// TestJournalSyncFailure drives the file-backed path: fsync against a
-// closed descriptor must surface through Err, not vanish.
+// TestJournalSyncFailure drives the file-backed path: a flush and
+// fsync against a closed segment descriptor must surface through Err,
+// not vanish.
 func TestJournalSyncFailure(t *testing.T) {
-	f, err := os.Create(filepath.Join(t.TempDir(), "j.jsonl"))
+	rec := &obs.Recorder{}
+	e, j, _, err := Open(t.TempDir(), testConfig(rec), JournalOptions{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close() // journal writes will flush and fsync into a closed fd
-	rec := &obs.Recorder{}
-	j := NewJournalFile(f, testConfig(rec), JournalOptions{Sync: SyncAlways})
+	j.f.Close() // the next record flushes and fsyncs into a closed fd
+	if err := e.Register("a", 1, 1); err != nil {
+		t.Fatal(err)
+	}
 	if j.Err() == nil {
 		t.Fatal("Err() nil after sync against a closed file")
 	}
@@ -102,7 +100,7 @@ func TestJournalFailStop(t *testing.T) {
 	cfg := testConfig(rec)
 	cfg.JournalFailStop = true
 	e := NewEngine(cfg)
-	e.AttachJournal(brokenJournal(rec))
+	e.attachJournal(brokenJournal(rec))
 
 	err := e.Register("a", 1, 1)
 	if !errors.Is(err, ErrJournalBroken) {
@@ -122,7 +120,7 @@ func TestJournalFailStop(t *testing.T) {
 	// is degraded, not the service.
 	cfg.JournalFailStop = false
 	e2 := NewEngine(cfg)
-	e2.AttachJournal(brokenJournal(rec))
+	e2.attachJournal(brokenJournal(rec))
 	if err := e2.Register("a", 1, 1); err != nil {
 		t.Fatalf("Register without fail-stop = %v, want nil", err)
 	}
@@ -132,11 +130,7 @@ func TestJournalFailStop(t *testing.T) {
 // clear error instead of buffering unbounded input.
 func TestReplayRejectsOverlongLine(t *testing.T) {
 	var buf bytes.Buffer
-	e := NewEngine(testConfig(nil))
-	j := NewJournal(&buf, e.Config())
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(frameLine([]byte(`{"t":"config","hub_j":10}`)))
 	// A syntactically valid framed record, just far past the 1 MiB cap.
 	huge := []byte(`{"t":"reg","id":"` + strings.Repeat("x", replayMaxLine+1024) + `","e":1,"d":1}`)
 	buf.Write(frameLine(huge))

@@ -7,12 +7,12 @@
 // operations each epoch saw. The "epoch" record that follows carries
 // the plan digest the live run produced.
 //
-// Two storage modes share this encoder. Writer mode (NewJournal /
-// NewJournalFile) appends a single stream headed by a "config" record.
-// Directory mode (serve.Open) writes segments headed by a "snap"
-// record, with rotation and compaction; see segment.go. One reader,
-// replayJournal in recover.go, reads both: Replay, VerifyDir and Open
-// all decode the head and re-run the tail through it, demanding every
+// One writer, serve.Open, keeps the journal as a directory of segments,
+// each headed by a "snap" record, with rotation and compaction; see
+// segment.go. One reader, replayJournal in recover.go, reads a segment
+// or a capture written before the journal became a directory, a single
+// stream headed by a "config" record: Replay, VerifyDir and Open all
+// decode the head and re-run the tail through it, demanding every
 // recomputed digest match the journal's bit for bit.
 //
 // Unlike the pre-durability journal, write failures are not silently
@@ -61,13 +61,12 @@ type record struct {
 }
 
 // JournalOptions tune the durability layer; the zero value is a safe
-// default (no fsync, 16-epoch snapshots in directory mode, keep no
-// pre-snapshot segments).
+// default (no fsync, 16-epoch snapshots, keep no pre-snapshot segments).
 type JournalOptions struct {
 	// Sync is the fsync policy; see SyncPolicy.
 	Sync SyncPolicy
 	// SnapshotEvery is the epoch interval between snapshots (and the
-	// segment rotations they trigger) in directory mode; 0 selects 16.
+	// segment rotations they trigger); 0 selects 16.
 	SnapshotEvery uint64
 	// Retain keeps that many pre-snapshot segments past compaction
 	// (0 deletes everything older than the newest snapshot).
@@ -84,49 +83,23 @@ func (o JournalOptions) withDefaults() JournalOptions {
 	return o
 }
 
-// Journal captures a session for replay and recovery. Safe for
-// concurrent writers; the engine calls it from inside its
-// admission-queue critical section so record order matches admission
-// order.
+// Journal captures a session for replay and recovery in a segmented
+// directory; Open starts one. Safe for concurrent writers; the engine
+// calls it from inside its admission-queue critical section so record
+// order matches admission order.
 type Journal struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
-	f   *os.File // fsync target; nil for plain writers
+	f   *os.File // the current segment, the fsync target
 	err error
 
 	policy SyncPolicy
 	rec    *obs.Recorder
 
-	// directory mode (nil dir = single-stream writer mode)
-	dir      string
-	idx      int
-	every    uint64
-	retain   int
-	ownsFile bool
-}
-
-// NewJournal starts a single-stream journal on w by writing the engine
-// config header. Records are CRC-framed but never fsynced (w need not
-// be a file); use NewJournalFile for a durable single-file capture or
-// Open for the segmented directory form.
-func NewJournal(w io.Writer, cfg Config) *Journal {
-	j := &Journal{w: bufio.NewWriterSize(w, 1<<16)}
-	j.writeConfigHeader(cfg)
-	return j
-}
-
-// NewJournalFile starts a single-file journal on f with a sync policy.
-// The journal does not take ownership of f: Close flushes and fsyncs
-// but leaves closing the descriptor to the caller. cfg.Rec receives the
-// journal's error counter.
-func NewJournalFile(f *os.File, cfg Config, opts JournalOptions) *Journal {
-	j := &Journal{w: bufio.NewWriterSize(f, 1<<16), f: f, policy: opts.Sync, rec: cfg.Rec}
-	j.writeConfigHeader(cfg)
-	return j
-}
-
-func (j *Journal) writeConfigHeader(cfg Config) {
-	j.write(record{T: "config", journalConfig: journalConfigOf(cfg), QueueCap: cfg.QueueCap})
+	dir    string
+	idx    int
+	every  uint64
+	retain int
 }
 
 // fail records the journal's first error; dropped counts every record
@@ -195,13 +168,13 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-// Close flushes and fsyncs buffered records and returns the first
-// error. Directory-mode journals also close their segment file.
+// Close flushes and fsyncs buffered records, closes the segment file
+// and returns the first error.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.syncLocked()
-	if j.ownsFile && j.f != nil {
+	if j.f != nil {
 		if err := j.f.Close(); err != nil && j.err == nil {
 			j.err = err
 		}
@@ -233,9 +206,10 @@ func (j *Journal) epoch(res EpochResult) {
 }
 
 // wantSnapshot reports whether the epoch boundary just recorded should
-// trigger a snapshot + rotation (directory mode only).
+// trigger a snapshot + rotation. A journal with no interval never
+// rotates.
 func (j *Journal) wantSnapshot(epoch uint64) bool {
-	return j.dir != "" && j.every > 0 && epoch%j.every == 0
+	return j.every > 0 && epoch%j.every == 0
 }
 
 // snapshotRotate seals the current segment, starts the next one with
@@ -247,9 +221,6 @@ func (j *Journal) wantSnapshot(epoch uint64) bool {
 func (j *Journal) snapshotRotate(snap *snapshotRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dir == "" {
-		return
-	}
 	if j.err != nil {
 		if j.rec != nil {
 			j.rec.ServeJournalErrors.Add(1)

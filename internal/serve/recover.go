@@ -256,7 +256,7 @@ func recoverEngine(dir string, cfg Config) (*Engine, RecoveryStats, error) {
 	return eng, stats, err
 }
 
-// VerifyDir replays a journal directory read-only — the directory-mode
+// VerifyDir replays a journal directory read-only — the directory
 // analogue of Replay: restore the newest snapshot, replay the tail,
 // verify every epoch digest bit for bit. Nothing is written.
 func VerifyDir(dir string) (RecoveryStats, error) {
@@ -308,7 +308,6 @@ func Open(dir string, cfg Config, opts JournalOptions) (*Engine, *Journal, Recov
 		policy: opts.Sync, rec: cfg.Rec,
 		dir: dir, idx: nextAfter,
 		every: opts.SnapshotEvery, retain: opts.Retain,
-		ownsFile: true,
 	}
 	// Seed the new segment with a snapshot of the recovered (or fresh)
 	// state; the rotation also compacts everything it supersedes.
@@ -316,6 +315,6 @@ func Open(dir string, cfg Config, opts JournalOptions) (*Engine, *Journal, Recov
 	if jerr := j.Err(); jerr != nil {
 		return nil, nil, stats, fmt.Errorf("serve: starting journal segment: %w", jerr)
 	}
-	eng.AttachJournal(j)
+	eng.attachJournal(j)
 	return eng, j, stats, nil
 }

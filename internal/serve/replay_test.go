@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -12,17 +13,56 @@ import (
 	"braidio/internal/units"
 )
 
-// captureSession runs a deterministic multi-epoch session with a
-// journal attached and returns the captured JSONL.
+// capture runs drive on an engine that Open journals into a fresh
+// directory and returns the journal. The snapshot interval is one no
+// test session reaches, so the journal is one segment, headed by the
+// empty engine's snapshot.
+func capture(t *testing.T, cfg Config, drive func(e *Engine)) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	e, j, _, err := Open(dir, cfg, JournalOptions{SnapshotEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(e)
+	if err := j.Close(); err != nil {
+		t.Fatalf("journal close: %v", err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("captured %d segments, want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// configJournal starts a journal on w headed by cfg's config record,
+// the head of the single-stream captures written before journal
+// directories: input for the tests of the reader's config-headed path.
+func configJournal(w *bufio.Writer, cfg Config) *Journal {
+	j := &Journal{w: w, rec: cfg.Rec}
+	j.write(record{T: "config", journalConfig: journalConfigOf(cfg), QueueCap: cfg.QueueCap})
+	return j
+}
+
+// captureSession captures runSession at a worker count.
 func captureSession(t *testing.T, workers int) []byte {
 	t.Helper()
 	cfg := testConfig(nil)
 	cfg.Workers = workers
-	e := NewEngine(cfg)
-	var buf bytes.Buffer
-	j := NewJournal(&buf, e.Config())
-	e.AttachJournal(j)
+	return capture(t, cfg, func(e *Engine) { runSession(t, e) })
+}
 
+// runSession drives a deterministic multi-epoch session: 24
+// registrations, then three rounds of updates, one with a hub change.
+func runSession(t *testing.T, e *Engine) {
+	t.Helper()
 	for i := 0; i < 24; i++ {
 		if err := e.Register(fmt.Sprintf("dev-%02d", i), units.Joule(0.4+0.07*float64(i)), units.Meter(0.6+0.12*float64(i))); err != nil {
 			t.Fatalf("register: %v", err)
@@ -50,10 +90,6 @@ func captureSession(t *testing.T, workers int) []byte {
 		}
 		mustEpoch(t, e)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("journal close: %v", err)
-	}
-	return buf.Bytes()
 }
 
 // TestReplayBitIdentity captures a session and replays it: every epoch
@@ -194,50 +230,44 @@ func TestReplayRejectsGarbage(t *testing.T) {
 // journal captured is the ground truth — replay must still match every
 // digest, because journal order is admission order by construction.
 func TestJournalConcurrentAdmissionsReplay(t *testing.T) {
-	e := NewEngine(testConfig(nil))
-	var buf bytes.Buffer
-	j := NewJournal(&buf, e.Config())
-	e.AttachJournal(j)
-
 	const writers, perWriter = 6, 30
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := fmt.Sprintf("w%d-%d", w, i)
-				if err := e.Register(id, 1.0, units.Meter(0.5+0.1*float64(i%30))); err != nil {
-					t.Errorf("register: %v", err)
-					return
-				}
-				if err := e.Update(id, 0.5, units.Meter(0.5+0.1*float64(i%30))); err != nil {
-					t.Errorf("update: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); wg.Wait() }()
 	epochs := 1
-loop:
-	for {
-		mustEpoch(t, e)
-		select {
-		case <-done:
-			mustEpoch(t, e)
-			epochs++
-			break loop
-		default:
-			epochs++
+	journal := capture(t, testConfig(nil), func(e *Engine) {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					id := fmt.Sprintf("w%d-%d", w, i)
+					if err := e.Register(id, 1.0, units.Meter(0.5+0.1*float64(i%30))); err != nil {
+						t.Errorf("register: %v", err)
+						return
+					}
+					if err := e.Update(id, 0.5, units.Meter(0.5+0.1*float64(i%30))); err != nil {
+						t.Errorf("update: %v", err)
+						return
+					}
+				}
+			}(w)
 		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
+		done := make(chan struct{})
+		go func() { defer close(done); wg.Wait() }()
+	loop:
+		for {
+			mustEpoch(t, e)
+			select {
+			case <-done:
+				mustEpoch(t, e)
+				epochs++
+				break loop
+			default:
+				epochs++
+			}
+		}
+	})
 
-	res, err := Replay(bytes.NewReader(buf.Bytes()))
+	res, err := Replay(bytes.NewReader(journal))
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -263,9 +293,20 @@ func stripFrames(journal []byte) []byte {
 }
 
 // TestReplayLegacyCapture replays a capture written as bare JSONL, the
-// pre-CRC form: every digest must still match.
+// pre-CRC form, headed by a config record: every digest must still
+// match.
 func TestReplayLegacyCapture(t *testing.T) {
-	legacy := stripFrames(captureSession(t, 2))
+	cfg := testConfig(nil)
+	cfg.Workers = 2
+	e := NewEngine(cfg)
+	var buf bytes.Buffer
+	j := configJournal(bufio.NewWriter(&buf), e.Config())
+	e.attachJournal(j)
+	runSession(t, e)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	legacy := stripFrames(buf.Bytes())
 	if bytes.Contains(legacy, []byte(` {"t":`)) {
 		t.Fatal("frames left in the legacy capture")
 	}
@@ -350,8 +391,10 @@ func TestReplayRejectsHugeWindow(t *testing.T) {
 }
 
 // TestJournalHeaderMatchesFixture pins the config header's bytes:
-// NewJournal, given the config the committed single-stream fixture was
-// captured with, must write that capture's first line exactly.
+// configJournal, given the config the committed single-stream fixture
+// was captured with, must write that capture's first line exactly, so
+// the config-headed input the tests build is the shape real captures
+// have.
 func TestJournalHeaderMatchesFixture(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "pr7_single_stream.journal"))
 	if err != nil {
@@ -359,7 +402,7 @@ func TestJournalHeaderMatchesFixture(t *testing.T) {
 	}
 	want := fixture[:bytes.IndexByte(fixture, '\n')+1]
 	var buf bytes.Buffer
-	j := NewJournal(&buf, Config{RatioTolerance: 0.05, DistanceTolerance: 0.05, Window: 64, HubEnergy: 10, QueueCap: 4096})
+	j := configJournal(bufio.NewWriter(&buf), Config{RatioTolerance: 0.05, DistanceTolerance: 0.05, Window: 64, HubEnergy: 10, QueueCap: 4096})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,10 @@
 // (hard error) by where the bad record sits. It accepts bare legacy
 // JSONL lines only outside segments (Replay of pre-CRC captures).
 //
-// Segments. In directory mode the journal is a sequence of segment
-// files; every segment begins with a full-state snapshot record, so
-// recovery never reads more than one segment: restore the newest
-// segment's head snapshot and replay its tail, through the same reader
-// Replay uses. Rotation (a new segment) happens exactly when a snapshot
+// Segments. The journal is a sequence of segment files; every segment
+// begins with a full-state snapshot record, so recovery never reads
+// more than one segment: restore the newest segment's head snapshot and
+// replay its tail, through the same reader Replay uses. Rotation (a new segment) happens exactly when a snapshot
 // is written, and compaction deletes segments older than the newest
 // snapshot (minus a configurable retain count). Rotation orders its
 // writes for crash safety: the new segment's snapshot is flushed and

@@ -199,7 +199,7 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	s.mu.Unlock()
 	s.applied = int(registers + updates)
 	s.applyEndNs = float64(time.Since(applyStart))
-	s.ops = reuse(s.ops)
+	s.ops = release(s.ops)
 	if rec := e.cfg.Rec; rec != nil {
 		rec.ServeRegisters.Add(registers)
 		rec.ServeUpdates.Add(updates)
@@ -223,7 +223,7 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	// Commit under the shard lock; readers of other shards never notice.
 	s.mu.Lock()
 	s.firstErr, s.firstErrSeq = nil, 0
-	s.dirty = reuse(s.dirty)
+	s.dirty = release(s.dirty)
 	plannedLocal := 0
 	var rows [obs.NumLinkRowSources]uint64
 	for i := range s.jobs {
@@ -261,32 +261,18 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	}
 }
 
-// reuse empties an append-grown stage scratch slice (routed ops, the
-// dirty list, the drained queue) for the next epoch. It drops the slice
-// when its capacity exceeds both planChunk and four times the entries
-// this epoch used, so one large epoch (the cold plan, a registration
-// wave) does not pin its size for good; otherwise it zeroes the used
-// entries, so no id or member is kept alive past its epoch, and keeps
-// the capacity.
-func reuse[T any](s []T) []T {
-	if c := cap(s); c > planChunk && c > 4*len(s) {
+// release empties an epoch scratch slice (the routed ops, the dirty
+// list, the job list, the drained queue) at the end of the epoch that
+// used it. A slice whose capacity exceeds planChunk is dropped, so the
+// cold plan, a registration wave or a hub change leaves neither its
+// length nor the ids, members and superseded plans it points at behind,
+// even when no epoch follows; any other is zeroed and kept.
+func release[T any](s []T) []T {
+	if cap(s) > planChunk {
 		return nil
 	}
 	clear(s)
 	return s[:0]
-}
-
-// releaseJobs empties the job list at the end of its epoch. A list
-// longer than planChunk is dropped at once: the collect step regrows it
-// in one allocation, so the cold plan or a hub change leaves neither
-// its full-length list nor the superseded plans it points at behind,
-// even when no epoch follows.
-func releaseJobs(jobs []planJob) []planJob {
-	if cap(jobs) > planChunk {
-		return nil
-	}
-	clear(jobs)
-	return jobs[:0]
 }
 
 // planChunk bounds the shard's column arena: the plan phase solves the

@@ -146,11 +146,11 @@ func TestShardCountInvariance(t *testing.T) {
 			cfg := testConfig(rec)
 			cfg.Shards = g.shards
 			cfg.Workers = g.workers
-			e := NewEngine(cfg)
-			var buf bytes.Buffer
-			e.AttachJournal(NewJournal(&buf, e.Config()))
-			results := driveSchedule(t, e)
-			got := &outcome{results: results, journal: buf.Bytes(), snapshot: snapshotBytes(t, e)}
+			got := &outcome{}
+			got.journal = capture(t, cfg, func(e *Engine) {
+				got.results = driveSchedule(t, e)
+				got.snapshot = snapshotBytes(t, e)
+			})
 			if rec != nil {
 				snap := rec.Snapshot()
 				if snap.ServeDirty != scheduleMarks {
