@@ -29,6 +29,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -150,7 +151,10 @@ const (
 // op is one admitted mutation, applied in admission order at the next
 // epoch boundary.
 type op struct {
-	kind     opKind
+	kind opKind
+	// shard is the owning shard's index, written by the epoch router so
+	// that it hashes each id once.
+	shard    uint16
 	id       string
 	energy   units.Joule
 	distance units.Meter
@@ -520,7 +524,24 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	// router is the only writer of shard maps and the global order —
 	// member seq numbers, and therefore the digest's registration-order
 	// merge, are fixed before any shard stage runs.
+	//
+	// A first pass finds each op's shard and counts each shard's share,
+	// so that every routed slice, released after an epoch that outgrew
+	// planChunk, grows once instead of by doubling.
 	hubApplied := 0
+	for i := range ops {
+		o := &ops[i]
+		if o.kind == opHub {
+			hubApplied++
+			continue
+		}
+		o.shard = e.shardIndex(o.id)
+		e.shards[o.shard].routed++
+	}
+	for _, s := range e.shards {
+		s.ops = slices.Grow(s.ops, s.routed+hubApplied)
+		s.routed = 0
+	}
 	finalHub := hubE
 	var newMembers []*member
 	for i := range ops {
@@ -528,15 +549,14 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		if o.kind == opHub {
 			// Broadcast at this admission position: every shard sees the
 			// budget change at exactly the sequence point a single-lock
-			// apply would have. Counted as applied once, here.
+			// apply would have. Counted as applied once, above.
 			for _, s := range e.shards {
 				s.ops = append(s.ops, *o)
 			}
 			finalHub = o.energy
-			hubApplied++
 			continue
 		}
-		s := e.shardFor(o.id)
+		s := e.shards[o.shard]
 		if o.kind == opRegister {
 			if _, found := s.members[o.id]; !found {
 				m := &member{id: o.id, seq: e.nextSeq}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -19,7 +20,11 @@ import (
 // error, never a panic, and any record it accepts must re-marshal and
 // re-frame into a line that decodes to the same record. Records are
 // compared by their JSON encoding, which treats a nil and an empty
-// omitempty slice alike, as the journal does.
+// omitempty slice alike, as the journal does. Every accepted record
+// must also encode, through the journal's appender (a snapshot through
+// the per-member pieces its streamed head uses), to exactly
+// json.Marshal's bytes, and the journal must frame it as frameLine
+// does.
 func FuzzDecodeJournalLine(f *testing.F) {
 	frame := func(payload string) []byte {
 		line := frameLine([]byte(payload))
@@ -53,7 +58,16 @@ func FuzzDecodeJournalLine(f *testing.F) {
 			if err != nil {
 				t.Fatalf("allowLegacy=%v: decoded record does not re-marshal: %v", allowLegacy, err)
 			}
+			if got, err := encodeRecord(&rec); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("allowLegacy=%v: appender wrote\n%s\nencoding/json\n%s (%v)", allowLegacy, got, payload, err)
+			}
 			line := frameLine(payload)
+			var buf bytes.Buffer
+			j := &Journal{w: bufio.NewWriter(&buf)}
+			j.write(rec)
+			if err := j.Close(); err != nil || !bytes.Equal(buf.Bytes(), line) {
+				t.Fatalf("allowLegacy=%v: journal wrote\n%q\nwant\n%q (%v)", allowLegacy, buf.Bytes(), line, err)
+			}
 			again, err := decodeJournalLine(line[:len(line)-1], false)
 			if err != nil {
 				t.Fatalf("allowLegacy=%v: re-framed record does not decode: %v", allowLegacy, err)

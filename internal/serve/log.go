@@ -13,7 +13,10 @@
 // or a capture written before the journal became a directory, a single
 // stream headed by a "config" record: Replay, VerifyDir and Open all
 // decode the head and re-run the tail through it, demanding every
-// recomputed digest match the journal's bit for bit.
+// recomputed digest match the journal's bit for bit. Records are
+// encoded without reflection (encode.go), into one buffer the journal
+// reuses, in exactly encoding/json's bytes; the reader decodes them
+// with json.Unmarshal.
 //
 // Unlike the pre-durability journal, write failures are not silently
 // deferred to Close: the first error is sticky, Err surfaces it to
@@ -28,6 +31,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -92,6 +96,9 @@ type Journal struct {
 	w   *bufio.Writer
 	f   *os.File // the current segment, the fsync target
 	err error
+	// buf is the encoding buffer every record reuses: one framed line,
+	// or one chunk of a snapshot head.
+	buf []byte
 
 	policy SyncPolicy
 	rec    *obs.Recorder
@@ -117,10 +124,12 @@ func (j *Journal) fail(err error) {
 func (j *Journal) write(r record) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.writeLocked(r)
+	j.writeLocked(&r)
 }
 
-func (j *Journal) writeLocked(r record) {
+// writeLocked encodes r into the journal's buffer behind a placeholder
+// frame, fills in the frame's CRC in place and writes the line.
+func (j *Journal) writeLocked(r *record) {
 	if j.err != nil {
 		// Sticky failure: count the dropped record, keep the first error.
 		if j.rec != nil {
@@ -128,12 +137,16 @@ func (j *Journal) writeLocked(r record) {
 		}
 		return
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		j.fail(err)
+	w := encoder{b: append(j.buf[:0], framePlaceholder...)}
+	w.record(r)
+	j.buf = w.b
+	if w.err != nil {
+		j.fail(w.err)
 		return
 	}
-	if _, err := j.w.Write(frameLine(b)); err != nil {
+	appendCRCHex(j.buf[:0], crc32.Checksum(j.buf[frameLen:], crcTable))
+	j.buf = append(j.buf, '\n')
+	if _, err := j.w.Write(j.buf); err != nil {
 		j.fail(err)
 		return
 	}
@@ -194,7 +207,7 @@ func (j *Journal) drain(epoch uint64) {
 func (j *Journal) epoch(res EpochResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.writeLocked(record{
+	j.writeLocked(&record{
 		T: "epoch", Epoch: res.Epoch, Planned: res.Planned,
 		Clean: res.Clean, Members: res.Members, Digest: res.Digest,
 	})
@@ -212,13 +225,14 @@ func (j *Journal) wantSnapshot(epoch uint64) bool {
 	return j.every > 0 && epoch%j.every == 0
 }
 
-// snapshotRotate seals the current segment, starts the next one with
-// snap as its head record, makes it durable, and compacts segments
-// older than the new snapshot. The write ordering is the crash-safety
-// argument: the old segment is flushed and fsynced first, the new head
-// is fsynced before any deletion, so at every instant the directory
-// holds at least one intact recovery chain.
-func (j *Journal) snapshotRotate(snap *snapshotRecord) {
+// snapshotRotate seals the current segment, starts the next one headed
+// by the snapshot record head streams, makes it durable, and compacts
+// segments older than the new snapshot. The write ordering is the
+// crash-safety argument: the old segment is flushed and fsynced first,
+// and the new head is written, its CRC patched in and fsynced before
+// the old segment is closed or anything is deleted, so at every instant
+// the directory holds at least one intact recovery chain.
+func (j *Journal) snapshotRotate(head func(*headWriter)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -228,7 +242,8 @@ func (j *Journal) snapshotRotate(snap *snapshotRecord) {
 		return
 	}
 	// Seal the current segment (nil on the very first rotation).
-	if j.f != nil {
+	old := j.f
+	if old != nil {
 		j.syncLocked()
 		if j.err != nil {
 			return
@@ -240,20 +255,24 @@ func (j *Journal) snapshotRotate(snap *snapshotRecord) {
 		j.fail(err)
 		return
 	}
-	old := j.f
 	j.f = f
-	j.w = bufio.NewWriterSize(f, 1<<16)
 	j.idx = next
-	j.writeLocked(record{T: "snap", Snap: snap})
-	j.syncLocked()
-	if j.err != nil {
-		return
+	if j.w == nil {
+		j.w = bufio.NewWriterSize(f, headChunk)
+	} else {
+		j.w.Reset(f)
 	}
+	err = j.writeHead(f, head)
+	// The old segment is sealed, so closing it loses nothing, whether or
+	// not the new head was written.
 	if old != nil {
-		if err := old.Close(); err != nil {
-			j.fail(err)
-			return
+		if cerr := old.Close(); err == nil {
+			err = cerr
 		}
+	}
+	if err != nil {
+		j.fail(err)
+		return
 	}
 	if _, err := removeSegmentsBelow(j.dir, next-j.retain); err != nil {
 		j.fail(err)
@@ -263,6 +282,39 @@ func (j *Journal) snapshotRotate(snap *snapshotRecord) {
 		j.rec.ServeSnapshots.Add(1)
 		j.rec.ServeRotations.Add(1)
 	}
+}
+
+// writeHead writes a fresh segment's head record straight to f: a
+// placeholder frame, the payload head streams in chunks of headChunk
+// bytes, and the newline. Then the payload's CRC, accumulated as the
+// chunks went, is written over the placeholder at offset 0 (segments
+// are not opened for appending), and f is fsynced. A head whose CRC
+// was never written is CRC-bad, which recovery treats as a torn newest
+// head; no record can follow it, because the caller holds the journal
+// lock, and snapshotNow the admission lock, until the head is durable.
+func (j *Journal) writeHead(f *os.File, head func(*headWriter)) error {
+	if _, err := f.WriteString(framePlaceholder); err != nil {
+		return err
+	}
+	// A chunk and the member record that crosses its end fit in the
+	// buffer without regrowing it.
+	if cap(j.buf) < headChunk+headChunk/4 {
+		j.buf = make([]byte, 0, headChunk+headChunk/4)
+	}
+	h := headWriter{encoder: encoder{b: j.buf[:0]}, w: f}
+	head(&h)
+	j.buf = h.b
+	if h.err != nil {
+		return h.err
+	}
+	if _, err := f.WriteString("\n"); err != nil {
+		return err
+	}
+	var crc [frameLen - 1]byte
+	if _, err := f.WriteAt(appendCRCHex(crc[:0], h.crc), 0); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // replayMaxLine bounds a single journal line in Replay, guarding memory

@@ -75,3 +75,45 @@ func TestHeapPerMemberBudget(t *testing.T) {
 	}
 	perMember(e, "five drift epochs")
 }
+
+// snapshotAllocBudget bounds the heap one snapshotNow allocates: the
+// head streams through the journal's buffer, sized once to hold a
+// chunk, so a snapshot allocates at most that buffer, a segment's file
+// handles and a directory listing, not memory in proportion to the
+// membership (json.Marshal of the whole record took 14.9 MB at 10,000
+// members and 65.7 MB at 50,000).
+const snapshotAllocBudget = 1 << 20
+
+// TestSnapshotHeapBounded holds the heap allocated by one snapshotNow,
+// of a planned membership of 10,000 and of 50,000, under
+// snapshotAllocBudget. Excluded under the race detector, which
+// instruments allocations.
+func TestSnapshotHeapBounded(t *testing.T) {
+	for _, n := range []int{10_000, 50_000} {
+		cfg := testConfig(nil)
+		cfg.Shards, cfg.Workers, cfg.QueueCap = 1, 1, n
+		e, j, _, err := Open(t.TempDir(), cfg, JournalOptions{SnapshotEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := e.Register(fmt.Sprintf("m%d", i), units.Joule(0.4+0.01*float64(i%40)), units.Meter(0.5+0.015*float64(i%200))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustEpoch(t, e)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e.snapshotNow(j)
+		runtime.ReadMemStats(&after)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d members: one snapshot allocated %.3f MiB", n, float64(alloc)/(1<<20))
+		if alloc > snapshotAllocBudget {
+			t.Errorf("%d members: one snapshot allocated %d B, budget %d B", n, alloc, snapshotAllocBudget)
+		}
+	}
+}

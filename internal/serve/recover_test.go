@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -568,4 +571,131 @@ func TestRecoveryCounters(t *testing.T) {
 	if got := rec.ServeRecoveries.Load(); got != 1 {
 		t.Errorf("ServeRecoveries = %d after recovery, want 1", got)
 	}
+}
+
+// TestRecoveryUnpatchedSnapshotHead covers the crash window of the
+// streamed snapshot head: a rotation writes the head behind a
+// "00000000 " placeholder and patches its CRC in at offset 0 before
+// the fsync, so a crash in between leaves a newest head that is
+// CRC-bad, and nothing after it. Open and VerifyDir must fall back one
+// segment and re-run the uninterrupted run's digests. A head that
+// cannot be encoded, here for a NaN planted in a committed plan, must
+// fail the journal as json.Marshal's error did (sticky Err, counted),
+// and the segment it leaves must recover the same way.
+func TestRecoveryUnpatchedSnapshotHead(t *testing.T) {
+	ops := soakSchedule()
+	cut := 2 * soakEpochEvery // two epochs; SnapshotEvery 2 rotates at the second
+	ref := NewEngine(testConfig(nil))
+	var want []string
+	for i, o := range ops[:cut] {
+		applySoakOp(t, ref, o)
+		if (i+1)%soakEpochEvery == 0 {
+			want = append(want, mustEpoch(t, ref).Digest)
+		}
+	}
+	refDigest, _ := soakReference(t)
+	opts := JournalOptions{SnapshotEvery: 2, Retain: 1}
+
+	// recovers checks that dir recovers from its older segment, through
+	// VerifyDir and Open, and that the reopened engine finishes the
+	// schedule with the uninterrupted run's final digest.
+	recovers := func(label, dir string) {
+		t.Helper()
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) != 2 {
+			t.Fatalf("%s: %d segments, want 2", label, len(segs))
+		}
+		check := func(how string, st RecoveryStats) {
+			t.Helper()
+			if st.TornSegments != 1 || st.BaseSegment != segs[0].idx {
+				t.Errorf("%s: %s recovered from segment %d with TornSegments %d, want segment %d and 1",
+					label, how, st.BaseSegment, st.TornSegments, segs[0].idx)
+			}
+			if fmt.Sprint(st.Digests) != fmt.Sprint(want) || st.Matched != len(want) {
+				t.Errorf("%s: %s re-ran digests %v (%d matched), want %v", label, how, st.Digests, st.Matched, want)
+			}
+		}
+		st, err := VerifyDir(dir)
+		if err != nil {
+			t.Fatalf("%s: verify: %v", label, err)
+		}
+		check("VerifyDir", st)
+		eng, j, st, err := Open(dir, testConfig(nil), JournalOptions{SnapshotEvery: 1 << 40})
+		if err != nil {
+			t.Fatalf("%s: open: %v", label, err)
+		}
+		defer j.Close()
+		check("Open", st)
+		driveSoak(t, eng, ops, int(eng.Stats().Admitted))
+		if got := soakFinalDigest(t, eng); got != refDigest {
+			t.Errorf("%s: final digest %s, want %s", label, got, refDigest)
+		}
+	}
+
+	// A head whose CRC was never patched in.
+	dir := filepath.Join(t.TempDir(), "journal.d")
+	eng, j, _, err := Open(dir, testConfig(nil), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSoak(t, eng, ops[:cut], 0)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := segs[len(segs)-1].path
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.IndexByte(data, '\n') != len(data)-1 || bytes.HasPrefix(data, []byte(framePlaceholder)) {
+		t.Fatalf("newest segment is not one patched head: %.40q", data)
+	}
+	copy(data, framePlaceholder[:frameLen-1])
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovers("unpatched head", dir)
+
+	// A head that fails to encode.
+	rec := &obs.Recorder{}
+	dir = filepath.Join(t.TempDir(), "journal.d")
+	eng, j, _, err = Open(dir, testConfig(rec), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSoak(t, eng, ops[:soakEpochEvery], 0)
+	// s03 is planned in the first epoch and not re-planned in the
+	// second, so the snapshot after it carries the planted NaN.
+	s := eng.shardFor("s03")
+	s.mu.Lock()
+	s.members["s03"].plan.Bits = math.NaN()
+	s.mu.Unlock()
+	for _, o := range ops[soakEpochEvery:cut] {
+		applySoakOp(t, eng, o)
+	}
+	mustEpoch(t, eng)
+	var unsupported *json.UnsupportedValueError
+	if err := j.Err(); !errors.As(err, &unsupported) {
+		t.Fatalf("journal error %v, want json's unsupported value error", err)
+	}
+	if got := rec.ServeJournalErrors.Load(); got != 1 {
+		t.Fatalf("ServeJournalErrors = %d, want 1", got)
+	}
+	if err := eng.Update("s00", 0.3, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.ServeJournalErrors.Load(); got != 2 {
+		t.Fatalf("ServeJournalErrors = %d after a dropped record, want 2", got)
+	}
+	if err := j.Close(); err == nil {
+		t.Fatal("Close after a failed snapshot returned nil")
+	}
+	recovers("NaN in a plan", dir)
 }

@@ -16,9 +16,11 @@
 // replay its tail, through the same reader Replay uses. Rotation (a new segment) happens exactly when a snapshot
 // is written, and compaction deletes segments older than the newest
 // snapshot (minus a configurable retain count). Rotation orders its
-// writes for crash safety: the new segment's snapshot is flushed and
-// fsynced before any old segment is deleted, so a crash at any instant
-// leaves either a valid new head or the intact previous segment.
+// writes for crash safety: the new segment's snapshot is written behind
+// a placeholder frame, its CRC patched in at offset 0 and fsynced
+// before any old segment is deleted, so a crash at any instant leaves
+// either a valid new head or the intact previous segment; a head whose
+// CRC was never patched in reads as CRC-bad, like any torn head.
 
 package serve
 
@@ -65,18 +67,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncNone, fmt.Errorf("serve: unknown sync policy %q (want none|epoch|always)", s)
 }
 
-// String returns the flag spelling of the policy.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncEpoch:
-		return "epoch"
-	case SyncAlways:
-		return "always"
-	default:
-		return "none"
-	}
-}
-
 // crcTable is the Castagnoli polynomial table (hardware-accelerated on
 // amd64/arm64) shared by framing and verification.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -84,15 +74,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frameLen is the fixed framing overhead: 8 hex CRC digits + 1 space.
 const frameLen = 9
 
-// frameLine wraps one marshalled JSON record in the CRC frame,
-// returning the full journal line including the trailing newline.
-func frameLine(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+frameLen+1)
-	out = appendCRCHex(out, crc32.Checksum(payload, crcTable))
-	out = append(out, ' ')
-	out = append(out, payload...)
-	return append(out, '\n')
-}
+// framePlaceholder is a frame written before its payload's CRC is
+// known; the writer fills the eight digits in once it is.
+const framePlaceholder = "00000000 "
 
 // appendCRCHex appends exactly 8 lowercase hex digits of v.
 func appendCRCHex(dst []byte, v uint32) []byte {

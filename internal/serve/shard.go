@@ -65,6 +65,9 @@ type shard struct {
 	jobs  []planJob
 	batch core.BatchScratch
 	marks [obs.NumDirtyReasons]uint64
+	// routed counts the drained member ops the epoch router sends here,
+	// so it can grow ops once before routing them.
+	routed int
 
 	// Per-epoch stage results, merged by RunEpoch after the pipeline
 	// barrier: ops applied, plans committed, the first solve error in
@@ -78,18 +81,22 @@ type shard struct {
 	planNs      float64
 }
 
-// shardFor selects a member id's owning shard: FNV-1a over the id
+// shardIndex selects a member id's owning shard: FNV-1a over the id
 // bytes, finalized through rng.Mix64 so sequential ids ("m1", "m2", ...)
-// spread evenly, masked into the power-of-two shard table.
-func (e *Engine) shardFor(id string) *shard {
+// spread evenly, masked into the power-of-two shard table (at most
+// maxShards entries, so the index fits a uint16).
+func (e *Engine) shardIndex(id string) uint16 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for i := 0; i < len(id); i++ {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return e.shards[rng.Mix64(h)&e.shardMask]
+	return uint16(rng.Mix64(h) & e.shardMask)
 }
+
+// shardFor returns a member id's owning shard.
+func (e *Engine) shardFor(id string) *shard { return e.shards[e.shardIndex(id)] }
 
 // markDirty queues a clean member for the next plan phase. It is the
 // only way a member turns dirty; why (an obs.Dirty* reason) is counted

@@ -124,48 +124,41 @@ func opFromWire(t, id string, e, d float64) (op, bool) {
 	return o, true
 }
 
-// buildSnapshot assembles the engine's snapshot record. The caller must
-// hold e.queueMu (freezing the pending queue and the admitted counter
-// against concurrent admissions — and, because journal writes happen
-// inside that same critical section, freezing the journal stream at
-// exactly this point); committed state is read under e.mu.RLock plus
-// every shard's read lock (taken in index order, after e.mu — the one
-// place both levels nest), and the membership is walked in the global
-// registration order, so snapshot bytes are identical at any shard
-// count. Read locks only: concurrent /v1/plan reads stay unblocked.
-func (e *Engine) buildSnapshot() *snapshotRecord {
-	e.mu.RLock()
-	for _, s := range e.shards {
-		s.mu.RLock()
-	}
-	snap := &snapshotRecord{
-		Epoch: e.epoch,
-		Ops:   e.admitted,
-		HubJ:  float64(e.hubEnergy),
-		Cfg:   journalConfigOf(e.cfg),
-	}
-	if n := len(e.order); n > 0 {
-		snap.Members = make([]memberRecord, 0, n)
-	}
-	for _, m := range e.order {
-		mr := memberRecord{ID: m.id, E: float64(m.energy), D: float64(m.distance), Dirty: m.dirty}
+// writeSnapshot streams the engine's snapshot record, as the payload of
+// a "snap" journal record, into h: the bytes json.Marshal writes for
+// record{T: "snap", Snap: s}, where s is the engine's state as a
+// snapshotRecord, without building s. The caller holds e.queueMu
+// (freezing the pending queue and the admitted counter against
+// concurrent admissions — and, because journal writes happen inside
+// that same critical section, freezing the journal stream at exactly
+// this point), e.mu.RLock and every shard's read lock (taken in index
+// order, after e.mu — the one place both levels nest). The membership
+// is walked in the global registration order, so snapshot bytes are
+// identical at any shard count. Read locks only: concurrent /v1/plan
+// reads stay unblocked.
+func (e *Engine) writeSnapshot(h *headWriter) {
+	cfg := journalConfigOf(e.cfg)
+	h.raw(`{"t":"snap","snap":`)
+	h.snapOpen(e.epoch, e.admitted, float64(e.hubEnergy), &cfg)
+	for i, m := range e.order {
+		h.listItem(i, `,"members":[`)
+		var plan *Plan
 		if m.hasPlan {
-			p := m.plan
-			mr.Plan = &p
+			plan = &m.plan
 		}
-		snap.Members = append(snap.Members, mr)
+		h.member(m.id, float64(m.energy), float64(m.distance), m.dirty, plan)
+		h.spill()
 	}
-	for i := len(e.shards) - 1; i >= 0; i-- {
-		e.shards[i].mu.RUnlock()
+	h.listEnd(len(e.order))
+	for i := range e.queue {
+		o := &e.queue[i]
+		h.listItem(i, `,"queue":[`)
+		h.queued(o.wireType(), o.id, float64(o.energy), float64(o.distance))
+		h.spill()
 	}
-	e.mu.RUnlock()
-	if n := len(e.queue); n > 0 {
-		snap.Queue = make([]queuedOp, 0, n)
-	}
-	for _, o := range e.queue {
-		snap.Queue = append(snap.Queue, queuedOp{T: o.wireType(), ID: o.id, E: float64(o.energy), D: float64(o.distance)})
-	}
-	return snap
+	h.listEnd(len(e.queue))
+	h.raw("}}")
+	h.flush()
 }
 
 // restoreSnapshot loads a snapshot into a freshly built engine (no
@@ -221,15 +214,25 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 	return nil
 }
 
-// snapshotNow builds a snapshot under the admission lock and hands it
-// to the journal for a rotate-and-compact. Called from RunEpoch (under
-// epochMu) right after the epoch record, so the snapshot state is the
-// just-committed epoch plus whatever the queue has gathered since the
-// drain — and every op journaled after this point lands in the new
-// segment, keeping journal order equal to admission order across the
-// rotation boundary.
+// snapshotNow streams a snapshot under the admission lock and the read
+// locks writeSnapshot needs, as the head of a new journal segment, with
+// a rotate-and-compact. Called from RunEpoch (under epochMu) right
+// after the epoch record, so the snapshot state is the just-committed
+// epoch plus whatever the queue has gathered since the drain — and
+// every op journaled after this point lands in the new segment, keeping
+// journal order equal to admission order across the rotation boundary.
+// j.mu is the innermost lock: queueMu, then e.mu and the shard locks,
+// then the journal's.
 func (e *Engine) snapshotNow(j *Journal) {
 	e.queueMu.Lock()
 	defer e.queueMu.Unlock()
-	j.snapshotRotate(e.buildSnapshot())
+	e.mu.RLock()
+	for _, s := range e.shards {
+		s.mu.RLock()
+	}
+	j.snapshotRotate(e.writeSnapshot)
+	for i := len(e.shards) - 1; i >= 0; i-- {
+		e.shards[i].mu.RUnlock()
+	}
+	e.mu.RUnlock()
 }
