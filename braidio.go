@@ -1,6 +1,9 @@
 package braidio
 
 import (
+	"fmt"
+	"math"
+
 	"braidio/internal/baseline"
 	"braidio/internal/core"
 	"braidio/internal/energy"
@@ -258,9 +261,14 @@ func (p *Pair) Transfer() (*Result, error) {
 }
 
 // TransferBits moves a bounded number of payload bits (or less, if a
-// battery dies first) between full batteries. Safe to call concurrently
-// with other transfers on the same Pair.
+// battery dies first) between full batteries. A budget that is not
+// positive and finite bounds nothing, so it returns an error before any
+// battery is made. Safe to call concurrently with other transfers on the
+// same Pair.
 func (p *Pair) TransferBits(bits float64) (*Result, error) {
+	if !(bits > 0) || math.IsInf(bits, 1) {
+		return nil, fmt.Errorf("braidio: bit budget %v is not positive and finite", bits)
+	}
 	br := *p.braid
 	br.MaxBits = bits
 	return br.RunFresh(p.TX.Capacity, p.RX.Capacity)

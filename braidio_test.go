@@ -2,6 +2,7 @@ package braidio
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -91,6 +92,23 @@ func TestPairTransferBits(t *testing.T) {
 	}
 	if full.Bits <= res.Bits*10 {
 		t.Errorf("full transfer %v bits suspiciously small", full.Bits)
+	}
+}
+
+// TestPairTransferBitsRejectsUnboundedBudget: a bit budget that is not
+// positive and finite returns an error naming it, instead of running the
+// whole transfer.
+func TestPairTransferBitsRejectsUnboundedBudget(t *testing.T) {
+	p := NewPair(mustDevice(t, "iPhone 6S"), mustDevice(t, "Apple Watch"), 0.5)
+	for _, bits := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		res, err := p.TransferBits(bits)
+		if err == nil {
+			t.Errorf("TransferBits(%v) moved %v bits, want an error", bits, res.Bits)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(bits)) {
+			t.Errorf("TransferBits(%v) error %q does not name the budget", bits, err)
+		}
 	}
 }
 

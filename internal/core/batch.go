@@ -113,8 +113,8 @@ const batchSeqThreshold = 64
 // OptimizeBatch runs Optimize over every slot of the arena: budgets
 // from E1/E2, links from Cols, fractions into P rows, mixtures into
 // TX/RX/Bits, failures into Errs. Each slot runs optimizeRow, the
-// enumeration behind Optimize, so its outputs are bit-identical to
-// Optimize on the same links at any worker count. Below
+// checks and enumeration behind Optimize, so its outputs are
+// bit-identical to Optimize on the same links at any worker count. Below
 // batchSeqThreshold slots, or at Workers=1, it runs sequentially and
 // allocates nothing (gated by AllocsPerRun tests).
 func OptimizeBatch(s *BatchScratch, workers int) {

@@ -32,16 +32,18 @@ type Braid struct {
 	// a switch per frame boundary (the scheduler ablation).
 	Interleave bool
 	// Optimizer picks the allocation each epoch; nil means Optimize.
-	// The Fig. 16 baseline passes BestSingleMode-derived optimizers.
+	// A custom optimizer receives the row and the budgets every epoch and
+	// validates them itself; net's rate-floored slots set one.
 	Optimizer func(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error)
 	// MaxBits, when positive, stops the run after that many delivered
 	// bits instead of waiting for a battery to die — used to interleave
 	// directions in bidirectional scenarios.
 	MaxBits float64
 	// Links, when non-nil, supplies the run's characterized links
-	// directly and skips per-run characterization. The round engine
-	// (internal/net) sets each slot's kept link row here every round.
-	// The run only reads the row.
+	// directly and skips per-run characterization. Three callers set it:
+	// the round engine (internal/net) puts each slot's kept link row here
+	// every round, and sim's RunPair and RunBidirectional put the row they
+	// characterized once. The run only reads the row.
 	Links []phy.ModeLink
 	// Obs, when non-nil, receives run totals, per-mode occupancy, and
 	// solver metrics. Nil falls back to the process default recorder
@@ -155,6 +157,12 @@ func (b *Braid) Run(b1, b2 *energy.Battery) (*Result, error) {
 // to Run. The round engine (internal/net) calls this once per member per
 // round with persistent per-member scratch, which is what takes the
 // steady-state round to zero heap allocations.
+//
+// With the default optimizer the run checks its row once, at the first
+// epoch and after that epoch's budgets, and each epoch checks only the
+// budgets before the enumeration: the errors are those of Optimize
+// called every epoch, and a run whose battery starts empty returns nil
+// without looking at the row.
 func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) error {
 	if b.Model == nil || b1 == nil || b2 == nil {
 		return errors.New("core: braid needs a model and two batteries")
@@ -190,6 +198,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 	counts := s.counts
 	remainders := s.remainders
 
+	rowChecked := false
 	const maxEpochs = 1_000_000
 	for !b1.Empty() && !b2.Empty() {
 		if res.Epochs >= maxEpochs {
@@ -208,8 +217,17 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 				return err
 			}
 			alloc = a
-		} else if err := optimizeInto(alloc, links, e1, e2); err != nil {
-			return err
+		} else {
+			if err := validateBudgets(e1, e2); err != nil {
+				return err
+			}
+			if !rowChecked {
+				if err := validateRow(links); err != nil {
+					return err
+				}
+				rowChecked = true
+			}
+			solveInto(alloc, links, e1, e2)
 		}
 		if rec != nil {
 			rec.LPSolveLatency.Observe(float64(time.Since(solveStart)))
@@ -223,10 +241,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 
 		// Target bits this epoch: a slice of the projected lifetime, at
 		// least one scheduling window so the loop always advances.
-		epochBits := projBits * epochFraction
-		if min := windowBits; epochBits < min {
-			epochBits = min
-		}
+		epochBits := max(projBits*epochFraction, windowBits)
 		if b.MaxBits > 0 {
 			left := b.MaxBits - res.Bits
 			if left <= 0 {
@@ -317,7 +332,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 		}
 
 		// How many whole windows fit in both remaining budgets?
-		maxWin := math.Min(float64(e1)/winTX, float64(e2)/winRX)
+		maxWin := min(float64(e1)/winTX, float64(e2)/winRX)
 		partial := false
 		if windows > maxWin {
 			windows = maxWin

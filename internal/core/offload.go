@@ -21,9 +21,10 @@
 //     and bit-maximization agree in the interior — the paper's point P
 //     on line BC of Fig. 9).
 //
-// Every planner runs Optimize's closed form: Optimize, OptimizeInto and
-// the batch arena's OptimizeBatch share one validating enumeration, so
-// the three agree bit for bit. SolveEq1 is the reference that the
+// Every planner runs Optimize's closed form: Optimize, OptimizeInto,
+// the batch arena's OptimizeBatch and the braid's default epochs share
+// one enumeration behind the same input checks, so they agree bit for
+// bit. SolveEq1 is the reference that the
 // property tests and the ablation-solver table check it against. Only a
 // member with a rate floor solves an LP: OptimizeQoS (see QoSScratch).
 //
@@ -79,15 +80,31 @@ func (a *Allocation) Dominant() phy.Mode {
 // ErrNoLinks reports that no mode is available (out of range).
 var ErrNoLinks = errors.New("core: no links available")
 
-// validateInputs rejects nonsense budgets and dead links. The negated
-// comparisons reject NaN too, which fails every ordered comparison.
+// validateInputs rejects an empty row, nonsense budgets and dead links,
+// in that order.
 func validateInputs(links []phy.ModeLink, e1, e2 units.Joule) error {
 	if len(links) == 0 {
 		return ErrNoLinks
 	}
+	if err := validateBudgets(e1, e2); err != nil {
+		return err
+	}
+	return validateRow(links)
+}
+
+// validateBudgets rejects budgets that are not positive. The negated
+// comparisons reject NaN too, which fails every ordered comparison.
+func validateBudgets(e1, e2 units.Joule) error {
 	if !(e1 > 0) || !(e2 > 0) {
 		return fmt.Errorf("core: non-positive budgets %v/%v", float64(e1), float64(e2))
 	}
+	return nil
+}
+
+// validateRow rejects a link whose per-bit cost is not positive and
+// finite. A braid run checks its row once, since the row does not change
+// between epochs; budgets change every epoch.
+func validateRow(links []phy.ModeLink) error {
 	for _, l := range links {
 		if !(l.T > 0) || !(l.R > 0) || math.IsInf(float64(l.T), 1) || math.IsInf(float64(l.R), 1) {
 			return fmt.Errorf("core: link %v has unusable costs %v/%v", l.Mode, l.T, l.R)
@@ -107,8 +124,10 @@ func mixture(links []phy.ModeLink, p []float64) (tx, rx units.JoulesPerBit) {
 }
 
 // bitsFor returns deliverable bits for a mixture under budgets.
+// The builtin min follows math.Min's NaN and signed-zero rules, and
+// unlike math.Min it inlines.
 func bitsFor(tx, rx units.JoulesPerBit, e1, e2 units.Joule) float64 {
-	return math.Min(float64(e1)/float64(tx), float64(e2)/float64(rx))
+	return min(float64(e1)/float64(tx), float64(e2)/float64(rx))
 }
 
 // Optimize returns the bit-maximizing allocation for the given links and
@@ -138,22 +157,41 @@ func OptimizeInto(dst *Allocation, scratch []float64, links []phy.ModeLink, e1, 
 // optimizeInto is Optimize solving into caller-owned storage: dst's P
 // slice is resized in place. On error dst is left unchanged.
 func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) error {
+	if err := validateInputs(links, e1, e2); err != nil {
+		return err
+	}
+	solveInto(dst, links, e1, e2)
+	return nil
+}
+
+// solveInto runs enumerateRow into dst, resizing dst's P slice in place,
+// for inputs the caller has validated: a non-empty row of positive,
+// finite costs and positive budgets. RunInto's default path calls it
+// every epoch after checking the budgets, and the row once per run.
+func solveInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) {
 	p := dst.P
 	if cap(p) < len(links) {
 		p = make([]float64, len(links))
 	}
 	p = p[:len(links)]
-	tx, rx, bits, err := optimizeRow(links, e1, e2, p)
-	if err != nil {
-		return err
-	}
+	dst.TX, dst.RX, dst.Bits = enumerateRow(links, e1, e2, p)
 	dst.Links, dst.P = links, p
-	dst.TX, dst.RX, dst.Bits = tx, rx, bits
-	return nil
 }
 
-// optimizeRow is the validation and enumeration behind Optimize and
-// OptimizeBatch: it writes the winning fractions into p (len(links)
+// optimizeRow is the validation and enumeration behind OptimizeBatch: it
+// checks the budgets and the row as validateInputs does, then runs
+// enumerateRow.
+func optimizeRow(links []phy.ModeLink, e1, e2 units.Joule, p []float64) (units.JoulesPerBit, units.JoulesPerBit, float64, error) {
+	if err := validateInputs(links, e1, e2); err != nil {
+		return 0, 0, 0, err
+	}
+	tx, rx, bits := enumerateRow(links, e1, e2, p)
+	return tx, rx, bits, nil
+}
+
+// enumerateRow is the one enumeration behind every default solve
+// (Optimize, OptimizeInto, OptimizeBatch and the braid's epochs): for
+// validated inputs it writes the winning fractions into p (len(links)
 // long) and returns the mixture's per-bit costs and deliverable bits. It
 // keeps no reference to links or p, so a caller's row stays wherever
 // the caller put it.
@@ -167,10 +205,7 @@ func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) err
 // Candidates run pure modes first, then pairs i<j, and only a strict
 // improvement replaces the winner. The hub's golden metrics pin this
 // equivalence.
-func optimizeRow(links []phy.ModeLink, e1, e2 units.Joule, p []float64) (units.JoulesPerBit, units.JoulesPerBit, float64, error) {
-	if err := validateInputs(links, e1, e2); err != nil {
-		return 0, 0, 0, err
-	}
+func enumerateRow(links []phy.ModeLink, e1, e2 units.Joule, p []float64) (units.JoulesPerBit, units.JoulesPerBit, float64) {
 	ratio := float64(e1) / float64(e2)
 
 	bestI, bestJ := -1, -1
@@ -221,7 +256,7 @@ func optimizeRow(links []phy.ModeLink, e1, e2 units.Joule, p []float64) (units.J
 	} else {
 		p[bestI], p[bestJ] = bestQ, 1-bestQ
 	}
-	return bestTX, bestRX, bestBits, nil
+	return bestTX, bestRX, bestBits
 }
 
 // scaleRowMax normalizes a matrix row by its largest magnitude. Per-bit

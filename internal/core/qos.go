@@ -21,9 +21,10 @@ import (
 // where backscatter only runs at 10 kbps, pure power-proportionality
 // would braid in slow slots that a 30 fps stream cannot absorb.
 //
-// It returns ErrQoSInfeasible when no feasible mixture meets the rate at
-// the required power proportion, and ErrRateUnreachable when even the
-// fastest single link is slower than minRate.
+// A minRate that is not positive sets no floor, and a NaN minRate is an
+// input error. It returns ErrQoSInfeasible when no feasible mixture meets
+// the rate at the required power proportion, and ErrRateUnreachable when
+// even the fastest single link is slower than minRate.
 func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate) (*Allocation, error) {
 	return new(QoSScratch).Optimize(links, e1, e2, minRate)
 }
@@ -45,10 +46,13 @@ func (s *QoSScratch) Optimize(links []phy.ModeLink, e1, e2 units.Joule, minRate 
 	if err := validateInputs(links, e1, e2); err != nil {
 		return nil, err
 	}
+	// NaN fails both checks below and would reach the LP as an unbounded
+	// problem.
+	if math.IsNaN(float64(minRate)) {
+		return nil, fmt.Errorf("core: rate floor %v is not a number", float64(minRate))
+	}
 	if minRate <= 0 {
-		if err := optimizeInto(&s.alloc, links, e1, e2); err != nil {
-			return nil, err
-		}
+		solveInto(&s.alloc, links, e1, e2)
 		return &s.alloc, nil
 	}
 	fastest := units.BitRate(0)

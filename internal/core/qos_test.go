@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"braidio/internal/lp"
 	"braidio/internal/phy"
 	"braidio/internal/units"
 )
@@ -80,6 +82,30 @@ func TestQoSRateUnreachable(t *testing.T) {
 	_, err := OptimizeQoS(links, 3600, 3600, 10_000_000)
 	if !errors.Is(err, ErrRateUnreachable) {
 		t.Errorf("err = %v, want ErrRateUnreachable", err)
+	}
+}
+
+// TestQoSRateInputs: a NaN floor is an input error naming the rate
+// rather than an unbounded LP; a floor that is not positive sets no
+// floor, and +Inf is unreachable.
+func TestQoSRateInputs(t *testing.T) {
+	links := linksAt(t, 2.0)
+	plain, err := Optimize(links, 72, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OptimizeQoS(links, 72, 3600, units.BitRate(math.NaN())); err == nil ||
+		!strings.Contains(err.Error(), "NaN") || errors.Is(err, lp.ErrUnbounded) {
+		t.Errorf("NaN floor: err = %v, want an input error naming the rate", err)
+	}
+	for _, r := range []float64{0, -1, math.Inf(-1)} {
+		a, err := OptimizeQoS(links, 72, 3600, units.BitRate(r))
+		if err != nil || a.Bits != plain.Bits {
+			t.Errorf("floor %v: %v, %v; want Optimize's %v bits", r, a, err, plain.Bits)
+		}
+	}
+	if _, err := OptimizeQoS(links, 72, 3600, units.BitRate(math.Inf(1))); !errors.Is(err, ErrRateUnreachable) {
+		t.Errorf("+Inf floor: err = %v, want ErrRateUnreachable", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"braidio/internal/baseline"
@@ -43,17 +44,24 @@ func (r *PairResult) GainVsBestMode() float64 {
 
 // RunPair runs the unidirectional continuous-transfer scenario of §6.3:
 // both devices start full; tx streams to rx at the given distance until
-// either battery dies.
+// either battery dies. It characterizes the distance once, for both the
+// braid and the best-single-mode baseline. A distance where no mode
+// works returns an error wrapping core.ErrOutOfRange.
 func RunPair(m *phy.Model, d units.Meter, tx, rx energy.Device) (*PairResult, error) {
 	if m == nil {
 		return nil, fmt.Errorf("sim: nil model")
 	}
-	braid := core.NewBraid(m, d)
-	res, err := braid.RunFresh(tx.Capacity, rx.Capacity)
+	links := linkcache.Characterize(m, d)
+	var res *core.Result
+	err := core.ErrOutOfRange
+	if len(links) > 0 {
+		braid := core.DefaultBraid(m, d)
+		braid.Links = links
+		res, err = braid.RunFresh(tx.Capacity, rx.Capacity)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s→%s at %v m: %w", tx.Name, rx.Name, float64(d), err)
 	}
-	links := linkcache.Characterize(m, d)
 	single, err := core.BestSingleMode(links, tx.Capacity.Joules(), rx.Capacity.Joules())
 	if err != nil {
 		return nil, err
@@ -202,19 +210,22 @@ func RunBidirectional(m *phy.Model, d units.Meter, a, b energy.Device) (*Bidirec
 		chunk = 1
 	}
 
+	// Every chunk runs the one characterized row through one braid,
+	// scratch and result; a run carries nothing into the next but the
+	// batteries.
+	braid := core.DefaultBraid(m, d)
+	braid.Links = links
+	braid.MaxBits = chunk
+	var scratch core.RunScratch
+	var run core.Result
 	res := &BidirectionalResult{A: a, B: b}
 	aToB := true
 	for !ba.Empty() && !bb.Empty() {
-		braid := core.NewBraid(m, d)
-		braid.MaxBits = chunk
-		var run *core.Result
-		var err error
-		if aToB {
-			run, err = braid.Run(ba, bb)
-		} else {
-			run, err = braid.Run(bb, ba)
+		txBatt, rxBatt := ba, bb
+		if !aToB {
+			txBatt, rxBatt = bb, ba
 		}
-		if err != nil {
+		if err := braid.RunInto(&run, &scratch, txBatt, rxBatt); err != nil {
 			return nil, err
 		}
 		res.Bits += run.Bits
@@ -253,14 +264,10 @@ func DistanceSweep(m *phy.Model, tx, rx energy.Device, distances []units.Meter) 
 	var out stats.Series
 	for _, d := range distances {
 		r, err := RunPair(m, d, tx, rx)
+		if errors.Is(err, core.ErrOutOfRange) {
+			continue
+		}
 		if err != nil {
-			if err == core.ErrOutOfRange {
-				continue
-			}
-			// RunPair wraps the error; detect by probing availability.
-			if len(linkcache.Characterize(m, d)) == 0 {
-				continue
-			}
 			return nil, err
 		}
 		out = append(out, stats.Point{X: float64(d), Y: r.GainVsBluetooth()})

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"braidio/internal/baseline"
 	"braidio/internal/core"
 	"braidio/internal/energy"
+	"braidio/internal/linkcache"
 	"braidio/internal/mac"
 	"braidio/internal/phy"
 	"braidio/internal/units"
@@ -237,8 +240,8 @@ func TestRunPairErrors(t *testing.T) {
 		t.Error("nil model accepted")
 	}
 	m := phy.NewModel()
-	if _, err := RunPair(m, 5000, energy.Catalog[0], energy.Catalog[1]); err == nil {
-		t.Error("out-of-range pair accepted")
+	if _, err := RunPair(m, 5000, energy.Catalog[0], energy.Catalog[1]); !errors.Is(err, core.ErrOutOfRange) {
+		t.Errorf("out-of-range pair: error %v, want core.ErrOutOfRange", err)
 	}
 }
 
@@ -330,5 +333,73 @@ func TestDistanceSweepSkipsDeadDistances(t *testing.T) {
 	if _, err := DistanceSweep(m, device(t, "Apple Watch"), device(t, "iPhone 6S"),
 		[]units.Meter{5000}); err == nil {
 		t.Error("all-dead sweep should error")
+	}
+}
+
+// runBidirectionalFresh is RunBidirectional as it ran before the chunks
+// shared one braid: a NewBraid and a Run per chunk, each characterizing
+// the distance again. TestRunBidirectionalMatchesFreshBraids holds the
+// shared-braid loop to it.
+func runBidirectionalFresh(m *phy.Model, d units.Meter, a, b energy.Device) (*BidirectionalResult, error) {
+	ba := a.NewBattery()
+	bb := b.NewBattery()
+	links := linkcache.Characterize(m, d)
+	alloc, err := core.Optimize(links, ba.Remaining(), bb.Remaining())
+	if err != nil {
+		return nil, err
+	}
+	chunk := alloc.Bits / 50
+	if chunk < 1 {
+		chunk = 1
+	}
+	res := &BidirectionalResult{A: a, B: b}
+	aToB := true
+	for !ba.Empty() && !bb.Empty() {
+		braid := core.NewBraid(m, d)
+		braid.MaxBits = chunk
+		var run *core.Result
+		var err error
+		if aToB {
+			run, err = braid.Run(ba, bb)
+		} else {
+			run, err = braid.Run(bb, ba)
+		}
+		if err != nil {
+			return nil, err
+		}
+		res.Bits += run.Bits
+		res.Rounds++
+		if run.Bits < chunk*0.5 {
+			break
+		}
+		aToB = !aToB
+	}
+	txCost, rxCost := baseline.Default.PerBit()
+	per := (float64(txCost) + float64(rxCost)) / 2
+	res.BluetoothBits = min(float64(a.Capacity.Joules()), float64(b.Capacity.Joules())) / per
+	return res, nil
+}
+
+// TestRunBidirectionalMatchesFreshBraids: running every role-swap chunk
+// through one braid, scratch and result gives the bits of a fresh braid
+// per chunk, for every catalog pair at 0.5 m, at 1.5 m and at 3 m,
+// where backscatter is out of range.
+func TestRunBidirectionalMatchesFreshBraids(t *testing.T) {
+	m := phy.NewModel()
+	for _, d := range []units.Meter{0.5, 1.5, 3} {
+		for _, a := range energy.Catalog {
+			for _, b := range energy.Catalog {
+				want, wantErr := runBidirectionalFresh(m, d, a, b)
+				got, err := RunBidirectional(m, d, a, b)
+				if err != nil || wantErr != nil {
+					t.Fatalf("%s↔%s at %v m: %v (fresh braids: %v)", a.Name, b.Name, float64(d), err, wantErr)
+				}
+				if math.Float64bits(got.Bits) != math.Float64bits(want.Bits) ||
+					math.Float64bits(got.BluetoothBits) != math.Float64bits(want.BluetoothBits) ||
+					got.Rounds != want.Rounds || got.A != want.A || got.B != want.B {
+					t.Errorf("%s↔%s at %v m: got %+v, fresh braids %+v", a.Name, b.Name, float64(d), *got, *want)
+				}
+			}
+		}
 	}
 }
