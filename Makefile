@@ -87,8 +87,9 @@ cover:
 
 # Run the benchmark suite (paper tables/figures, the PHY
 # characterization at 0.5 m and over 0.3–4.5 m, the waveform engine and
-# Monte Carlo sweeps, the hub/fleet engine, the serve epoch/contention
-# benchmarks — the warm drift epoch at 50k and 500k members —, the
+# Monte Carlo sweeps, the hub/fleet engine, the serve benchmarks — the
+# registration wave of 100k members and its cold plan, the warm drift
+# epoch at 50k and 500k members, and plan reads racing an epoch —, the
 # network scheduler, the mobility walks, the offload solvers and braid
 # run in core, the simplex in lp, the waveform chain's Run in rxchain,
 # the normal draws in rng, the Q-algorithm round in inventory, and the

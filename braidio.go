@@ -145,13 +145,14 @@ type (
 )
 
 // NewGilbertElliott builds a deterministic burst-loss channel (see
-// faults.NewGilbertElliott).
+// faults.NewGilbertElliott). It panics if pEnter, pExit, goodLoss or
+// badLoss lies outside [0, 1].
 func NewGilbertElliott(pEnter, pExit, goodLoss, badLoss float64, seed uint64) *GilbertElliott {
 	return faults.NewGilbertElliott(pEnter, pExit, goodLoss, badLoss, seed)
 }
 
 // NewSNRCorruptor builds a deterministic SNR-estimate corruptor (see
-// faults.NewSNRCorruptor).
+// faults.NewSNRCorruptor). It panics if sigma is negative.
 func NewSNRCorruptor(bias, sigma float64, seed uint64) *SNRCorruptor {
 	return faults.NewSNRCorruptor(bias, sigma, seed)
 }
@@ -168,6 +169,10 @@ var (
 	// ErrSessionExhausted reports a SendFrame on a session whose
 	// battery already died.
 	ErrSessionExhausted = mac.ErrExhausted
+	// ErrBadDevice reports a device whose capacity is not positive and
+	// finite. The Pair methods and the gain matrices return it before
+	// any battery is made, and hubs and fleets from their runs.
+	ErrBadDevice = energy.ErrBadDevice
 )
 
 // Pair is the high-level API: two devices at a distance, ready to
@@ -244,9 +249,26 @@ func (p *Pair) Regime() Regime { return p.model.Regime(p.Distance) }
 // Links characterizes the modes available to the pair.
 func (p *Pair) Links() []Link { return p.model.Characterize(p.Distance) }
 
+// checkDevices returns an error wrapping ErrBadDevice when either
+// endpoint's capacity is not positive and finite. Every Pair method that
+// reads the capacities runs it first, or, for the gains, sim.RunPair
+// does.
+func (p *Pair) checkDevices() error {
+	if err := energy.CheckDevice(p.TX); err != nil {
+		return fmt.Errorf("braidio: transmitter: %w", err)
+	}
+	if err := energy.CheckDevice(p.RX); err != nil {
+		return fmt.Errorf("braidio: receiver: %w", err)
+	}
+	return nil
+}
+
 // Plan returns the carrier-offload allocation for the pair's full
 // batteries without running a transfer.
 func (p *Pair) Plan() (*Allocation, error) {
+	if err := p.checkDevices(); err != nil {
+		return nil, err
+	}
 	return core.Optimize(p.Links(), p.TX.Capacity.Joules(), p.RX.Capacity.Joules())
 }
 
@@ -255,6 +277,9 @@ func (p *Pair) Plan() (*Allocation, error) {
 // on a copy of the pair's braid configuration, so concurrent calls on
 // one Pair are safe.
 func (p *Pair) Transfer() (*Result, error) {
+	if err := p.checkDevices(); err != nil {
+		return nil, err
+	}
 	br := *p.braid
 	br.MaxBits = 0
 	return br.RunFresh(p.TX.Capacity, p.RX.Capacity)
@@ -268,6 +293,9 @@ func (p *Pair) Transfer() (*Result, error) {
 func (p *Pair) TransferBits(bits float64) (*Result, error) {
 	if !(bits > 0) || math.IsInf(bits, 1) {
 		return nil, fmt.Errorf("braidio: bit budget %v is not positive and finite", bits)
+	}
+	if err := p.checkDevices(); err != nil {
+		return nil, err
 	}
 	br := *p.braid
 	br.MaxBits = bits
@@ -308,6 +336,9 @@ func (p *Pair) GainVsBestMode() (float64, error) {
 // retransmission, and fallback. The seed drives the stochastic channel;
 // WithWalk and WithSessionFaults options on the pair carry over.
 func (p *Pair) NewSession(seed uint64) (*Session, error) {
+	if err := p.checkDevices(); err != nil {
+		return nil, err
+	}
 	cfg := mac.DefaultConfig(p.model, p.Distance, seed)
 	cfg.Walk = p.walk
 	cfg.Faults = p.sessionFaults
@@ -395,6 +426,9 @@ type Duplex = mac.Duplex
 // both directions; session faults do not (injectors are stateful and
 // cannot be shared between the two directions' sessions).
 func (p *Pair) NewDuplex(seed uint64) (*Duplex, error) {
+	if err := p.checkDevices(); err != nil {
+		return nil, err
+	}
 	cfg := mac.DefaultConfig(p.model, p.Distance, seed)
 	cfg.Walk = p.walk
 	cfg.Obs = p.metrics
@@ -406,6 +440,9 @@ func (p *Pair) NewDuplex(seed uint64) (*Duplex, error) {
 // source that needs at least minRate cannot absorb slow backscatter
 // slots, so the braid sheds them at the price of power proportionality.
 func (p *Pair) PlanQoS(minRate BitRate) (*Allocation, error) {
+	if err := p.checkDevices(); err != nil {
+		return nil, err
+	}
 	return core.OptimizeQoS(p.Links(), p.TX.Capacity.Joules(), p.RX.Capacity.Joules(), minRate)
 }
 

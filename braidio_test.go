@@ -411,3 +411,41 @@ func TestNonPositiveDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestBadDeviceIsAnError gives every entry point that makes batteries
+// from devices one whose capacity is not positive and finite, on either
+// side, and demands an error wrapping ErrBadDevice. A zero capacity used
+// to panic in energy.NewBattery: on the caller's goroutine for the Pair
+// methods, and inside a worker goroutine, past any recover, for the gain
+// matrices. Plan and PlanQoS, which make no battery, answer the same.
+func TestBadDeviceIsAnError(t *testing.T) {
+	watch := mustDevice(t, "Apple Watch")
+	entries := []struct {
+		name string
+		call func(tx, rx Device) error
+	}{
+		{"Transfer", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).Transfer(); return err }},
+		{"TransferBits", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).TransferBits(1e6); return err }},
+		{"GainVsBluetooth", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).GainVsBluetooth(); return err }},
+		{"GainVsBestMode", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).GainVsBestMode(); return err }},
+		{"NewSession", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).NewSession(1); return err }},
+		{"NewDuplex", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).NewDuplex(1); return err }},
+		{"Plan", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).Plan(); return err }},
+		{"PlanQoS", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).PlanQoS(Rate10k); return err }},
+		{"GainMatrix", func(tx, rx Device) error { _, err := GainMatrix(0.5, []Device{tx, rx}); return err }},
+		{"GainMatrixBestMode", func(tx, rx Device) error { _, err := GainMatrixBestMode(0.5, []Device{tx, rx}); return err }},
+		{"GainMatrixBidirectional", func(tx, rx Device) error { _, err := GainMatrixBidirectional(0.5, []Device{tx, rx}); return err }},
+	}
+	for _, entry := range entries {
+		t.Run(entry.name, func(t *testing.T) {
+			for _, c := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+				bad := CustomDevice("bad", WattHour(c))
+				for _, side := range [][2]Device{{bad, watch}, {watch, bad}} {
+					if err := entry.call(side[0], side[1]); !errors.Is(err, ErrBadDevice) {
+						t.Errorf("capacity %v, %s→%s: err = %v, want %v", c, side[0].Name, side[1].Name, err, ErrBadDevice)
+					}
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@
 package energy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -95,6 +96,22 @@ type Device struct {
 
 // NewBattery returns a full battery for the device.
 func (d Device) NewBattery() *Battery { return NewBattery(d.Capacity) }
+
+// ErrBadDevice reports a device whose battery capacity is not a positive
+// finite number: NewBattery panics on a capacity that is not positive,
+// and a NaN or infinite one is no budget a solve can use. net and the
+// root API return it too.
+var ErrBadDevice = errors.New("energy: device capacity is not positive and finite")
+
+// CheckDevice returns an error wrapping ErrBadDevice unless d's capacity
+// is positive and finite. Entry points that make batteries from devices
+// run it first, so a bad device is an error rather than a panic.
+func CheckDevice(d Device) error {
+	if c := float64(d.Capacity); !(c > 0) || math.IsInf(c, 1) {
+		return fmt.Errorf("%w: %q has %v Wh", ErrBadDevice, d.Name, c)
+	}
+	return nil
+}
 
 // Catalog is the Fig. 1 device list in the paper's order (smallest to
 // largest battery).

@@ -125,8 +125,9 @@ var (
 	// ErrBadLoad reports a non-positive or non-finite member load.
 	ErrBadLoad = errors.New("net: non-positive load")
 	// ErrBadDevice reports a device whose battery capacity is not a
-	// positive finite number (energy.NewBattery would panic).
-	ErrBadDevice = errors.New("net: non-positive device capacity")
+	// positive finite number (energy.NewBattery would panic). It is
+	// energy.ErrBadDevice, which sim and the root API return as well.
+	ErrBadDevice = energy.ErrBadDevice
 	// ErrCoincident reports two nodes (hub or member) at the exact same
 	// position. Near-coincidence is fine — derived distances are clamped
 	// to MinDistance — but exact duplicates are almost always a topology
@@ -203,8 +204,8 @@ func Validate(t *Topology) error {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
 			return fmt.Errorf("%w: %s at (%v, %v)", ErrBadPosition, name(n), p.X, p.Y)
 		}
-		if c := float64(d.Capacity); !(c > 0) || math.IsInf(c, 1) {
-			return fmt.Errorf("%w: %s %q capacity %v Wh", ErrBadDevice, name(n), d.Name, c)
+		if err := energy.CheckDevice(d); err != nil {
+			return fmt.Errorf("net: %s: %w", name(n), err)
 		}
 		if walks {
 			return nil

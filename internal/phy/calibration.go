@@ -167,11 +167,11 @@ func ProtocolEfficiency(m Mode) float64 {
 }
 
 // Switching overheads per transition, from Table 5 (converted from Wh to
-// joules). The backscatter TX number is the paper's worst case — "we use
-// the worse scenario, i.e. the link speed is only 10kbps" — because the
-// mode-entry handshake runs at link speed; SwitchCost scales it to the
-// actual rate.
-var SwitchOverhead = map[Mode]struct{ TX, RX units.Joule }{
+// joules), indexed by Mode. The backscatter TX number is the paper's
+// worst case — "we use the worse scenario, i.e. the link speed is only
+// 10kbps" — because the mode-entry handshake runs at link speed;
+// SwitchCost scales it to the actual rate.
+var SwitchOverhead = [NumModes]struct{ TX, RX units.Joule }{
 	ModeActive:      {TX: 3.78e-6, RX: 3.636e-6},
 	ModePassive:     {TX: 6.192e-6, RX: 1.584e-8},
 	ModeBackscatter: {TX: 3.0888e-4, RX: 3.96e-8},

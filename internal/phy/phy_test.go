@@ -277,7 +277,8 @@ func TestSwitchOverheadTable5(t *testing.T) {
 	}
 	// Switching costs are negligible vs a second of operation in the
 	// relevant mode — the paper's conclusion.
-	for mode, oh := range SwitchOverhead {
+	for i, oh := range SwitchOverhead {
+		mode := Mode(i)
 		opEnergy := float64(units.Energy(TXPower(mode, units.Rate10k), 1))
 		if float64(oh.TX) > opEnergy {
 			// The backscatter TX switch is the documented worst case:

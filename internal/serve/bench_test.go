@@ -1,6 +1,7 @@
-// Serve engine benchmarks: warm drift-only epoch throughput and the
-// contention profile of /v1/plan reads racing a running epoch — the
-// numbers the sharded member state exists to move. The shards=1
+// Serve engine benchmarks: the registration wave, warm drift-only epoch
+// throughput and the contention profile of /v1/plan reads racing a
+// running epoch — the numbers the sharded member state exists to move.
+// The shards=1
 // sub-benchmarks approximate the pre-shard single-lock engine (one
 // shard's lock serializes exactly what the global mutex used to), so
 // the shards=16 deltas measure the sharding win directly.
@@ -18,12 +19,10 @@ import (
 	"braidio/internal/units"
 )
 
-// benchEngine registers n members and runs the cold bulk plan, leaving
-// a warm arena and a fully planned membership. It returns the member
-// ids, built once, so timed loops format none.
-func benchEngine(b *testing.B, shards, workers, n int) (*Engine, []string) {
-	b.Helper()
-	cfg := Config{
+// benchConfig is the engine configuration of every serve benchmark, for
+// n members.
+func benchConfig(shards, workers, n int) Config {
+	return Config{
 		Shards:            shards,
 		Workers:           workers,
 		RatioTolerance:    0.05,
@@ -32,18 +31,69 @@ func benchEngine(b *testing.B, shards, workers, n int) (*Engine, []string) {
 		HubEnergy:         10,
 		QueueCap:          2*n + 1024,
 	}
-	e := NewEngine(cfg)
+}
+
+// benchIDs returns the member ids m0 … m(n-1), built once, so timed
+// loops format none.
+func benchIDs(n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("m%d", i)
-		if err := e.Register(ids[i], units.Joule(0.4+0.01*float64(i%40)), units.Meter(0.5+0.015*float64(i%200))); err != nil {
+	}
+	return ids
+}
+
+// registerWave registers every id and runs the cold bulk plan.
+func registerWave(b *testing.B, e *Engine, ids []string) {
+	b.Helper()
+	for i, id := range ids {
+		if err := e.Register(id, units.Joule(0.4+0.01*float64(i%40)), units.Meter(0.5+0.015*float64(i%200))); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if _, err := e.RunEpoch(); err != nil {
-		b.Fatal(err)
+	if res, err := e.RunEpoch(); err != nil || res.Planned != len(ids) {
+		b.Fatalf("cold plan planned %d of %d members: %v", res.Planned, len(ids), err)
 	}
+}
+
+// benchEngine registers n members and runs the cold bulk plan, leaving
+// a warm arena and a fully planned membership. It returns the member
+// ids.
+func benchEngine(b *testing.B, shards, workers, n int) (*Engine, []string) {
+	b.Helper()
+	e := NewEngine(benchConfig(shards, workers, n))
+	ids := benchIDs(n)
+	registerWave(b, e, ids)
 	return e, ids
+}
+
+// BenchmarkServeRegistrationWave is the daemon's cold start: 100k
+// registrations admitted into a fresh engine, then the cold plan that
+// solves every member. Only the wave is timed, not building the engine;
+// B/member is the heap it allocates per member.
+func BenchmarkServeRegistrationWave(b *testing.B) {
+	const n = 100_000
+	ids := benchIDs(n)
+	for _, shards := range []int{1, 16} {
+		b.Run(fmt.Sprintf("members=%d/shards=%d", n, shards), func(b *testing.B) {
+			b.ReportAllocs()
+			var alloc uint64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := NewEngine(benchConfig(shards, 0, n))
+				runtime.ReadMemStats(&ms)
+				start := ms.TotalAlloc
+				b.StartTimer()
+				registerWave(b, e, ids)
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				alloc += ms.TotalAlloc - start
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(alloc)/float64(b.N)/n, "B/member")
+		})
+	}
 }
 
 // updateRange admits updates for members [lo, lo+k) at scale× their

@@ -8,6 +8,7 @@ package serve
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"braidio/internal/obs"
@@ -26,16 +27,16 @@ func dirtyListLen(e *Engine) int {
 }
 
 // heldJobs reports a shard whose job list, between epochs, keeps more
-// than planChunk slots or any entry: a member or a superseded plan the
-// list would keep alive until the next epoch.
+// than planChunk slots or any entry: a member or an error the list
+// would keep alive until the next epoch.
 func heldJobs(e *Engine) error {
 	for si, s := range e.shards {
 		if c := cap(s.jobs); c > planChunk {
 			return fmt.Errorf("shard %d keeps a %d-slot job list", si, c)
 		}
 		for k, j := range s.jobs[:cap(s.jobs)] {
-			if j.m != nil || j.plan.Modes != nil || j.plan.Fractions != nil || j.plan.Blocks != nil || j.err != nil {
-				return fmt.Errorf("shard %d job slot %d still holds a member, plan or error", si, k)
+			if j.m != nil || j.err != nil {
+				return fmt.Errorf("shard %d job slot %d still holds a member or error", si, k)
 			}
 		}
 	}
@@ -43,11 +44,23 @@ func heldJobs(e *Engine) error {
 }
 
 // heldScratch reports the rest of the epoch scratch that, between
-// epochs, keeps more than planChunk slots or any entry: the drained
-// queue and every shard's routed ops and dirty list (a test whose every
+// epochs, keeps more than planChunk slots or any entry: the admission
+// queue's spare block, the member slab's unused tail, and every
+// shard's routed ops, dirty list and built plans (a test whose every
 // solve succeeds leaves no member queued).
 func heldScratch(e *Engine) error {
-	if err := held("drained queue", e.spare); err != nil {
+	e.queueMu.Lock()
+	spare := e.queue.spare
+	e.queueMu.Unlock()
+	if spare != nil {
+		if spare.next != nil {
+			return fmt.Errorf("the queue's spare block chains another")
+		}
+		if err := held("spare queue block", spare.ops[:]); err != nil {
+			return err
+		}
+	}
+	if err := held("member slab tail", e.slab); err != nil {
 		return err
 	}
 	for si, s := range e.shards {
@@ -57,19 +70,21 @@ func heldScratch(e *Engine) error {
 		if err := held(fmt.Sprintf("shard %d dirty list", si), s.dirty); err != nil {
 			return err
 		}
+		if err := held(fmt.Sprintf("shard %d built plans", si), s.built); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // held reports a scratch slice with more than planChunk slots or a
 // non-zero slot.
-func held[T comparable](name string, s []T) error {
+func held[T any](name string, s []T) error {
 	if c := cap(s); c > planChunk {
 		return fmt.Errorf("%s keeps %d slots", name, c)
 	}
-	var zero T
 	for k, v := range s[:cap(s)] {
-		if v != zero {
+		if !reflect.ValueOf(&v).Elem().IsZero() {
 			return fmt.Errorf("%s slot %d still holds an entry", name, k)
 		}
 	}

@@ -50,12 +50,12 @@ func (e *Engine) buildSnapshot() *snapshotRecord {
 		e.shards[i].mu.RUnlock()
 	}
 	e.mu.RUnlock()
-	if n := len(e.queue); n > 0 {
+	if n := e.queue.n; n > 0 {
 		snap.Queue = make([]queuedOp, 0, n)
 	}
-	for _, o := range e.queue {
+	e.queue.each(func(o *op) {
 		snap.Queue = append(snap.Queue, queuedOp{T: o.wireType(), ID: o.id, E: float64(o.energy), D: float64(o.distance)})
-	}
+	})
 	return snap
 }
 

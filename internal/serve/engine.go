@@ -52,8 +52,8 @@ type Config struct {
 	Shards int
 	// QueueCap bounds the admission queue; operations arriving when the
 	// queue is full are shed (ErrShed, HTTP 503). It bounds admission
-	// only: nothing is preallocated, and the queue grows with what is
-	// admitted.
+	// only: nothing is preallocated, and the queue grows a block at a
+	// time with what is admitted.
 	QueueCap int
 	// RatioTolerance is the symmetric relative tolerance
 	// (core.RatioWithin) on the battery ratio E_hub/E_member within
@@ -160,6 +160,78 @@ type op struct {
 	distance units.Meter
 }
 
+// opBlock is one fixed-size block of the admission queue, chained to
+// the block filled after it. A block holds planChunk ops, so the spare
+// block the queue keeps is planChunk ops' worth, as much scratch as an
+// epoch's plan arena holds slots.
+type opBlock struct {
+	ops  [planChunk]op
+	next *opBlock
+}
+
+// opQueue is the admission queue: ops in admission order, filled into a
+// chain of fixed-size blocks, so a registration wave writes each op
+// once instead of regrowing one slice by copying it. spare is a drained
+// block, zeroed, that push takes before allocating one. The zero value
+// is an empty queue. Guarded by the engine's queueMu.
+type opQueue struct {
+	head, tail *opBlock
+	n          int
+	spare      *opBlock
+}
+
+// push appends o, starting a block when the tail block is full.
+func (q *opQueue) push(o op) {
+	i := q.n % planChunk
+	if i == 0 {
+		b := q.spare
+		if b != nil {
+			q.spare = nil
+		} else {
+			b = new(opBlock)
+		}
+		if q.tail == nil {
+			q.head = b
+		} else {
+			q.tail.next = b
+		}
+		q.tail = b
+	}
+	q.tail.ops[i] = o
+	q.n++
+}
+
+// each calls fn on every queued op, in admission order.
+func (q *opQueue) each(fn func(o *op)) {
+	left := q.n
+	for b := q.head; left > 0; b = b.next {
+		ops := b.ops[:min(left, planChunk)]
+		for i := range ops {
+			fn(&ops[i])
+		}
+		left -= len(ops)
+	}
+}
+
+// take empties the queue and returns what it held, for each and
+// recycle; the spare stays.
+func (q *opQueue) take() opQueue {
+	d := opQueue{head: q.head, n: q.n}
+	q.head, q.tail, q.n = nil, nil, 0
+	return d
+}
+
+// recycle hands a taken queue back: its first block, zeroed so that it
+// holds no id past the epoch that drained it, becomes the spare unless
+// there is one already; every other block is dropped.
+func (q *opQueue) recycle(d opQueue) {
+	if b := d.head; b != nil && q.spare == nil {
+		clear(b.ops[:min(d.n, planChunk)])
+		b.next = nil
+		q.spare = b
+	}
+}
+
 // member is one registered device's engine-side state. id and seq are
 // immutable after creation; everything else is guarded by the owning
 // shard's lock. seq is the member's global registration index — the
@@ -213,8 +285,7 @@ type Engine struct {
 	model *phy.Model
 
 	queueMu  sync.Mutex
-	queue    []op
-	spare    []op   // the last drained queue, released for reuse (under epochMu)
+	queue    opQueue
 	admitted uint64 // cumulative ops admitted, ever (incl. restored history)
 
 	// mu is the residual global lock: hub budget, epoch counter, and
@@ -232,6 +303,11 @@ type Engine struct {
 	// nextSeq is the next member's registration index. Written only by
 	// the epoch router (under epochMu) and restoreSnapshot (pre-traffic).
 	nextSeq uint64
+	// slab is where the router and restoreSnapshot carve new members:
+	// one array sized to a wave's registrations, not one allocation per
+	// member. Its unused tail carries over to later waves while it is at
+	// most planChunk members (see trimSlab). Same writers as nextSeq.
+	slab []member
 
 	epochMu sync.Mutex // serializes RunEpoch
 
@@ -309,14 +385,14 @@ func (e *Engine) admit(o op) error {
 			return fmt.Errorf("%w: %v", ErrJournalBroken, err)
 		}
 	}
-	if len(e.queue) >= e.cfg.QueueCap {
+	if e.queue.n >= e.cfg.QueueCap {
 		e.queueMu.Unlock()
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServeSheds.Add(1)
 		}
 		return ErrShed
 	}
-	e.queue = append(e.queue, o)
+	e.queue.push(o)
 	e.admitted++
 	// Journal inside the critical section: journal order must be
 	// admission order or the replay diverges.
@@ -433,7 +509,7 @@ func ringPercentiles(r *latRing) (p50, p99 float64) {
 // epoch or block plan reads.
 func (e *Engine) Stats() Stats {
 	e.queueMu.Lock()
-	depth := len(e.queue)
+	depth := e.queue.n
 	admitted := e.admitted
 	journal := e.journal
 	e.queueMu.Unlock()
@@ -469,20 +545,39 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// planJob snapshots one dirty member's solve inputs; results land in
-// index-owned slots for deterministic in-order commit. rebuild says the
+// planJob snapshots one dirty member's solve inputs. rebuild says the
 // member's link row is rebuilt from code instead of characterized, its
 // last plan having been characterized at this distance; the plan phase
 // clears it when the model refuses the rebuild, and then stores the
-// characterized row's code.
+// characterized row's code. err is the solve's failure; a solved plan is
+// committed straight into the member, where the digest reads it.
 type planJob struct {
 	m        *member
 	energy   units.Joule
 	distance units.Meter
 	rebuild  bool
 	code     uint8
-	plan     Plan
 	err      error
+}
+
+// slabFor returns the member slab with room for n new members at its
+// front, replacing a slab too short to hold them.
+func (e *Engine) slabFor(n int) []member {
+	if len(e.slab) < n {
+		e.slab = make([]member, n)
+	}
+	return e.slab
+}
+
+// trimSlab drops the used members from the slab's front. The unused
+// tail is kept for later registrations only while it is at most
+// planChunk members, so a wave whose registers mostly named known ids
+// leaves no large spare slab behind.
+func (e *Engine) trimSlab(used int) {
+	e.slab = e.slab[used:]
+	if len(e.slab) > planChunk {
+		e.slab = nil
+	}
 }
 
 // RunEpoch drains the admission queue, routes the operations to their
@@ -503,11 +598,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	e.mu.Unlock()
 
 	e.queueMu.Lock()
-	ops := e.queue
-	// Swap in the last drained buffer: the queue keeps the capacity
-	// admissions grew it to, up to planChunk (see release), instead of
-	// being reallocated every epoch.
-	e.queue, e.spare = e.spare, nil
+	drained := e.queue.take()
 	// The drain marker sits in the same critical section, so every
 	// journaled op unambiguously belongs to exactly one epoch.
 	journal := e.journal
@@ -525,27 +616,40 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	// member seq numbers, and therefore the digest's registration-order
 	// merge, are fixed before any shard stage runs.
 	//
-	// A first pass finds each op's shard and counts each shard's share,
-	// so that every routed slice, released after an epoch that outgrew
-	// planChunk, grows once instead of by doubling.
-	hubApplied := 0
-	for i := range ops {
-		o := &ops[i]
+	// A first pass finds each op's shard and counts each shard's share
+	// and the registers among it, so that every routed slice, the member
+	// slab, the orders and an empty shard's map grow once instead of by
+	// doubling.
+	hubApplied, registers := 0, 0
+	drained.each(func(o *op) {
 		if o.kind == opHub {
 			hubApplied++
-			continue
+			return
 		}
 		o.shard = e.shardIndex(o.id)
-		e.shards[o.shard].routed++
-	}
+		s := e.shards[o.shard]
+		s.routed++
+		if o.kind == opRegister {
+			s.registers++
+			registers++
+		}
+	})
 	for _, s := range e.shards {
 		s.ops = slices.Grow(s.ops, s.routed+hubApplied)
 		s.routed = 0
+		s.order = slices.Grow(s.order, s.registers)
+		if len(s.members) == 0 && s.registers > 0 {
+			// Swapped under the shard lock: /v1/plan readers may hold
+			// the read side right now.
+			s.mu.Lock()
+			s.members = make(map[string]*member, s.registers)
+			s.mu.Unlock()
+		}
 	}
+	fresh := e.slabFor(registers)
+	carved := 0
 	finalHub := hubE
-	var newMembers []*member
-	for i := range ops {
-		o := &ops[i]
+	drained.each(func(o *op) {
 		if o.kind == opHub {
 			// Broadcast at this admission position: every shard sees the
 			// budget change at exactly the sequence point a single-lock
@@ -554,12 +658,14 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 				s.ops = append(s.ops, *o)
 			}
 			finalHub = o.energy
-			continue
+			return
 		}
 		s := e.shards[o.shard]
 		if o.kind == opRegister {
 			if _, found := s.members[o.id]; !found {
-				m := &member{id: o.id, seq: e.nextSeq}
+				m := &fresh[carved]
+				carved++
+				m.id, m.seq = o.id, e.nextSeq
 				e.nextSeq++
 				// Map insert under the shard lock: /v1/plan readers may
 				// hold the read side right now. The unlocked lookup above
@@ -568,16 +674,23 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 				s.members[o.id] = m
 				s.mu.Unlock()
 				s.order = append(s.order, m)
-				newMembers = append(newMembers, m)
 			}
 		}
 		s.ops = append(s.ops, *o)
-	}
-	if len(newMembers) > 0 {
+	})
+	e.trimSlab(carved)
+	if carved > 0 {
 		e.mu.Lock()
-		e.order = append(e.order, newMembers...)
+		e.order = slices.Grow(e.order, carved)
+		for i := range fresh[:carved] {
+			e.order = append(e.order, &fresh[i])
+		}
 		e.mu.Unlock()
 	}
+	// The shards apply copies: the drained blocks go back to the queue.
+	e.queueMu.Lock()
+	e.queue.recycle(drained)
+	e.queueMu.Unlock()
 
 	// Pipelined shard stages: each shard applies its ops, plans its
 	// dirty set through its own arena, and commits — independently, so
@@ -632,7 +745,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		}
 	}
 
-	if len(ops) > 0 {
+	if drained.n > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServeApplyLatency.Observe(applyNs)
 		}
@@ -640,7 +753,6 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		e.applyLat.observe(applyNs)
 		e.latMu.Unlock()
 	}
-	e.spare = release(ops) // the shards applied copies
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServePlanLatency.Observe(planNs)
@@ -687,8 +799,8 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 // in ascending member seq — reassembling global registration order from
 // the shard-local (already seq-sorted) job lists by linear k-way merge.
 // Called after the stage barrier, so the job slices are quiescent; ids,
-// seqs, and the job-local plan copies are read without shard locks
-// (id/seq are immutable, the plan copy is stage-owned).
+// seqs and the plans committed this epoch are read without shard locks
+// (id/seq are immutable, and only a stage commit writes a plan).
 func (e *Engine) forEachJobInOrder(fn func(*planJob)) {
 	if len(e.shards) == 1 {
 		s := e.shards[0]
@@ -755,13 +867,14 @@ func (e *Engine) epochDigest(epoch uint64, jobsTotal int) string {
 			put(^uint64(0))
 			return
 		}
-		for _, f := range j.plan.Fractions {
+		p := &j.m.plan
+		for _, f := range p.Fractions {
 			put(math.Float64bits(f))
 		}
-		for _, n := range j.plan.Blocks {
+		for _, n := range p.Blocks {
 			put(uint64(n))
 		}
-		put(math.Float64bits(j.plan.Bits))
+		put(math.Float64bits(p.Bits))
 	})
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -12,13 +12,13 @@ import (
 
 // heapPerMemberBudget bounds the live heap an engine holds per member
 // between epochs: the member, its plan, its map entry and ordering
-// slots, and its share of the retained epoch scratch. The plan arena is
-// bounded by planChunk, and the routed ops, the dirty list, the job
-// list and the drained queue are released at the end of any epoch they
-// outgrow planChunk, so none of them is part of the per-member share,
-// not even right after the cold plan, which routes, lists and plans
-// every member at once (kept, its routed ops and drained queue add
-// about 100 B per member).
+// slots, and its share of the retained epoch scratch. The plan arena and
+// the admission queue's spare block are bounded by planChunk, and the
+// routed ops, the dirty list and the job list are released at the end of
+// any epoch they outgrow planChunk, so none of them is part of the
+// per-member share, not even right after the cold plan, which routes,
+// lists and plans every member at once (kept, its routed ops and
+// drained queue add about 100 B per member).
 const heapPerMemberBudget = 340
 
 // TestHeapPerMemberBudget registers 100k members, runs the cold plan
@@ -74,6 +74,60 @@ func TestHeapPerMemberBudget(t *testing.T) {
 		}
 	}
 	perMember(e, "five drift epochs")
+}
+
+// Per-member bounds on what a registration wave allocates, from its
+// admission to the end of its cold plan: the member, carved from a slab
+// sized to the wave; its plan's one backing array; and its share of the
+// admission queue's blocks, the routed ops, the job list, the orders,
+// the dirty list and the shard map, each allocated once at its final
+// size. One shard reads about 406 B and 1.004 objects per member; a
+// queue regrown by append, one allocation per member and per plan slice,
+// and a job list holding every plan read 841 B and 3.007.
+const (
+	waveBytesPerMember   = 440
+	waveObjectsPerMember = 1.05
+)
+
+// TestRegistrationWaveAllocs registers 100,000 members and runs the
+// cold plan at one shard, as the serve-epoch benchmark's set-up does,
+// and bounds the bytes and objects the wave allocates per member. The
+// ids are built first, so the count is the engine's alone. Skipped
+// under -short, and excluded under the race detector, which instruments
+// allocations.
+func TestRegistrationWaveAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-member registration wave skipped in -short mode")
+	}
+	const n = 100_000
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%d", i)
+	}
+	cfg := testConfig(nil)
+	cfg.Shards, cfg.Workers, cfg.QueueCap = 1, 1, n
+	e := NewEngine(cfg)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, id := range ids {
+		if err := e.Register(id, units.Joule(0.4+0.01*float64(i%40)), units.Meter(0.5+0.015*float64(i%200))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := mustEpoch(t, e); res.Planned != n {
+		t.Fatalf("cold plan planned %d of %d members", res.Planned, n)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objects := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("registration wave: %.1f B and %.3f objects per member (bounds %d B, %.2f)", bytes, objects, waveBytesPerMember, waveObjectsPerMember)
+	if bytes > waveBytesPerMember {
+		t.Errorf("registration wave allocated %.1f B per member, bound %d B", bytes, waveBytesPerMember)
+	}
+	if objects > waveObjectsPerMember {
+		t.Errorf("registration wave allocated %.3f objects per member, bound %.2f", objects, waveObjectsPerMember)
+	}
 }
 
 // snapshotAllocBudget bounds the heap one snapshotNow allocates: the

@@ -16,7 +16,8 @@
 // apply → plan → commit independently over internal/par — shard A can
 // be solving while shard B is still applying — each with its own
 // core.BatchScratch arena, sized to a chunk of planChunk jobs rather
-// than to the epoch. An epoch plans the shard's dirty list, so its cost
+// than to the epoch, and each chunk committed under the shard lock as
+// soon as it is solved. An epoch plans the shard's dirty list, so its cost
 // follows drift, not membership; only a hub-budget change walks every
 // member. A re-planned member whose distance has not moved since its
 // last plan has its link row rebuilt from that plan's rate code rather
@@ -37,14 +38,16 @@ import (
 	"braidio/internal/core"
 	"braidio/internal/obs"
 	"braidio/internal/par"
+	"braidio/internal/phy"
 	"braidio/internal/rng"
 	"braidio/internal/units"
 )
 
 // shard owns one stripe of the membership. The mutex guards members,
 // order, dirty, and every member's mutable fields; the stage scratch
-// (ops, jobs, batch, marks) is owned by the epoch pipeline, which runs at
-// most one stage per shard at a time (under the engine's epochMu).
+// (ops, jobs, batch, built, marks) is owned by the epoch pipeline, which
+// runs at most one stage per shard at a time (under the engine's
+// epochMu).
 type shard struct {
 	mu      sync.RWMutex
 	members map[string]*member
@@ -59,15 +62,18 @@ type shard struct {
 
 	// Epoch-stage scratch, reused across epochs. ops is this epoch's
 	// routed admission slice; jobs the dirty set in shard order; batch
-	// the shard's private column arena, planChunk slots at most; marks
-	// the markDirty calls by reason since a stage last flushed them.
+	// the shard's private column arena and built the plans of the chunk
+	// it holds, planChunk slots each at most; marks the markDirty calls
+	// by reason since a stage last flushed them.
 	ops   []op
 	jobs  []planJob
 	batch core.BatchScratch
+	built []Plan
 	marks [obs.NumDirtyReasons]uint64
-	// routed counts the drained member ops the epoch router sends here,
-	// so it can grow ops once before routing them.
-	routed int
+	// routed and registers count the drained member ops, and the
+	// registers among them, that the epoch router sends here, so that
+	// ops, order, the member map and the dirty list each grow once.
+	routed, registers int
 
 	// Per-epoch stage results, merged by RunEpoch after the pipeline
 	// barrier: ops applied, plans committed, the first solve error in
@@ -131,8 +137,9 @@ func bySeq(a, b *member) int { return cmp.Compare(a.seq, b.seq) }
 
 // runStage is one shard's slice of the epoch pipeline: apply the routed
 // ops in admission order under the shard lock, collect the dirty list,
-// solve it through the shard's private column arena with no lock held,
-// and commit the plans back under the lock. hubE is the hub budget at
+// and solve it a chunk at a time through the shard's private column
+// arena with no lock held, committing each chunk's plans under the lock
+// as soon as it is solved. hubE is the hub budget at
 // epoch start; broadcast hub markers advance the local copy at their
 // admission positions, so dirtiness is evaluated against exactly the
 // budget a single-lock apply would have seen. workers bounds the
@@ -142,6 +149,10 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	s.mu.Lock()
 	localHub := hubE
 	var registers, updates uint64
+	// Every register marks its member (a registration wave's dirty list
+	// is as long as the wave); updates mark only the members that drift.
+	s.dirty = slices.Grow(s.dirty, s.registers)
+	s.registers = 0
 	for i := range s.ops {
 		o := &s.ops[i]
 		switch o.kind {
@@ -194,7 +205,8 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	// (bit for bit; distances are positive and finite) has its row
 	// rebuilt from the plan's rate code. RunEpoch left s.jobs empty (and
 	// nil past planChunk); it is grown once to the dirty list's length,
-	// not by doubling.
+	// not by doubling. The jobs now hold the dirty set, so the list is
+	// emptied; commit re-queues each member whose solve fails.
 	slices.SortFunc(s.dirty, bySeq)
 	s.jobs = slices.Grow(s.jobs, len(s.dirty))
 	for _, m := range s.dirty {
@@ -203,6 +215,7 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 			rebuild: m.rateCode != 0 && float64(m.distance) == m.plan.Distance, code: m.rateCode,
 		})
 	}
+	s.dirty = release(s.dirty)
 	s.mu.Unlock()
 	s.applied = int(registers + updates)
 	s.applyEndNs = float64(time.Since(applyStart))
@@ -218,48 +231,21 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 	}
 	s.marks = [obs.NumDirtyReasons]uint64{}
 
-	// Plan phase, lock-free, planChunk jobs at a time through the
-	// shard's arena. solveHub is the post-apply hub budget — identical
-	// across shards, since every shard saw every hub marker.
+	// Plan phase, planChunk jobs at a time through the shard's arena:
+	// each chunk is solved with no lock held and committed under the
+	// shard lock as soon as it is solved, so no plan waits in the job
+	// list for the rest of the dirty set. solveHub is the post-apply hub
+	// budget — identical across shards, since every shard saw every hub
+	// marker.
 	planStart := time.Now()
 	solveHub := localHub
-	for lo := 0; lo < len(s.jobs); lo += planChunk {
-		s.solveChunk(e, s.jobs[lo:min(lo+planChunk, len(s.jobs))], epoch, solveHub, workers)
-	}
-
-	// Commit under the shard lock; readers of other shards never notice.
-	s.mu.Lock()
-	s.firstErr, s.firstErrSeq = nil, 0
-	s.dirty = release(s.dirty)
-	plannedLocal := 0
+	s.firstErr, s.firstErrSeq, s.planned = nil, 0, 0
 	var rows [obs.NumLinkRowSources]uint64
-	for i := range s.jobs {
-		j := &s.jobs[i]
-		if j.rebuild {
-			rows[obs.LinkRowsRebuilt]++
-		} else {
-			rows[obs.LinkRowsCharacterized]++
-		}
-		if j.err != nil {
-			// Out of range or drained: keep the member dirty and queued,
-			// so every epoch re-plans it until an update brings it back;
-			// surface the shard's first error (jobs are seq-ascending, so
-			// first is lowest).
-			s.dirty = append(s.dirty, j.m)
-			if s.firstErr == nil {
-				s.firstErr = fmt.Errorf("serve: member %q: %w", j.m.id, j.err)
-				s.firstErrSeq = j.m.seq
-			}
-			continue
-		}
-		j.m.plan = j.plan
-		j.m.hasPlan = true
-		j.m.rateCode = j.code
-		j.m.dirty = false
-		plannedLocal++
+	for lo := 0; lo < len(s.jobs); lo += planChunk {
+		jobs := s.jobs[lo:min(lo+planChunk, len(s.jobs))]
+		s.solveChunk(e, jobs, epoch, solveHub, workers)
+		s.commitChunk(jobs, &rows)
 	}
-	s.mu.Unlock()
-	s.planned = plannedLocal
 	s.planNs = float64(time.Since(planStart))
 	if rec := e.cfg.Rec; rec != nil {
 		for src, n := range rows {
@@ -269,11 +255,11 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 }
 
 // release empties an epoch scratch slice (the routed ops, the dirty
-// list, the job list, the drained queue) at the end of the epoch that
-// used it. A slice whose capacity exceeds planChunk is dropped, so the
-// cold plan, a registration wave or a hub change leaves neither its
-// length nor the ids, members and superseded plans it points at behind,
-// even when no epoch follows; any other is zeroed and kept.
+// list, the job list) at the end of the epoch that used it. A slice
+// whose capacity exceeds planChunk is dropped, so the cold plan, a
+// registration wave or a hub change leaves neither its length nor the
+// ids and members it points at behind, even when no epoch follows; any
+// other is zeroed and kept.
 func release[T any](s []T) []T {
 	if cap(s) > planChunk {
 		return nil
@@ -291,11 +277,15 @@ const planChunk = 4096
 // solveChunk fills, solves and builds the plans of jobs (at most
 // planChunk of them) in the shard's arena: each job's link row, rebuilt
 // from its rate code or characterized at its distance, then the offload
-// kernel, then plan construction into the job slots.
+// kernel, then plan construction into the built slots.
 func (s *shard) solveChunk(e *Engine, jobs []planJob, epoch uint64, hubE units.Joule, workers int) {
 	n := len(jobs)
 	s.batch.Reset(n)
 	s.batch.Cols.Reset(n)
+	if cap(s.built) < n {
+		s.built = make([]Plan, n)
+	}
+	s.built = s.built[:n]
 	for i := range jobs {
 		s.batch.E1[i] = hubE
 		s.batch.E2[i] = jobs[i].energy
@@ -311,6 +301,41 @@ func (s *shard) solveChunk(e *Engine, jobs []planJob, epoch uint64, hubE units.J
 	})
 	core.OptimizeBatch(&s.batch, workers)
 	stripe(workers, n, func(k int) { s.buildPlan(e, &jobs[k], k, epoch, hubE) })
+}
+
+// commitChunk commits a solved chunk under the shard lock, in job (seq)
+// order: each built plan into its member, each member whose solve failed
+// back onto the dirty list. It counts the chunk's link rows by source
+// into rows and leaves the built slots zeroed.
+func (s *shard) commitChunk(jobs []planJob, rows *[obs.NumLinkRowSources]uint64) {
+	s.mu.Lock()
+	for k := range jobs {
+		j := &jobs[k]
+		if j.rebuild {
+			rows[obs.LinkRowsRebuilt]++
+		} else {
+			rows[obs.LinkRowsCharacterized]++
+		}
+		if j.err != nil {
+			// Out of range or drained: keep the member dirty and queued,
+			// so every epoch re-plans it until an update brings it back;
+			// surface the shard's first error (jobs are seq-ascending and
+			// chunks commit in order, so first is lowest).
+			s.dirty = append(s.dirty, j.m)
+			if s.firstErr == nil {
+				s.firstErr = fmt.Errorf("serve: member %q: %w", j.m.id, j.err)
+				s.firstErrSeq = j.m.seq
+			}
+			continue
+		}
+		j.m.plan = s.built[k]
+		j.m.hasPlan = true
+		j.m.rateCode = j.code
+		j.m.dirty = false
+		s.planned++
+	}
+	s.mu.Unlock()
+	clear(s.built)
 }
 
 // stripe runs fn(k) for every k < n, striped over the worker pool once n
@@ -332,12 +357,21 @@ func stripe(workers, n int, fn func(k int)) {
 // it saves).
 const shardPlanParThreshold = 64
 
-// buildPlan constructs job j's plan from the shard arena's slot i:
-// fractions and mixture from the batch offload kernel, blocks from the
-// largest-remainder counts directly, mode names from the canonical
-// shared table. Fractions and Blocks are freshly allocated — committed
-// plans are retained and concurrently marshaled by PlanFor readers, so
-// arena rows must never escape into them.
+// planBacking holds one plan's Fractions and Blocks, so that a plan
+// costs one allocation.
+type planBacking struct {
+	fractions [phy.NumModes]float64
+	blocks    [phy.NumModes]int
+}
+
+// buildPlan constructs job j's plan from the shard arena's slot i into
+// built slot i, or records why it cannot: fractions and mixture from the
+// batch offload kernel, blocks from the largest-remainder counts
+// directly, mode names from the canonical shared table. Fractions and
+// Blocks are a fresh planBacking, capacity-clamped so neither can spill
+// into the other — committed plans are retained and concurrently
+// marshaled by PlanFor readers, so arena rows must never escape into
+// them.
 func (s *shard) buildPlan(e *Engine, j *planJob, i int, epoch uint64, hubE units.Joule) {
 	n := int(s.batch.Cols.Len[i])
 	if n == 0 {
@@ -348,22 +382,22 @@ func (s *shard) buildPlan(e *Engine, j *planJob, i int, epoch uint64, hubE units
 		j.err = err
 		return
 	}
-	p := Plan{
-		Epoch:     epoch,
-		Ratio:     float64(hubE) / float64(j.energy),
-		Distance:  float64(j.distance),
-		Fractions: make([]float64, n),
-		Blocks:    make([]int, n),
-		Bits:      s.batch.Bits[i],
-	}
-	copy(p.Fractions, s.batch.PRow(i))
-	copy(p.Blocks, s.batch.BlockCountsRow(i, e.cfg.Window))
+	b := new(planBacking)
+	copy(b.fractions[:], s.batch.PRow(i))
+	copy(b.blocks[:], s.batch.BlockCountsRow(i, e.cfg.Window))
 	mask := 0
 	for _, l := range s.batch.Cols.Row(i) {
 		mask |= 1 << uint(l.Mode)
 	}
-	p.Modes = modeNames[mask]
-	j.plan = p
+	s.built[i] = Plan{
+		Epoch:     epoch,
+		Ratio:     float64(hubE) / float64(j.energy),
+		Distance:  float64(j.distance),
+		Modes:     modeNames[mask],
+		Fractions: b.fractions[:n:n],
+		Blocks:    b.blocks[:n:n],
+		Bits:      s.batch.Bits[i],
+	}
 }
 
 // latRing is a bounded ring of per-epoch wall-clock latencies (ns) the

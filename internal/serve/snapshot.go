@@ -16,6 +16,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"braidio/internal/obs"
 	"braidio/internal/units"
@@ -150,22 +151,24 @@ func (e *Engine) writeSnapshot(h *headWriter) {
 		h.spill()
 	}
 	h.listEnd(len(e.order))
-	for i := range e.queue {
-		o := &e.queue[i]
+	i := 0
+	e.queue.each(func(o *op) {
 		h.listItem(i, `,"queue":[`)
 		h.queued(o.wireType(), o.id, float64(o.energy), float64(o.distance))
 		h.spill()
-	}
-	h.listEnd(len(e.queue))
+		i++
+	})
+	h.listEnd(e.queue.n)
 	h.raw("}}")
 	h.flush()
 }
 
 // restoreSnapshot loads a snapshot into a freshly built engine (no
 // traffic yet): membership in order, plans, hub budget, epoch counter,
-// admitted count, and the pending queue. It validates structural
-// invariants so a corrupted-but-CRC-valid snapshot cannot seed an
-// engine that panics later.
+// admitted count, and the pending queue. Members are carved from the
+// engine's slab, as the router carves a registration wave. It validates
+// structural invariants so a corrupted-but-CRC-valid snapshot cannot
+// seed an engine that panics later.
 func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 	if s.HubJ <= 0 {
 		return fmt.Errorf("serve: snapshot has non-positive hub energy %v", s.HubJ)
@@ -174,7 +177,9 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 	defer e.mu.Unlock()
 	e.epoch = s.Epoch
 	e.hubEnergy = units.Joule(s.HubJ)
-	for _, mr := range s.Members {
+	slab := e.slabFor(len(s.Members))
+	e.order = slices.Grow(e.order, len(s.Members))
+	for i, mr := range s.Members {
 		if mr.ID == "" {
 			return fmt.Errorf("serve: snapshot member with empty id")
 		}
@@ -187,7 +192,8 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 		}
 		// Seq numbers are reassigned in snapshot (registration) order, so
 		// the cross-shard digest merge reproduces the capture's order.
-		m := &member{id: mr.ID, seq: e.nextSeq, live: true, energy: units.Joule(mr.E), distance: units.Meter(mr.D)}
+		m := &slab[i]
+		*m = member{id: mr.ID, seq: e.nextSeq, live: true, energy: units.Joule(mr.E), distance: units.Meter(mr.D)}
 		e.nextSeq++
 		if mr.Plan != nil {
 			m.plan = *mr.Plan
@@ -201,6 +207,7 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 		sh.order = append(sh.order, m)
 		e.order = append(e.order, m)
 	}
+	e.trimSlab(len(s.Members))
 	e.queueMu.Lock()
 	defer e.queueMu.Unlock()
 	e.admitted = s.Ops
@@ -209,7 +216,7 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 		if !ok {
 			return fmt.Errorf("serve: snapshot queue entry %d has unknown type %q", i, q.T)
 		}
-		e.queue = append(e.queue, o)
+		e.queue.push(o)
 	}
 	return nil
 }

@@ -46,10 +46,14 @@ func (r *PairResult) GainVsBestMode() float64 {
 // both devices start full; tx streams to rx at the given distance until
 // either battery dies. It characterizes the distance once, for both the
 // braid and the best-single-mode baseline. A distance where no mode
-// works returns an error wrapping core.ErrOutOfRange.
+// works returns an error wrapping core.ErrOutOfRange, and a device whose
+// capacity is not positive and finite one wrapping energy.ErrBadDevice.
 func RunPair(m *phy.Model, d units.Meter, tx, rx energy.Device) (*PairResult, error) {
 	if m == nil {
 		return nil, fmt.Errorf("sim: nil model")
+	}
+	if err := checkDevices(tx, rx); err != nil {
+		return nil, err
 	}
 	links := linkcache.Characterize(m, d)
 	var res *core.Result
@@ -123,6 +127,17 @@ func (m *Matrix) Diagonal() []float64 {
 	return out
 }
 
+// checkDevices returns an error wrapping energy.ErrBadDevice for the
+// first device whose capacity is not positive and finite.
+func checkDevices(devices ...energy.Device) error {
+	for _, d := range devices {
+		if err := energy.CheckDevice(d); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	return nil
+}
+
 // gainFn computes one cell's gain for a tx→rx pair. Implementations
 // must be safe for concurrent use (cells run concurrently, each with
 // its own batteries and braid state).
@@ -134,6 +149,11 @@ type gainFn func(tx, rx energy.Device) (float64, error)
 // Cell errors are joined in row-major cell order and the matrix is
 // withheld.
 func buildMatrix(devices []energy.Device, f gainFn) (*Matrix, error) {
+	// Checked before the fan-out: a battery made in a worker from a bad
+	// device would panic on that worker's goroutine, past any recover.
+	if err := checkDevices(devices...); err != nil {
+		return nil, err
+	}
 	n := len(devices)
 	m := &Matrix{Devices: devices, Cells: make([][]float64, n)}
 	for row := range m.Cells {
@@ -193,8 +213,11 @@ func (r *BidirectionalResult) Gain() float64 { return r.Bits / r.BluetoothBits }
 // RunBidirectional alternates equal-sized chunks in each direction
 // ("transmitter and receiver switch roles after sending a certain amount
 // of packets; equal amount of data is transmitted in both directions")
-// until either battery dies.
+// until either battery dies. Bad devices are refused as in RunPair.
 func RunBidirectional(m *phy.Model, d units.Meter, a, b energy.Device) (*BidirectionalResult, error) {
+	if err := checkDevices(a, b); err != nil {
+		return nil, err
+	}
 	ba := a.NewBattery()
 	bb := b.NewBattery()
 

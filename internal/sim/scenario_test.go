@@ -243,6 +243,23 @@ func TestRunPairErrors(t *testing.T) {
 	if _, err := RunPair(m, 5000, energy.Catalog[0], energy.Catalog[1]); !errors.Is(err, core.ErrOutOfRange) {
 		t.Errorf("out-of-range pair: error %v, want core.ErrOutOfRange", err)
 	}
+	// A zero-capacity device is refused before any battery is made, and
+	// a matrix refuses it before its fan-out.
+	good, bad := energy.Catalog[0], energy.Device{Name: "empty"}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"RunPair", func() error { _, err := RunPair(m, 1, good, bad); return err }},
+		{"RunBidirectional", func() error { _, err := RunBidirectional(m, 1, bad, good); return err }},
+		{"GainMatrixBluetooth", func() error { _, err := GainMatrixBluetooth(m, 1, []energy.Device{good, bad}); return err }},
+		{"GainMatrixBestMode", func() error { _, err := GainMatrixBestMode(m, 1, []energy.Device{good, bad}); return err }},
+		{"GainMatrixBidirectional", func() error { _, err := GainMatrixBidirectional(m, 1, []energy.Device{good, bad}); return err }},
+	} {
+		if err := c.call(); !errors.Is(err, energy.ErrBadDevice) {
+			t.Errorf("%s with a zero-capacity device: error %v, want energy.ErrBadDevice", c.name, err)
+		}
+	}
 }
 
 func TestMatrixAccessors(t *testing.T) {
