@@ -33,8 +33,9 @@ race:
 # single-mutation corruption of valid frames (bit flips and truncations
 # at the validation boundaries);
 # FuzzPlan covers adversarial topologies (NaN/infinite positions,
-# negative loads, degenerate batteries) against net.Plan's typed-error
-# contract; FuzzDecodeJournalLine feeds arbitrary lines, framed or bare,
+# negative loads, degenerate batteries) against the typed-error
+# contract of net.New and Network.PlanRound;
+# FuzzDecodeJournalLine feeds arbitrary lines, framed or bare,
 # to the journal line decoder and holds the journal's appender to
 # json.Marshal's bytes on every record it accepts; FuzzReplay feeds arbitrary streams to
 # Replay, the one journal reader recovery also runs, so config-headed
@@ -90,11 +91,13 @@ cover:
 # Monte Carlo sweeps, the hub/fleet engine, the serve benchmarks — the
 # registration wave of 100k members and its cold plan, the warm drift
 # epoch at 50k and 500k members, and plan reads racing an epoch —, the
-# network scheduler, the mobility walks, the offload solvers and braid
-# run in core, the simplex in lp, the waveform chain's Run in rxchain,
-# the normal draws in rng, the Q-algorithm round in inventory, and the
-# modem and frame kernels), keep the raw text, and distill it into the
-# machine-readable perf record BENCH_pr23.json.
+# network scheduler's hour over the dense golden grid and, as
+# NetFleetHour/relay, over the sparse golden line's relay, the mobility
+# walks, the offload solvers and braid run in core, the simplex in lp,
+# the waveform chain's Run in rxchain, the normal draws in rng, the
+# Q-algorithm round in inventory, and the modem and frame kernels), keep
+# the raw text, and distill it into the machine-readable perf record
+# BENCH_pr23.json.
 BENCH_PKGS = . ./internal/hub ./internal/serve ./internal/net ./internal/sim ./internal/core ./internal/lp \
 	./internal/rxchain ./internal/rng ./internal/inventory ./internal/modem ./internal/frame
 

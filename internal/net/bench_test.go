@@ -6,14 +6,15 @@ import (
 )
 
 // BenchmarkNetFleetHour plans and commits a one-hour horizon (12 rounds)
-// over the dense golden grid — both network couplings active — at
-// serial and parallel worker counts. Network state is rebuilt once per
+// at serial and parallel worker counts: over the dense golden grid, both
+// network couplings active, and (relay/...) over the sparse golden line,
+// whose stranded member relays every round over a trunk row and a
+// first-hop row that phase 0 keeps. Network state is rebuilt once per
 // benchmark; each iteration is a full Run, so the number reported is
 // the steady-state cost of an hour of fleet scheduling.
 func BenchmarkNetFleetHour(b *testing.B) {
-	topo := denseGrid(b)
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	hour := func(topo *Topology, workers int) func(*testing.B) {
+		return func(b *testing.B) {
 			n, err := New(topo, Config{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
@@ -29,7 +30,14 @@ func BenchmarkNetFleetHour(b *testing.B) {
 					b.Fatal("benchmark run delivered nothing")
 				}
 			}
-		})
+		}
+	}
+	dense, sparse := denseGrid(b), sparseLine(b)
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), hour(dense, workers))
+	}
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("relay/workers=%d", workers), hour(sparse, workers))
 	}
 }
 

@@ -35,15 +35,16 @@
 //
 // # Two-phase rounds
 //
-// Plan appraises one round without draining anything (the testable,
-// fuzzable entry point); Network.Run executes rounds against real
-// batteries. A round opens with a sequential phase 0 (walks and faults,
-// eligibility, the emission census, donors, interference, links), then
-// plans every member concurrently against immutable round-start
-// snapshots, writing only slot-owned scratch, and commits sequentially
-// in topology order: drains, replans where earlier commits left a hub
-// short of a plan's bill, strikes and quarantines, and a hub-death
-// cutoff. Results are bit-identical at any Workers count. Each Run and
+// Network.PlanRound appraises one round without draining anything (the
+// testable, fuzzable entry point); Network.Run executes rounds against
+// real batteries. A round opens with a sequential phase 0 (walks and
+// faults, eligibility, the emission census, the round's interference
+// and trunk tables, donors, links), then plans every member
+// concurrently against immutable round-start snapshots, writing only
+// slot-owned scratch, and commits sequentially in topology order:
+// drains, replans where earlier commits left a hub short of a plan's
+// bill, strikes and quarantines, and a hub-death cutoff. Results are
+// bit-identical at any Workers count. Each Run and
 // PlanRound call draws its working set from a sync.Pool, because a
 // fleet builds a fresh one-hub network for every shard-hour. A Member's
 // Walk and Faults state must be private to that member: phase 0
@@ -112,7 +113,7 @@ type Topology struct {
 	Hubs []Hub
 }
 
-// Typed validation errors. Plan and New reject malformed topologies
+// Typed validation errors. New and PlanRound reject malformed input
 // with these (wrapped with context) and never panic — the fuzz harness
 // pins that contract.
 var (
@@ -185,7 +186,7 @@ type Config struct {
 }
 
 // Validate checks a topology against the typed error set. It is called
-// by New (and hence Plan); exported so generators can pre-check.
+// by New; exported so generators can pre-check.
 func Validate(t *Topology) error {
 	if t == nil || len(t.Hubs) == 0 {
 		return ErrNoHubs
@@ -276,9 +277,42 @@ type seed struct {
 	toHub       []units.Meter // clamped distance to every hub
 }
 
+// keptRow is a link row kept with the key it was read at: a distance
+// and an interference aggregate (linear mW). Its holder reads the view
+// again only when the key changes, so a link whose inputs repeat round
+// after round is derived once per Run or PlanRound call.
+type keptRow struct {
+	row []phy.ModeLink
+	d   units.Meter
+	mw  float64
+	set bool
+}
+
+// at returns the row at (d, mw), calling read only when that is not the
+// kept key. An out-of-range row is nil and is kept like any other.
+func (k *keptRow) at(d units.Meter, mw float64, read func(units.Meter, float64) []phy.ModeLink) []phy.ModeLink {
+	if !k.set || k.d != d || k.mw != mw {
+		*k = keptRow{row: read(d, mw), d: d, mw: mw, set: true}
+	}
+	return k.row
+}
+
+// carrierLink is a slot's kept shared-carrier verdict: the bistatic link
+// phy.SharedCarrierLink returned and whether it closed, for the donor,
+// home distance and interference aggregate it was derived at. The
+// donor fixes the forward distance, and the network's one model fixes
+// the rest, so the verdict is a pure function of that key.
+type carrierLink struct {
+	link    phy.ModeLink
+	ok, set bool
+	donor   int
+	d       units.Meter
+	mw      float64
+}
+
 // slot is one (hub, member) pair's working set for a Run or PlanRound
 // call: its seed, its braid and QoS scratch, plan-phase battery copies,
-// its kept link row, the link buffer for carrier-shared rounds, and the
+// its kept links, the link buffer for carrier-shared rounds, and the
 // round verdict the commit consumes. Everything here is owned by the
 // slot's index — the plan phase may write it from any worker without
 // synchronization.
@@ -295,12 +329,14 @@ type slot struct {
 	alloc2  core.Allocation // relay hop-2 appraisal target
 	strikes int             // consecutive failed rounds
 
-	// row is the home link row phase 0 last read, at (rowDist, rowMW).
-	// The slot reuses it while that key repeats, which spares a global
-	// cache lookup per round for a member that does not move.
-	row     []phy.ModeLink
-	rowDist units.Meter
-	rowMW   float64
+	// The slot's kept links, each re-derived only when its key changes
+	// and all cleared by acquire: home is the home row, keyed by the
+	// round's distance and interference; hop1[v] is the first-hop row to
+	// via hub v, keyed by v's interference (the distance is the seed's);
+	// carrier is the last shared-carrier verdict.
+	home    keptRow
+	hop1    []keptRow
+	carrier carrierLink
 
 	// priv backs the slot's carrier-shared link set: the view's row with
 	// the bistatic link substituted. The shared row stays read-only.
@@ -314,7 +350,6 @@ type slot struct {
 	txScale, rxScale             float64     // brownout drain scales
 	mw                           float64
 	donor                        int
-	shared                       phy.ModeLink
 	sharedOK                     bool
 	links                        []phy.ModeLink
 	op                           Op
@@ -330,24 +365,48 @@ type scratch struct {
 	slots []slot
 	hubs  []hubState
 	env   faults.Env
+	// imw is the round's interference table, filled by phase 0:
+	// imw[rx*nh+x] is the aggregate at alive hub rx's receiver with hub
+	// x's carrier excluded, and imw[rx*nh+rx] excludes none.
+	imw []float64
+	// trunk[v*nh+home] is the via v → home trunk row under
+	// imw[home*nh+v], kept while that aggregate repeats. hop1 backs the
+	// slots' first-hop rows. Both are empty unless the network appraises
+	// relays.
+	trunk []keptRow
+	hop1  []keptRow
 }
 
 // scratchPool recycles scratch values across Run and PlanRound calls.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// resize returns s with length n, allocating only when its capacity is
+// short. Existing elements are kept; callers clear what they reuse.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // acquire returns a scratch sized for this network with every slot
-// reseeded and its braid rebuilt, so a run's results never depend on
-// what a recycled scratch last held.
+// reseeded, its braid rebuilt and its kept links cleared, so a run's
+// results never depend on what a recycled scratch last held — not even
+// on rows another network's model derived.
 func (n *Network) acquire() *scratch {
 	sc := scratchPool.Get().(*scratch)
-	if cap(sc.slots) < len(n.seeds) {
-		sc.slots = make([]slot, len(n.seeds))
+	nh := len(n.topo.Hubs)
+	relays := 0 // first-hop rows per slot
+	if nh > 1 && !n.cfg.DisableRelay {
+		relays = nh
 	}
-	if cap(sc.hubs) < len(n.topo.Hubs) {
-		sc.hubs = make([]hubState, len(n.topo.Hubs))
-	}
-	sc.slots = sc.slots[:len(n.seeds)]
-	sc.hubs = sc.hubs[:len(n.topo.Hubs)]
+	sc.slots = resize(sc.slots, len(n.seeds))
+	sc.hubs = resize(sc.hubs, nh)
+	sc.imw = resize(sc.imw, nh*nh)
+	sc.trunk = resize(sc.trunk, nh*relays)
+	sc.hop1 = resize(sc.hop1, len(n.seeds)*relays)
+	clear(sc.trunk)
+	clear(sc.hop1)
 	lo := 0
 	for h := range sc.hubs {
 		sc.hubs[h].slotLo = lo
@@ -365,7 +424,8 @@ func (n *Network) acquire() *scratch {
 				return qos.Optimize(links, e1, e2, minRate)
 			}
 		}
-		s.row = nil
+		s.home, s.carrier = keptRow{}, carrierLink{}
+		s.hop1 = sc.hop1[i*relays : (i+1)*relays]
 		s.strikes = 0
 	}
 	return sc
@@ -449,14 +509,12 @@ func New(t *Topology, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Slots returns the number of (hub, member) pairs the scheduler serves.
-func (n *Network) Slots() int { return len(n.seeds) }
-
 // interferenceAt aggregates the co-channel carrier power (linear mW)
 // arriving at hub rx's receiver from every emitting hub, excluding rx
 // itself and up to one additional hub (the carrier donor whose emission
 // is the wanted signal, or the relay transmitter). Summation is in
-// fixed hub-index order, so the aggregate is deterministic.
+// fixed hub-index order, so the aggregate is deterministic. Phase 0
+// fills the round's interference table with it.
 func (n *Network) interferenceAt(sc *scratch, rx, exclude int) float64 {
 	mw := 0.0
 	for h := range sc.hubs {

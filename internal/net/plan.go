@@ -69,23 +69,12 @@ type MemberPlan struct {
 
 // RoundPlan is the appraisal of one network round against fresh
 // batteries: which hubs emit, and what every member would do. Nothing
-// is drained — Plan is the pure, fuzzable view of the scheduler.
+// is drained — PlanRound is the pure, fuzzable view of the scheduler.
 type RoundPlan struct {
 	// Emitting flags the hubs whose carrier is on the air this round.
 	Emitting []bool
 	// Members holds one plan per (hub, member) slot, in topology order.
 	Members []MemberPlan
-}
-
-// Plan validates the topology and appraises one round of length slice
-// against fresh batteries. It never panics on malformed input: every
-// failure is one of the package's typed errors.
-func Plan(t *Topology, cfg Config, slice units.Second) (*RoundPlan, error) {
-	n, err := New(t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return n.PlanRound(slice)
 }
 
 // PlanRound appraises one round of length slice against fresh
@@ -143,13 +132,13 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 
 // phase0 is the sequential round prologue at time now: hub liveness and
 // energy snapshots, member eligibility, walks, faults (when impair is
-// set), the emission census, donor selection, per-receiver interference
-// aggregation, and link construction. A member whose carrier drops out
-// is an outage: inactive for the round. Every active slot reads its row
-// for its distance and interference through the view without storing it
-// there (a walker's distance never repeats), keeping the row while that
-// key repeats; a carrier-shared slot copies that row into slot.priv to
-// substitute the bistatic link.
+// set), the emission census, the round's interference and trunk tables,
+// donor selection, and link construction. A member whose carrier drops
+// out is an outage: inactive for the round. Every active slot reads its
+// row for its distance and interference through the view without
+// storing it there (a walker's distance never repeats), keeping the row
+// while that key repeats; a carrier-shared slot copies that row into
+// slot.priv to substitute the bistatic link.
 func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*energy.Battery, now units.Second, impair bool) {
 	for h := range sc.hubs {
 		hs := &sc.hubs[h]
@@ -195,31 +184,71 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 		s.active = true
 		sc.hubs[s.hub].emitting = true
 	}
+	n.tables(sc)
 	// Pass B: donors, interference, and links.
+	nh := len(sc.hubs)
 	for i := range sc.slots {
 		s := &sc.slots[i]
 		if !s.active {
 			continue
 		}
 		n.pickDonor(sc, s)
-		if s.donor < 0 && !n.cfg.DisableInterference {
-			s.mw = n.interferenceAt(sc, s.hub, -1)
+		if s.donor < 0 {
+			s.mw = sc.imw[s.hub*nh+s.hub]
 		}
-		if s.row == nil || s.rowDist != s.dist || s.rowMW != s.mw {
-			s.row, s.rowDist, s.rowMW = n.view.Read(s.dist, s.mw), s.dist, s.mw
-		}
-		s.links = s.row
+		s.links = s.home.at(s.dist, s.mw, n.view.Read)
 		if s.sharedOK {
 			// Replace the monostatic backscatter entry (canonical mode
 			// order puts it last) with the donor-carrier bistatic link;
 			// if the monostatic round trip did not close, append.
 			s.priv = append(s.priv[:0], s.links...)
 			if k := len(s.priv); k > 0 && s.priv[k-1].Mode == phy.ModeBackscatter {
-				s.priv[k-1] = s.shared
+				s.priv[k-1] = s.carrier.link
 			} else {
-				s.priv = append(s.priv, s.shared)
+				s.priv = append(s.priv, s.carrier.link)
 			}
 			s.links = s.priv
+		}
+	}
+}
+
+// tables fills the round's interference table from the emission
+// census: for every alive receiver, the aggregate with each emitting
+// hub excluded and with none (excluding a hub that does not emit
+// excludes nothing). Every entry is interferenceAt's sum in hub order,
+// so it equals, bit for bit, what a per-slot sum would give. It then
+// brings up to date the trunk rows this round's relay appraisals read:
+// every alive via toward every emitting home.
+func (n *Network) tables(sc *scratch) {
+	nh := len(sc.hubs)
+	for rx := range sc.hubs {
+		if !sc.hubs[rx].alive {
+			continue
+		}
+		row := sc.imw[rx*nh : (rx+1)*nh]
+		if n.cfg.DisableInterference {
+			clear(row)
+			continue
+		}
+		all := n.interferenceAt(sc, rx, -1)
+		for x := range row {
+			row[x] = all
+			if x != rx && sc.hubs[x].emitting {
+				row[x] = n.interferenceAt(sc, rx, x)
+			}
+		}
+	}
+	if len(sc.trunk) == 0 {
+		return
+	}
+	for home := range sc.hubs {
+		if !sc.hubs[home].emitting {
+			continue
+		}
+		for v := range sc.hubs {
+			if v != home && sc.hubs[v].alive {
+				sc.trunk[v*nh+home].at(n.hubDist[v][home], sc.imw[home*nh+v], n.view.CharacterizeAt)
+			}
 		}
 	}
 }
@@ -229,7 +258,8 @@ func (n *Network) phase0(sc *scratch, res *Result, hubBatts, memberBatts []*ener
 // actually closes at this geometry (under the interference the member's
 // home receiver would then see). No donor is chosen when the budget
 // refuses — the nearest-first scan does not fall back to farther
-// donors, keeping the policy trivially deterministic.
+// donors, keeping the policy trivially deterministic. The budget is
+// derived again only when the slot's carrier key changes.
 func (n *Network) pickDonor(sc *scratch, s *slot) {
 	if n.cfg.DisableCarrierShare {
 		return
@@ -246,16 +276,17 @@ func (n *Network) pickDonor(sc *scratch, s *slot) {
 	if best < 0 {
 		return
 	}
-	mw := 0.0
-	if !n.cfg.DisableInterference {
-		mw = n.interferenceAt(sc, s.hub, best)
+	mw := sc.imw[s.hub*len(sc.hubs)+best]
+	c := &s.carrier
+	if !c.set || c.donor != best || c.d != s.dist || c.mw != mw {
+		mi := *n.model
+		mi.Interference = n.model.Interference + mw
+		link, ok := mi.SharedCarrierLink(s.toHub[best], s.dist)
+		*c = carrierLink{link: link, ok: ok, set: true, donor: best, d: s.dist, mw: mw}
 	}
-	mi := *n.model
-	mi.Interference = n.model.Interference + mw
-	if sl, ok := mi.SharedCarrierLink(s.toHub[best], s.dist); ok {
+	if c.ok {
 		s.donor = best
 		s.mw = mw
-		s.shared = sl
 		s.sharedOK = true
 	}
 }
@@ -312,18 +343,6 @@ func (n *Network) planSlot(sc *scratch, i int, memberBatts []*energy.Battery, sl
 	s.err = s.braid.RunInto(&s.plan, &s.scr, &s.planB1, &s.planB2)
 }
 
-// relayLinks returns the view's row for one relay hop terminating at
-// hub rx over distance d, under the interference aggregate at rx with
-// the hop's own transmitter excluded. The row is shared and read-only;
-// a static topology's legs resolve to the same rows every round.
-func (n *Network) relayLinks(sc *scratch, d units.Meter, rx, exclude int) []phy.ModeLink {
-	mw := 0.0
-	if !n.cfg.DisableInterference {
-		mw = n.interferenceAt(sc, rx, exclude)
-	}
-	return n.view.CharacterizeAt(d, mw)
-}
-
 // appraiseRelay searches the slot's 2-hop forwarding candidates: for
 // every alive foreign hub, chain Optimize(member→via) with
 // Optimize(via→home) against the round-start snapshots and keep the
@@ -331,8 +350,12 @@ func (n *Network) relayLinks(sc *scratch, d units.Meter, rx, exclude int) []phy.
 // lowest hub index on ties). The planned bits are bounded by the load,
 // the member's hop-1 budget, the via's combined hop-1 RX + hop-2 TX
 // budget (one battery pays both), and the home hub's hop-2 RX budget.
+// The hop-1 row under the via's interference is the slot's kept row,
+// and the hop-2 row is phase 0's trunk row (the via's own carrier
+// excluded: it is the transmitter); both are shared and read-only.
 func (n *Network) appraiseRelay(sc *scratch, s *slot, e1 units.Joule, load float64) {
 	home := s.hub
+	nh := len(sc.hubs)
 	eHome := sc.hubs[home].snap.Remaining()
 	bestTX := math.Inf(1)
 	for v := range sc.hubs {
@@ -340,7 +363,7 @@ func (n *Network) appraiseRelay(sc *scratch, s *slot, e1 units.Joule, load float
 			continue
 		}
 		eVia := sc.hubs[v].snap.Remaining()
-		links1 := n.relayLinks(sc, s.toHub[v], v, -1)
+		links1 := s.hop1[v].at(s.toHub[v], sc.imw[v*nh+v], n.view.CharacterizeAt)
 		if len(links1) == 0 {
 			continue
 		}
@@ -350,7 +373,7 @@ func (n *Network) appraiseRelay(sc *scratch, s *slot, e1 units.Joule, load float
 		if !(float64(s.alloc.TX) < bestTX) {
 			continue
 		}
-		links2 := n.relayLinks(sc, n.hubDist[v][home], home, v)
+		links2 := sc.trunk[v*nh+home].row
 		if len(links2) == 0 {
 			continue
 		}

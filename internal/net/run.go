@@ -158,37 +158,6 @@ func (r *Result) Digest() uint64 {
 	return h.Sum64()
 }
 
-// Digest fingerprints a round plan the same way.
-func (p *RoundPlan) Digest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f := func(v float64) { w(math.Float64bits(v)) }
-	for _, e := range p.Emitting {
-		if e {
-			w(1)
-		} else {
-			w(0)
-		}
-	}
-	for i := range p.Members {
-		mp := &p.Members[i]
-		w(uint64(mp.Hub))
-		w(uint64(mp.Member))
-		w(uint64(mp.Op))
-		w(uint64(int64(mp.Donor)))
-		w(uint64(int64(mp.Via)))
-		f(mp.InterferenceMW)
-		f(float64(mp.DirectTX))
-		f(float64(mp.RelayTX))
-		f(mp.Bits)
-	}
-	return h.Sum64()
-}
-
 // newResult builds a zeroed result shell for this topology.
 func (n *Network) newResult(horizon units.Second, rounds int) *Result {
 	res := &Result{
