@@ -26,10 +26,13 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the frame codec, the line-coding round trip,
-# the network planner, the serve journal's line decoder, its journal
-# reader and the daemon's HTTP bodies (extend -fuzztime for deeper
-# runs). FuzzDecode covers arbitrary buffers; FuzzDecodeMutated covers
+# Short fuzz passes over the library's public API, the frame codec, the
+# line-coding round trip, the network planner, the serve journal's line
+# decoder, its journal reader and the daemon's HTTP bodies (extend
+# -fuzztime for deeper runs). FuzzPublicAPI drives a Pair's entry points
+# with arbitrary capacities, distances, bit budgets, rates and seeds,
+# demanding no panic, ErrBadDevice for a bad capacity and finite results;
+# FuzzDecode covers arbitrary buffers; FuzzDecodeMutated covers
 # single-mutation corruption of valid frames (bit flips and truncations
 # at the validation boundaries);
 # FuzzPlan covers adversarial topologies (NaN/infinite positions,
@@ -45,6 +48,7 @@ race:
 # reads plans back, demanding a typed status and never a panic or a 5xx
 # plan read.
 fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzPublicAPI -fuzztime=10s .
 	$(GO) test -run=NONE -fuzz=FuzzDecode$$ -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMutated -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/linecode
@@ -87,19 +91,18 @@ cover:
 	done
 
 # Run the benchmark suite (paper tables/figures, the PHY
-# characterization at 0.5 m and over 0.3–4.5 m, the waveform engine and
-# Monte Carlo sweeps, the hub/fleet engine, the serve benchmarks — the
-# registration wave of 100k members and its cold plan, the warm drift
-# epoch at 50k and 500k members, and plan reads racing an epoch —, the
-# network scheduler's hour over the dense golden grid and, as
-# NetFleetHour/relay, over the sparse golden line's relay, the mobility
-# walks, the offload solvers and braid run in core, the simplex in lp,
-# the waveform chain's Run in rxchain, the normal draws in rng, the
-# Q-algorithm round in inventory, and the modem and frame kernels), keep
-# the raw text, and distill it into the machine-readable perf record
-# BENCH_pr23.json.
+# characterization at 0.5 m and over 0.3–4.5 m, the hub/fleet engine,
+# the serve benchmarks — the registration wave of 100k members and its
+# cold plan, the warm drift epoch at 50k and 500k members, and plan
+# reads racing an epoch —, the network scheduler's hour over the dense
+# golden grid and, as NetFleetHour/relay, over the sparse golden line's
+# relay, the mobility walks, the offload solvers and braid run in core,
+# the simplex in lp, the per-cell waveform chain in rxchain and its
+# parallel sweep, the normal draws in rng, the Q-algorithm round in
+# inventory, and modem's analytic BER), keep the raw text, and distill
+# it into the machine-readable perf record BENCH_pr23.json.
 BENCH_PKGS = . ./internal/hub ./internal/serve ./internal/net ./internal/sim ./internal/core ./internal/lp \
-	./internal/rxchain ./internal/rng ./internal/inventory ./internal/modem ./internal/frame
+	./internal/rxchain ./internal/rng ./internal/inventory ./internal/modem
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem $(BENCH_PKGS) | tee bench_output.txt
@@ -113,14 +116,16 @@ bench-smoke:
 # Regression gate: re-run the suite briefly and diff it against the
 # committed baseline record BENCH_pr20.json. A newer record replaces it
 # only once the benchmarks whose code it did not change (the rxchain,
-# rng, inventory, modem and frame kernels, the offload solvers, Table1,
-# RxChain, WaveformFrame) read within noise of it, so a record taken on
-# a slow host cannot loosen the gate. The threshold is generous
-# (+200%) because CI runners vary widely in clock speed — this catches
-# algorithmic regressions (work or allocations growing by integer
-# factors), not single-digit-percent noise. benchtime is time-based, not -Nx: a fixed
-# iteration count under-amortizes warm-up for sub-microsecond benchmarks
-# and false-positives the gate.
+# rng and inventory kernels, modem's AnalyticBER, the offload solvers,
+# Table1, RxChain, RxChainSweepParallel) read within noise of it, so a
+# record taken on a slow host cannot loosen the gate. Results pair by
+# name and GOMAXPROCS (by name alone against a record that predates
+# it). The threshold is generous (+200%) because CI runners vary
+# widely in clock speed — this catches algorithmic regressions (work or
+# allocations growing by integer factors), not single-digit-percent
+# noise. benchtime is time-based, not -Nx: a fixed iteration count
+# under-amortizes warm-up for sub-microsecond benchmarks and
+# false-positives the gate.
 bench-diff:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=100ms $(BENCH_PKGS) > bench_diff_output.txt
 	$(GO) run ./cmd/braidio-bench -benchjson bench_new.json < bench_diff_output.txt

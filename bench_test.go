@@ -14,11 +14,8 @@ import (
 
 	"braidio/internal/core"
 	"braidio/internal/experiments"
-	"braidio/internal/linecode"
 	"braidio/internal/linkcache"
-	"braidio/internal/modem"
 	"braidio/internal/phy"
-	"braidio/internal/rng"
 	"braidio/internal/rxchain"
 	"braidio/internal/units"
 )
@@ -207,84 +204,6 @@ func BenchmarkExtPump(b *testing.B)      { runExperiment(b, "ext-pump") }
 func BenchmarkExtSensitivity(b *testing.B) { runExperiment(b, "ext-sensitivity") }
 
 func BenchmarkExtQoS(b *testing.B) { runExperiment(b, "ext-qos") }
-
-// Waveform-engine benchmarks (PR 3): the frame-level passive-RX hot path
-// and the Monte-Carlo sweep, in allocating and zero-allocation/parallel
-// forms. The *ZeroAlloc and *Parallel variants are the acceptance
-// benchmarks: ≥3× wall-clock on the sweep (multi-core) and 0 allocs/op
-// on the frame path.
-
-// waveformFrameBits is a representative backscatter frame payload.
-const waveformFrameBits = 512
-
-func waveformPayload() []byte {
-	r := rng.New(1)
-	bits := make([]byte, waveformFrameBits)
-	for i := range bits {
-		bits[i] = r.Bit()
-	}
-	return bits
-}
-
-// BenchmarkWaveformFrame is the legacy allocating frame path:
-// encode→modulate→detect→decode with fresh slices per frame.
-func BenchmarkWaveformFrame(b *testing.B) {
-	bits := waveformPayload()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		symbols := linecode.Encode(linecode.FM0, bits)
-		wave := modem.OOKWaveform(symbols, 8, 0, 1)
-		det := modem.DetectOOK(wave, 8, 0, 1)
-		if got, err := linecode.Decode(linecode.FM0, det); err != nil || len(got) != len(bits) {
-			b.Fatal("frame corrupted")
-		}
-	}
-}
-
-// BenchmarkWaveformFrameZeroAlloc is the same path through the
-// Into/Append APIs with buffers reused across frames — the 0 allocs/op
-// acceptance benchmark.
-func BenchmarkWaveformFrameZeroAlloc(b *testing.B) {
-	bits := waveformPayload()
-	var symbols, det, decoded []byte
-	var wave []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		symbols = linecode.EncodeAppend(symbols[:0], linecode.FM0, bits)
-		wave = modem.OOKWaveformInto(wave, symbols, 8, 0, 1)
-		var consumed int
-		det, consumed = modem.DetectOOKInto(det, wave, 8, 0, 1)
-		var err error
-		decoded, err = linecode.DecodeAppend(decoded[:0], linecode.FM0, det)
-		if err != nil || consumed != len(wave) || len(decoded) != len(bits) {
-			b.Fatal("frame corrupted")
-		}
-	}
-}
-
-// BenchmarkMonteCarloSweep is the 1M-bit OOK Monte-Carlo sweep.
-func BenchmarkMonteCarloSweep(b *testing.B) {
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = modem.MonteCarloBER(modem.OOKNonCoherent, 10, 1_000_000, r)
-	}
-}
-
-// BenchmarkRxChainRunner measures one 2000-bit chain run through the
-// pooled Runner (zero allocations steady-state).
-func BenchmarkRxChainRunner(b *testing.B) {
-	ru := rxchain.NewRunner()
-	cfg := rxchain.DefaultConfig(units.Rate100k, 1)
-	var res rxchain.Result
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := ru.Run(cfg, 2000, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkRxChainSweepParallel measures the four-scenario §3.1 sweep
 // (the cells of the rxchain experiment) through the pooled parallel

@@ -22,10 +22,19 @@ func readBenchJSON(path string) (*BenchRecord, error) {
 
 // diffLine is one benchmark's before/after comparison.
 type diffLine struct {
+	// name carries go test's -N suffix when the new result ran above
+	// GOMAXPROCS 1.
 	name                 string
 	oldNs, newNs         float64
 	oldAllocs, newAllocs int64
 	regressed            bool
+}
+
+// benchKey identifies a result within a record: its name and the
+// GOMAXPROCS it ran at (0 in records that predate Procs).
+type benchKey struct {
+	name  string
+	procs int
 }
 
 // minAllocIters is the iteration count below which allocs/op is not
@@ -36,31 +45,53 @@ type diffLine struct {
 // this applies to.
 const minAllocIters = 10
 
-// diffBench compares two benchmark records. A benchmark regresses when
-// its ns/op grows by more than threshold (a fraction: 0.25 = +25%) or
-// its allocs/op grows beyond the same fractional slack — alloc counts
-// are deterministic, so they get no measurement-noise allowance beyond
-// the ratio itself; runs too short to amortize setup (or records
-// predating iteration counts) skip the alloc check per minAllocIters.
-// Benchmarks present on only one side are reported but never fail the
-// diff (suites grow PR over PR).
-func diffBench(oldRec, newRec *BenchRecord, threshold float64) (lines []diffLine, onlyOld, onlyNew []string) {
+// diffBench compares two benchmark records. Results pair by name and
+// GOMAXPROCS; a record that predates Procs pairs by name alone, as every
+// committed BENCH_pr*.json does. A result whose name the other record
+// holds only at other GOMAXPROCS values has its name returned in
+// notComparable, and is neither a pass nor a regression. A benchmark
+// regresses when its ns/op grows by more than threshold (a fraction:
+// 0.25 = +25%) or its allocs/op grows beyond the same fractional slack —
+// alloc counts are deterministic, so they get no measurement-noise
+// allowance beyond the ratio itself; runs too short to amortize setup
+// (or records predating iteration counts) skip the alloc check per
+// minAllocIters. Benchmarks present on only one side are reported but
+// never fail the diff (suites grow PR over PR).
+func diffBench(oldRec, newRec *BenchRecord, threshold float64) (lines []diffLine, onlyOld, onlyNew, notComparable []string) {
+	oldByKey := map[benchKey]BenchResult{}
 	oldByName := map[string]BenchResult{}
 	for _, r := range oldRec.Results {
+		oldByKey[benchKey{r.Name, r.Procs}] = r
 		oldByName[r.Name] = r
 	}
+	paired := map[benchKey]bool{}
 	newNames := map[string]bool{}
+	mismatched := map[string]bool{}
 	for _, r := range newRec.Results {
 		newNames[r.Name] = true
-		o, ok := oldByName[r.Name]
+		o, ok := oldByKey[benchKey{r.Name, r.Procs}]
 		if !ok {
-			onlyNew = append(onlyNew, r.Name)
+			o, ok = oldByKey[benchKey{r.Name, 0}]
+		}
+		if !ok && r.Procs == 0 {
+			o, ok = oldByName[r.Name]
+		}
+		if !ok {
+			if _, held := oldByName[r.Name]; held {
+				mismatched[r.Name] = true
+			} else {
+				onlyNew = append(onlyNew, r.Name)
+			}
 			continue
 		}
+		paired[benchKey{o.Name, o.Procs}] = true
 		l := diffLine{
 			name:  r.Name,
 			oldNs: o.NsPerOp, newNs: r.NsPerOp,
 			oldAllocs: o.AllocsPerOp, newAllocs: r.AllocsPerOp,
+		}
+		if r.Procs > 1 {
+			l.name = fmt.Sprintf("%s-%d", r.Name, r.Procs)
 		}
 		if r.NsPerOp > o.NsPerOp*(1+threshold) {
 			l.regressed = true
@@ -72,15 +103,23 @@ func diffBench(oldRec, newRec *BenchRecord, threshold float64) (lines []diffLine
 		}
 		lines = append(lines, l)
 	}
-	for name := range oldByName {
-		if !newNames[name] {
-			onlyOld = append(onlyOld, name)
+	for k := range oldByKey {
+		switch {
+		case paired[k]:
+		case newNames[k.name]:
+			mismatched[k.name] = true
+		default:
+			onlyOld = append(onlyOld, k.name)
 		}
+	}
+	for name := range mismatched {
+		notComparable = append(notComparable, name)
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i].name < lines[j].name })
 	sort.Strings(onlyOld)
 	sort.Strings(onlyNew)
-	return lines, onlyOld, onlyNew
+	sort.Strings(notComparable)
+	return lines, onlyOld, onlyNew, notComparable
 }
 
 // pct renders a before→after ratio as a signed percentage.
@@ -104,7 +143,7 @@ func runBenchDiff(oldPath, newPath string, threshold float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	lines, onlyOld, onlyNew := diffBench(oldRec, newRec, threshold)
+	lines, onlyOld, onlyNew, notComparable := diffBench(oldRec, newRec, threshold)
 	regressions := 0
 	fmt.Printf("%-28s %12s %12s %9s %8s %8s  %s\n",
 		"benchmark", "old ns/op", "new ns/op", "Δns", "old al", "new al", "verdict")
@@ -117,13 +156,16 @@ func runBenchDiff(oldPath, newPath string, threshold float64) (int, error) {
 		fmt.Printf("%-28s %12.0f %12.0f %9s %8d %8d  %s\n",
 			l.name, l.oldNs, l.newNs, pct(l.oldNs, l.newNs), l.oldAllocs, l.newAllocs, verdict)
 	}
+	for _, n := range notComparable {
+		fmt.Printf("%-28s %s\n", n, "(not comparable: the records ran it at different GOMAXPROCS)")
+	}
 	for _, n := range onlyNew {
 		fmt.Printf("%-28s %s\n", n, "(new benchmark, no baseline)")
 	}
 	for _, n := range onlyOld {
 		fmt.Printf("%-28s %s\n", n, "(removed since baseline)")
 	}
-	fmt.Printf("\n%d compared, %d regressed (threshold %+.0f%%), %d new, %d removed\n",
-		len(lines), regressions, 100*threshold, len(onlyNew), len(onlyOld))
+	fmt.Printf("\n%d compared, %d regressed (threshold %+.0f%%), %d new, %d removed, %d not comparable\n",
+		len(lines), regressions, 100*threshold, len(onlyNew), len(onlyOld), len(notComparable))
 	return regressions, nil
 }

@@ -16,6 +16,10 @@ type BenchResult struct {
 	// Name is the benchmark name with the -N GOMAXPROCS suffix
 	// stripped (BenchmarkFig4-8 → Fig4).
 	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at: the stripped -N, or
+	// 1 when go test printed no suffix (it omits it at GOMAXPROCS 1).
+	// 0 in records written before the field existed.
+	Procs int `json:"procs,omitempty"`
 	// NsPerOp is the reported wall-clock per iteration.
 	NsPerOp float64 `json:"ns_per_op"`
 	// BytesPerOp is reported with -benchmem; -1 when absent.
@@ -66,15 +70,12 @@ func parseBench(r io.Reader) (*BenchRecord, error) {
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			name = name[:i]
-		}
+		name, procs := splitProcs(strings.TrimPrefix(fields[0], "Benchmark"))
 		ns, err := strconv.ParseFloat(fields[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
 		}
-		res := BenchResult{Name: name, NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1}
+		res := BenchResult{Name: name, Procs: procs, NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1}
 		if iters, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
 			res.Iters = iters
 		}
@@ -99,6 +100,22 @@ func parseBench(r io.Reader) (*BenchRecord, error) {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
 	return rec, nil
+}
+
+// splitProcs splits a benchmark name from the -N GOMAXPROCS suffix go
+// test appends to it, returning 1 for a name printed without one. Only
+// a trailing dash followed by digits is a suffix; any other dash is part
+// of the name.
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 {
+		return name, 1
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs < 1 || name[i+1] < '0' || name[i+1] > '9' {
+		return name, 1
+	}
+	return name[:i], procs
 }
 
 // writeBenchJSON parses benchmark text from r and writes the JSON record

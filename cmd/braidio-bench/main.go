@@ -12,9 +12,10 @@
 // Each experiment prints a structured report: the paper's claim, the
 // measured headline numbers, and the regenerated tables/curves/matrices.
 // The -benchjson mode instead parses `go test -bench` output on stdin
-// into a machine-readable JSON perf record (name, ns/op, allocs/op), the
-// format the repo's perf trajectory (BENCH_*.json) is tracked in.
-// The -benchdiff mode compares two such records benchmark-by-benchmark
+// into a machine-readable JSON perf record (name, GOMAXPROCS, ns/op,
+// allocs/op), the format the repo's perf trajectory (BENCH_*.json) is
+// tracked in. The -benchdiff mode compares two such records
+// benchmark-by-benchmark, pairing results run at the same GOMAXPROCS,
 // and exits 1 if any ns/op or allocs/op grew past -threshold — CI runs
 // it against the committed baseline to catch perf regressions.
 package main

@@ -21,16 +21,8 @@ import (
 // AntennaImpedance is the system reference impedance in ohms.
 const AntennaImpedance = 50.0
 
-// AmplitudeForPower returns the peak RF voltage at the antenna port for a
-// given available power: V = √(2·P·R).
-func AmplitudeForPower(p units.Watt) float64 {
-	if p < 0 {
-		panic("analog: negative power")
-	}
-	return math.Sqrt(2 * float64(p) * AntennaImpedance)
-}
-
-// PowerForAmplitude inverts AmplitudeForPower.
+// PowerForAmplitude returns the available power at the antenna port
+// whose peak RF voltage is v: P = v²/(2·R).
 func PowerForAmplitude(v float64) units.Watt {
 	if v < 0 {
 		panic("analog: negative amplitude")

@@ -106,16 +106,6 @@ var Readers = []Reader{
 	{Model: "M6micro", Power: 2.5, TXOut: 23, RXPower: 2.5, CostUSD: 285},
 }
 
-// ReaderByModel looks up a Table 2 entry.
-func ReaderByModel(model string) (Reader, bool) {
-	for _, r := range Readers {
-		if r.Model == model {
-			return r, true
-		}
-	}
-	return Reader{}, false
-}
-
 // LowestPowerReader returns the reader the paper benchmarks against
 // ("the AS3993 is the lowest power reader that we found").
 func LowestPowerReader() Reader {

@@ -173,21 +173,3 @@ func SettlingTime(res *circuit.Result, node int, fraction float64) (float64, boo
 	}
 	return 0, false
 }
-
-// Ripple returns the peak-to-peak variation of a node over the final
-// quarter of the simulation, a measure of how well the pump smooths the
-// carrier.
-func Ripple(res *circuit.Result, node int) float64 {
-	wave := res.Voltage(node)
-	start := len(wave) * 3 / 4
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range wave[start:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max - min
-}

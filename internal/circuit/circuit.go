@@ -17,12 +17,11 @@ import (
 // Circuit is a netlist under construction. The zero value is an empty
 // circuit with only the ground node.
 type Circuit struct {
-	nodes    int // highest node index + 1 (including ground)
-	rs       []resistor
-	cs       []capacitor
-	ds       []diode
-	vs       []vsource
-	switches []vswitch
+	nodes int // highest node index + 1 (including ground)
+	rs    []resistor
+	cs    []capacitor
+	ds    []diode
+	vs    []vsource
 }
 
 type resistor struct {
@@ -44,13 +43,6 @@ type diode struct {
 type vsource struct {
 	pos, neg int
 	v        func(t float64) float64
-}
-
-type vswitch struct {
-	a, b   int
-	ron    float64
-	roff   float64
-	closed func(t float64) bool
 }
 
 func (c *Circuit) touch(nodes ...int) {
@@ -126,20 +118,6 @@ func (c *Circuit) VSource(pos, neg int, v func(t float64) float64) {
 func (c *Circuit) Sine(pos, neg int, amplitude, freq float64) {
 	w := 2 * math.Pi * freq
 	c.VSource(pos, neg, func(t float64) float64 { return amplitude * math.Sin(w*t) })
-}
-
-// Switch connects a voltage-controlled ideal switch with on/off
-// resistances; closed reports whether the switch conducts at time t. Used
-// to model the backscatter RF transistor toggling the antenna impedance.
-func (c *Circuit) Switch(a, b int, ron, roff float64, closed func(t float64) bool) {
-	if ron <= 0 || roff <= ron {
-		panic("circuit: switch needs 0 < ron < roff")
-	}
-	if closed == nil {
-		panic("circuit: nil switch control")
-	}
-	c.touch(a, b)
-	c.switches = append(c.switches, vswitch{a, b, ron, roff, closed})
 }
 
 // Result holds a transient simulation's sampled node voltages.
@@ -263,13 +241,6 @@ func (c *Circuit) stamp(a [][]float64, vGuess, vPrev []float64, t, dt float64, n
 	}
 	for _, r := range c.rs {
 		stampConductance(r.a, r.b, 1/r.r)
-	}
-	for _, sw := range c.switches {
-		r := sw.roff
-		if sw.closed(t) {
-			r = sw.ron
-		}
-		stampConductance(sw.a, sw.b, 1/r)
 	}
 	for _, cap := range c.cs {
 		g := cap.c / dt

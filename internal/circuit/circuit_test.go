@@ -93,27 +93,6 @@ func TestDiodeBlocksReverse(t *testing.T) {
 	}
 }
 
-func TestSwitchToggles(t *testing.T) {
-	var c Circuit
-	in := c.Node()
-	out := c.Node()
-	c.VSource(in, 0, func(float64) float64 { return 1 })
-	c.Switch(in, out, 1, 1e9, func(t float64) bool { return t > 5e-5 })
-	c.Resistor(out, 0, 1000)
-	res, err := c.Transient(1e-6, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	early := res.V[out][10]
-	late := res.Final(out)
-	if early > 0.01 {
-		t.Errorf("open switch leaked %v V", early)
-	}
-	if late < 0.99 {
-		t.Errorf("closed switch output = %v V, want ≈1", late)
-	}
-}
-
 func TestFloatingNodeFails(t *testing.T) {
 	var c Circuit
 	a := c.Node()
@@ -152,8 +131,6 @@ func TestComponentValidation(t *testing.T) {
 		"zero C":        func() { c.Capacitor(0, 1, 0) },
 		"bad diode":     func() { c.Diode(0, 1, 0, 0.025) },
 		"nil source":    func() { c.VSource(0, 1, nil) },
-		"bad switch":    func() { c.Switch(0, 1, 10, 5, func(float64) bool { return true }) },
-		"nil switch fn": func() { c.Switch(0, 1, 1, 1e9, nil) },
 		"negative node": func() { c.Resistor(-1, 0, 10) },
 	} {
 		func() {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"braidio/internal/energy"
-	"braidio/internal/frame"
 	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
@@ -411,6 +410,3 @@ func RatioWithin(a, b, tol float64) bool {
 func (b *Braid) RunFresh(c1, c2 units.WattHour) (*Result, error) {
 	return b.Run(energy.NewBattery(c1), energy.NewBattery(c2))
 }
-
-// FrameOverheadBits is the per-frame overhead the braid accounts for.
-const FrameOverheadBits = 8 * frame.Overhead

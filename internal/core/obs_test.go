@@ -78,7 +78,7 @@ func TestBraidRecorderObservational(t *testing.T) {
 }
 
 // TestBraidDefaultRecorder checks the process-default fallback: a braid
-// with no explicit recorder reports to obs.Default.
+// with no explicit recorder reports to the one obs.SetDefault installs.
 func TestBraidDefaultRecorder(t *testing.T) {
 	rec := obs.NewRecorder()
 	obs.SetDefault(rec)

@@ -46,10 +46,6 @@ func RegionAt(m *phy.Model, d units.Meter) Region {
 	return r
 }
 
-// Degenerate reports whether the region has collapsed below a triangle
-// (fewer than three available modes).
-func (r Region) Degenerate() bool { return len(r.Points) < 3 }
-
 // RatioSpan returns the extreme TX:RX efficiency ratios achievable by
 // multiplexing — the dynamic range annotations of Fig. 9 ("1:2546 to
 // 3546:1"). With no links it returns (NaN, NaN).

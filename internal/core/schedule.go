@@ -37,8 +37,11 @@ func Schedule(links []phy.ModeLink, p []float64, window int) []phy.Mode {
 // order). Blocks minimize mode transitions — at most one per mode per
 // window — which matters when switch energy is non-trivial (the Table 5
 // backscatter entry at low bitrates). The braid engine batches with
-// blocks by default; the interleaved Schedule is the ablation
-// alternative, smoother in instantaneous drain but switch-heavy.
+// these blocks by default, taking their counts from blockCounts; the
+// interleaved Schedule is the ablation alternative, smoother in
+// instantaneous drain but switch-heavy. No program calls ScheduleBlocks:
+// it is the reference layout core's blockCounts tests and serve's
+// TestRebuiltRowsMatchPHY check the engine's blocks against.
 func ScheduleBlocks(links []phy.ModeLink, p []float64, window int) []phy.Mode {
 	if len(links) != len(p) {
 		panic(fmt.Sprintf("core: %d links but %d fractions", len(links), len(p)))

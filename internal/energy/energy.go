@@ -152,37 +152,12 @@ func CapacitySpan() float64 {
 
 // Proportionality measures how closely two drains match a target energy
 // ratio: it returns |log((d1/d2)/(e1/e2))|, zero when the split is
-// perfectly power-proportional. Both drains must be positive.
+// perfectly power-proportional. Both drains must be positive. No program
+// calls it: energy's tests and core's TestBraidPowerProportional hold
+// the braid's drains to it.
 func Proportionality(drain1, drain2 units.Joule, budget1, budget2 units.Joule) float64 {
 	if drain1 <= 0 || drain2 <= 0 || budget1 <= 0 || budget2 <= 0 {
 		panic("energy: proportionality needs positive drains and budgets")
 	}
 	return math.Abs(math.Log(float64(drain1/drain2) / float64(budget1/budget2)))
-}
-
-// LifetimeWithSelfDischarge returns how long a battery of energy e lasts
-// under a constant external draw p when the cell also self-discharges at
-// a fractional rate λ (per second of stored energy):
-//
-//	dE/dt = −p − λE  ⇒  t_death = ln(1 + λE/p) / λ
-//
-// As λ→0 this approaches the ideal e/p. Real lithium cells leak roughly
-// 2–3% per month, which caps the multi-year "radio-only lifetime"
-// numbers microwatt radios otherwise suggest.
-func LifetimeWithSelfDischarge(e units.Joule, p units.Watt, leakPerMonth float64) units.Second {
-	if e <= 0 {
-		return 0
-	}
-	if p < 0 || leakPerMonth < 0 || leakPerMonth >= 1 {
-		panic(fmt.Sprintf("energy: invalid lifetime inputs p=%v leak=%v", float64(p), leakPerMonth))
-	}
-	const month = 30 * 24 * 3600.0
-	lambda := -math.Log(1-leakPerMonth) / month
-	if lambda == 0 {
-		return units.Duration(e, p)
-	}
-	if p == 0 {
-		return units.Second(math.Inf(1)) // decays asymptotically, never "dies" by draw
-	}
-	return units.Second(math.Log(1+lambda*float64(e)/float64(p)) / lambda)
 }

@@ -160,44 +160,3 @@ func TestProportionality(t *testing.T) {
 	}()
 	Proportionality(0, 1, 1, 1)
 }
-
-func TestLifetimeWithSelfDischarge(t *testing.T) {
-	e := units.Joule(720) // the Fuel Band
-	// No leak: exactly e/p.
-	if got := LifetimeWithSelfDischarge(e, 1e-3, 0); math.Abs(float64(got)-720000) > 1 {
-		t.Errorf("leak-free lifetime = %v, want 7.2e5 s", got)
-	}
-	// With a 2.5%/month leak, a 16.5 µW draw no longer lasts the naive
-	// 500+ days; self-discharge dominates and caps it near the leak
-	// time constant.
-	naive := float64(units.Duration(e, 16.5e-6)) / 86400
-	leaky := float64(LifetimeWithSelfDischarge(e, 16.5e-6, 0.025)) / 86400
-	if naive < 500 {
-		t.Fatalf("premise: naive lifetime = %v days", naive)
-	}
-	if leaky >= naive*0.9 {
-		t.Errorf("leak barely mattered: %v vs %v days", leaky, naive)
-	}
-	if leaky < 100 || leaky > naive {
-		t.Errorf("leaky lifetime = %v days, want substantial but reduced", leaky)
-	}
-	// Monotone in leak.
-	l1 := LifetimeWithSelfDischarge(e, 1e-4, 0.01)
-	l2 := LifetimeWithSelfDischarge(e, 1e-4, 0.05)
-	if l2 >= l1 {
-		t.Errorf("more leak gave longer life: %v vs %v", l2, l1)
-	}
-	// Zero draw: infinite by this model.
-	if !math.IsInf(float64(LifetimeWithSelfDischarge(e, 0, 0.02)), 1) {
-		t.Error("zero-draw lifetime should be +Inf")
-	}
-	if LifetimeWithSelfDischarge(0, 1, 0.01) != 0 {
-		t.Error("empty battery lifetime should be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid leak did not panic")
-		}
-	}()
-	LifetimeWithSelfDischarge(e, 1, 1.5)
-}

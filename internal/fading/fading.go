@@ -20,16 +20,6 @@ import (
 	"braidio/internal/units"
 )
 
-// Channel is a multiplicative fading process sampled at absolute times.
-// Implementations must be deterministic functions of their seed stream so
-// experiments reproduce.
-type Channel interface {
-	// Gain returns the channel's complex gain at time t. Magnitude is the
-	// linear amplitude factor (1 = no fading) and phase is the channel
-	// phase rotation.
-	Gain(t units.Second) iq.Phasor
-}
-
 // Static is a frequency-flat, time-invariant channel with unit gain and
 // fixed phase — the paper's "empty 6 m × 6 m room, area cleared" setting.
 type Static struct {
@@ -37,7 +27,7 @@ type Static struct {
 	Phase float64
 }
 
-// Gain implements Channel.
+// Gain returns the channel's complex gain, the same at every time.
 func (s Static) Gain(units.Second) iq.Phasor { return iq.FromPolar(1, s.Phase) }
 
 // Block is block fading: the gain holds for one coherence interval and
@@ -71,8 +61,9 @@ func NewBlock(coherence units.Second, k float64, stream *rng.Stream) *Block {
 	return &Block{CoherenceTime: coherence, K: k, stream: stream}
 }
 
-// Gain implements Channel. Queries must not go backwards by more than the
-// cached history (all blocks since t=0 are cached, so any t ≥ 0 works).
+// Gain returns the channel's complex gain at time t. Queries must not go
+// backwards by more than the cached history (all blocks since t=0 are
+// cached, so any t ≥ 0 works).
 func (b *Block) Gain(t units.Second) iq.Phasor {
 	if t < 0 {
 		panic(fmt.Sprintf("fading: negative time %v", float64(t)))

@@ -250,23 +250,3 @@ func TestTypeString(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkEncode(b *testing.B) {
-	payload := make([]byte, DefaultPayload)
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(Header{Type: TypeData, Seq: uint16(i)}, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	payload := make([]byte, DefaultPayload)
-	buf, _ := Encode(Header{Type: TypeData}, payload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

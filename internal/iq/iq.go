@@ -44,14 +44,8 @@ func (p Phasor) Power() float64 {
 	return m * m
 }
 
-// Phase returns the argument in radians, in (-π, π].
-func (p Phasor) Phase() float64 { return cmplx.Phase(complex128(p)) }
-
 // Add returns the superposition of two phasors.
 func (p Phasor) Add(q Phasor) Phasor { return p + q }
-
-// Sub returns the difference of two phasors.
-func (p Phasor) Sub(q Phasor) Phasor { return p - q }
 
 // Scale multiplies the magnitude by a real factor.
 func (p Phasor) Scale(k float64) Phasor { return p * Phasor(complex(k, 0)) }

@@ -144,9 +144,6 @@ func TestCodeMeta(t *testing.T) {
 	if NRZ.SymbolsPerBit() != 1 || Manchester.SymbolsPerBit() != 2 || FM0.SymbolsPerBit() != 2 {
 		t.Error("symbol expansion wrong")
 	}
-	if NRZ.Rate() != 1 || Manchester.Rate() != 0.5 {
-		t.Error("code rates wrong")
-	}
 	for _, c := range []Code{NRZ, Manchester, FM0, Code(9)} {
 		if c.String() == "" {
 			t.Error("empty code name")

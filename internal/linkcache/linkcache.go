@@ -155,11 +155,12 @@ func evictOne[K comparable, V any](t map[K]V) {
 	}
 }
 
-// Enabled reports whether the global cache is active.
-func Enabled() bool { return !disabled.Load() }
-
 // SetEnabled turns the global cache on or off. Disabling does not flush
-// existing entries; re-enabling resumes serving them.
+// existing entries; re-enabling resumes serving them. No program turns
+// the cache off: this is the lever of the tests that hold results equal
+// with the cache on and off (linkcache's own, net's goldens and kept-link
+// tests, sim's TestMatrixGoldenCacheOnOff) and of the root
+// BenchmarkGainMatrixBluetooth10Uncached.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
 // Characterize returns m.Characterize(d), memoized. The returned slice is
@@ -241,9 +242,6 @@ func NewView(m *phy.Model) *View {
 	return &View{model: m, id: modelID(m), links: make(map[viewKey][]phy.ModeLink)}
 }
 
-// Model returns the pinned model.
-func (v *View) Model() *phy.Model { return v.model }
-
 // Characterize returns Characterize(model, d): CharacterizeAt with no
 // added interference. The benchmark's linkcache.view_characterize_ns
 // probe times it.
@@ -318,11 +316,11 @@ func (v *View) CharacterizeColumns(workers int, dists []units.Meter, cols *phy.L
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	// Hits and Misses count lookups served from / added to the memo
-	// since the last ResetStats, summed across shards.
+	// Hits and Misses count lookups served from / added to the memo,
+	// summed across shards.
 	Hits, Misses uint64
-	// Evictions counts resident entries dropped by full shards since the
-	// last ResetStats, summed across shards.
+	// Evictions counts resident entries dropped by full shards, summed
+	// across shards.
 	Evictions uint64
 	// Entries is the current resident row count across all shards.
 	Entries int
@@ -344,15 +342,6 @@ func Snapshot() Stats {
 		sh.mu.RUnlock()
 	}
 	return s
-}
-
-// ResetStats zeroes the hit/miss counters (entries stay resident).
-func ResetStats() {
-	for i := range shards {
-		shards[i].hits.Store(0)
-		shards[i].misses.Store(0)
-		shards[i].evictions.Store(0)
-	}
 }
 
 // Flush drops every cached entry in every shard — benchmarks use it to

@@ -239,13 +239,6 @@ func BenchmarkAnalyticBER(b *testing.B) {
 	}
 }
 
-func BenchmarkMonteCarloBER(b *testing.B) {
-	r := rng.New(1)
-	for i := 0; i < b.N; i++ {
-		_ = MonteCarloBER(OOKNonCoherent, 10, 1000, r)
-	}
-}
-
 // TestQAM16 pins the extension modulation: at the same per-bit SNR,
 // 16-QAM errs more than BPSK (denser constellation) but carries 4
 // bits/symbol; SNRForBER inverts it like the others.
@@ -350,13 +343,5 @@ func TestIntoVariantsMatchAndReuse(t *testing.T) {
 		if gotBits[i] != wantBits[i] {
 			t.Fatalf("bit %d differs", i)
 		}
-	}
-}
-
-func BenchmarkMonteCarloBERSequential1M(b *testing.B) {
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = MonteCarloBER(OOKNonCoherent, 10, 1_000_000, r)
 	}
 }

@@ -206,7 +206,10 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations.
+// Count returns the total number of observations. No program calls it,
+// since a snapshot reads the counter itself; obs's and serve's tests
+// do, and so can a library caller through the histograms a
+// braidio.MetricsRecorder holds.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // energyPerBitBounds buckets joules per delivered bit, log-spaced 1–3
@@ -442,9 +445,6 @@ var defaultRecorder atomic.Pointer[Recorder]
 // fall back to this one, which is how the CLIs instrument runs that
 // flow through internal layers without threading a pointer everywhere.
 func SetDefault(r *Recorder) { defaultRecorder.Store(r) }
-
-// Default returns the process-global default Recorder, or nil.
-func Default() *Recorder { return defaultRecorder.Load() }
 
 // Active resolves the recorder an engine should report to: the explicit
 // one when non-nil, else the process default (which may itself be nil).

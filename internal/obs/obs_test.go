@@ -139,7 +139,7 @@ func TestActiveAndDefault(t *testing.T) {
 		t.Fatal("explicit recorder must win over the default")
 	}
 	SetDefault(nil)
-	if Default() != nil {
+	if Active(nil) != nil {
 		t.Fatal("SetDefault(nil) should clear the default")
 	}
 }

@@ -167,8 +167,8 @@ func (r *Stream) Rician(nu, sigma float64) float64 {
 	return math.Hypot(x, y)
 }
 
-// Exp returns an exponentially distributed variate with the given mean,
-// used for inter-arrival jitter in bursty traffic models.
+// Exp returns an exponentially distributed variate with the given mean:
+// the gap between arrivals of a Poisson process.
 func (r *Stream) Exp(mean float64) float64 {
 	var u float64
 	for u == 0 {

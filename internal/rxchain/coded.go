@@ -30,24 +30,12 @@ func DefaultCodedConfig(rate units.BitRate, seed uint64) CodedConfig {
 }
 
 // RunCoded pushes the given data bits (random when nil, using n) through
-// the chain with the configured line code. The symbol rate is the bit
-// rate times the code's expansion, keeping the information rate fixed;
-// the detector integrates per symbol and the decoder maps symbols back
-// to bits, counting coding violations as bit errors. It is the
-// allocating convenience wrapper around Runner.RunCoded.
-func RunCoded(cfg CodedConfig, data []byte, n int) (*Result, error) {
-	res := new(Result)
-	if err := NewRunner().RunCoded(cfg, data, n, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunCoded is the zero-allocation equivalent of the package-level
-// RunCoded: payload, symbol, decision, and decode buffers all come from
-// the Runner's reusable scratch, and *res is overwritten with the
-// result. The computation — including the draw sequence when data is
-// nil — is byte-identical to the package-level function's.
+// the chain with the configured line code, overwriting *res with the
+// result. The symbol rate is the bit rate times the code's expansion,
+// keeping the information rate fixed; the detector integrates per symbol
+// and the decoder maps symbols back to bits, counting coding violations
+// as bit errors. Payload, symbol, decision and decode buffers all come
+// from the Runner's reusable scratch.
 func (ru *Runner) RunCoded(cfg CodedConfig, data []byte, n int, res *Result) error {
 	if data == nil {
 		if n <= 0 {
@@ -129,8 +117,8 @@ func (ru *Runner) RunCoded(cfg CodedConfig, data []byte, n int, res *Result) err
 	ru.decided = decided
 
 	// Decode tolerantly — a symbol error corrupts its own bit, not the
-	// rest of the stream (the strict linecode.Decode is for framing;
-	// here we measure BER).
+	// rest of the stream (a strict decode would reject the stream at its
+	// first violation; here we measure BER).
 	*res = Result{Bits: len(data)}
 	ru.decoded = decodeTolerantAppend(ru.decoded[:0], cfg.Code, decided)
 	got := ru.decoded
@@ -140,12 +128,6 @@ func (ru *Runner) RunCoded(cfg CodedConfig, data []byte, n int, res *Result) err
 		}
 	}
 	return nil
-}
-
-// decodeTolerant maps symbols to bits pairwise, pushing violations into
-// the affected bit only.
-func decodeTolerant(c linecode.Code, symbols []byte) []byte {
-	return decodeTolerantAppend(nil, c, symbols)
 }
 
 // decodeTolerantAppend appends the tolerant decode of symbols to dst.

@@ -10,14 +10,10 @@ import (
 	"braidio/internal/units"
 )
 
-// Runner runs waveform simulations with reusable scratch buffers and an
-// in-place reseeded rng stream, so steady-state Run/RunCoded calls
-// allocate zero bytes. A Runner is not safe for concurrent use;
+// Runner runs line-coded waveform simulations with reusable scratch
+// buffers and an in-place reseeded rng stream, so steady-state RunCoded
+// calls allocate zero bytes. A Runner is not safe for concurrent use;
 // RunCodedAll hands one Runner per worker out of a pool.
-//
-// Runner.Run(cfg, n, res) computes exactly what Run(cfg, n) computes —
-// rng.Reseed reproduces rng.New's state byte-for-byte, and the buffers
-// only change where results are stored, never what is computed.
 type Runner struct {
 	stream rng.Stream
 	// payload holds generated random data bits for coded runs.
@@ -33,12 +29,6 @@ type Runner struct {
 // NewRunner returns an empty Runner; buffers grow on first use and are
 // reused afterwards.
 func NewRunner() *Runner { return &Runner{} }
-
-// Run is the zero-allocation equivalent of the package-level Run,
-// overwriting *res with the result.
-func (ru *Runner) Run(cfg Config, n int, res *Result) error {
-	return run(cfg, n, res)
-}
 
 // growBytes returns buf resized to n, reusing its storage when the
 // capacity suffices.
@@ -57,10 +47,10 @@ var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 // worker pool (workers <= 0 selects GOMAXPROCS) and returns the results
 // in config order. Every config carries its own seed, so each cell's
 // computation is self-contained and the sweep is bit-identical to
-// calling Run(cfgs[i], n) sequentially, at any worker count. The runs
-// advance together, driftBlockBits bits per fan-out, so that runs
-// sharing a drift waveform read each block of its sines from one
-// driftBlock filled before the fan-out. Errors are joined in config
+// running each config's chain alone, start to finish, at any worker
+// count. The runs advance together, driftBlockBits bits per fan-out, so
+// that runs sharing a drift waveform read each block of its sines from
+// one driftBlock filled before the fan-out. Errors are joined in config
 // order, and nothing runs unless every config is valid.
 func RunAll(cfgs []Config, n int, workers int) ([]Result, error) {
 	chains := make([]chain, len(cfgs))
@@ -111,10 +101,10 @@ type driftKey struct {
 }
 
 // sharedDrift gives every key that two or more chains share one
-// driftBlock. It returns each chain's block, nil for a chain whose key is
-// its own (it calls Sample, as Run does) or whose leak is static
-// (CoherenceTime ≤ 0, where Sample takes no sine), and the distinct
-// blocks.
+// driftBlock. It returns each chain's block, nil for a chain whose key
+// is its own (it calls Sample, as a chain run alone does) or whose leak
+// is static (CoherenceTime ≤ 0, where Sample takes no sine), and the
+// distinct blocks.
 func sharedDrift(chains []chain) (drift, blocks []*driftBlock) {
 	keys := make([]driftKey, len(chains))
 	count := make(map[driftKey]int, len(chains))

@@ -90,19 +90,8 @@ func (r Result) BER() float64 {
 	return float64(r.Errors) / float64(r.Bits)
 }
 
-// Run pushes n random bits through the chain and returns the result.
-// It is the allocating convenience wrapper around Runner.Run; steady-
-// state callers (sweeps, Monte-Carlo loops) should hold a Runner.
-func Run(cfg Config, n int) (*Result, error) {
-	res := new(Result)
-	if err := run(cfg, n, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// check validates the fields run and RunCoded share; unit names what
-// SamplesPerBit samples span, a "bit" or a "symbol".
+// check validates the fields chain.start and Runner.RunCoded share;
+// unit names what SamplesPerBit samples span, a "bit" or a "symbol".
 func (cfg Config) check(unit string) error {
 	if cfg.SamplesPerBit < 4 {
 		return fmt.Errorf("rxchain: %d samples/%s is too coarse", cfg.SamplesPerBit, unit)
@@ -121,18 +110,6 @@ func (cfg Config) check(unit string) error {
 // holds the phases SelfInterference.Sample would see.
 func sampleTime(i, s, samplesPerBit int, dt float64) units.Second {
 	return units.Second((float64(i)*float64(samplesPerBit) + float64(s)) * dt)
-}
-
-// run is the waveform loop of Run and Runner.Run: one chain over all of
-// its bits, overwriting *res.
-func run(cfg Config, n int, res *Result) error {
-	var c chain
-	if err := c.start(cfg, n); err != nil {
-		return err
-	}
-	c.advance(c.total, nil)
-	*res = c.finish()
-	return nil
 }
 
 // chain is one waveform run, resumable between blocks of bits so that
@@ -256,18 +233,4 @@ func (c *chain) finish() Result {
 		c.res.SwingAtComparator = c.oneSum/float64(c.oneN) - c.zeroSum/float64(c.zeroN)
 	}
 	return c.res
-}
-
-// SNR returns the chain's effective per-bit SNR (linear): the matched
-// decision statistic's signal-to-noise after integrating SamplesPerBit
-// samples.
-func (cfg Config) SNR() float64 {
-	if cfg.NoiseRMS <= 0 {
-		return math.Inf(1)
-	}
-	// The decision variable is the bit mean: signal separation
-	// amplitude/2 around the slicing point, noise σ/√spb.
-	sigma := cfg.NoiseRMS / math.Sqrt(float64(cfg.SamplesPerBit))
-	a := cfg.SignalAmplitude / 2
-	return a * a / (sigma * sigma)
 }

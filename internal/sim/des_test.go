@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"braidio/internal/rng"
-	"braidio/internal/units"
-)
+import "testing"
 
 func TestEngineOrdersEvents(t *testing.T) {
 	e := NewEngine()
@@ -13,15 +8,15 @@ func TestEngineOrdersEvents(t *testing.T) {
 	e.At(3, func() { order = append(order, 3) })
 	e.At(1, func() { order = append(order, 1) })
 	e.At(2, func() { order = append(order, 2) })
-	e.Run(10)
+	fired := e.Run(10)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("fire order %v, want [1 2 3]", order)
 	}
 	if e.Now() != 3 {
 		t.Errorf("clock = %v, want 3", e.Now())
 	}
-	if e.Fired() != 3 {
-		t.Errorf("fired = %d, want 3", e.Fired())
+	if fired != 3 {
+		t.Errorf("fired = %d, want 3", fired)
 	}
 }
 
@@ -47,10 +42,10 @@ func TestEngineSelfScheduling(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 10 {
-			e.After(0.5, tick)
+			e.At(e.Now()+0.5, tick)
 		}
 	}
-	e.After(0.5, tick)
+	e.At(0.5, tick)
 	e.Run(100)
 	if count != 10 {
 		t.Errorf("ticks = %d, want 10", count)
@@ -60,41 +55,11 @@ func TestEngineSelfScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++ })
-	e.At(5, func() { fired++ })
-	e.RunUntil(3)
-	if fired != 1 {
-		t.Errorf("fired = %d before the deadline, want 1", fired)
-	}
-	if e.Now() != 3 {
-		t.Errorf("clock = %v, want advanced to the deadline", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(1, func() { fired = true })
-	e.Cancel(ev)
-	e.Run(10)
-	if fired {
-		t.Error("canceled event fired")
-	}
-	e.Cancel(ev) // double-cancel is a no-op
-	e.Cancel(nil)
-}
-
 func TestEngineMaxEventsGuard(t *testing.T) {
 	e := NewEngine()
 	var loop func()
-	loop = func() { e.After(1e-9, loop) }
-	e.After(0, loop)
+	loop = func() { e.At(e.Now()+1e-9, loop) }
+	e.At(0, loop)
 	if got := e.Run(100); got != 100 {
 		t.Errorf("runaway loop fired %d, want capped at 100", got)
 	}
@@ -105,9 +70,8 @@ func TestEnginePanics(t *testing.T) {
 	e.At(5, func() {})
 	e.Step()
 	for name, f := range map[string]func(){
-		"past":     func() { e.At(1, func() {}) },
-		"nil fn":   func() { e.At(10, nil) },
-		"negative": func() { e.After(-1, func() {}) },
+		"past":   func() { e.At(1, func() {}) },
+		"nil fn": func() { e.At(10, nil) },
 	} {
 		func() {
 			defer func() {
@@ -139,33 +103,11 @@ func TestVideoStream(t *testing.T) {
 	}
 }
 
-func TestBurstyMeanRate(t *testing.T) {
-	b := NewBursty(0.5, 125, rng.New(3))
-	var tm units.Second
-	const n = 20000
-	for i := 0; i < n; i++ {
-		a := b.Next(tm)
-		if a.Time <= tm {
-			t.Fatal("non-advancing arrival")
-		}
-		tm = a.Time
-	}
-	meanGap := float64(tm) / n
-	if meanGap < 0.48 || meanGap > 0.52 {
-		t.Errorf("mean inter-arrival %v, want ≈0.5", meanGap)
-	}
-	if got := float64(OfferedLoad(b)); got != 2000 {
-		t.Errorf("offered load = %v, want 2000", got)
-	}
-}
-
 func TestTrafficValidation(t *testing.T) {
 	for name, f := range map[string]func(){
 		"cbr period": func() { NewCBR(0, 1) },
 		"cbr bytes":  func() { NewCBR(1, 0) },
 		"video fps":  func() { VideoStream(0, 1) },
-		"bursty":     func() { NewBursty(0, 1, rng.New(1)) },
-		"bursty nil": func() { NewBursty(1, 1, nil) },
 	} {
 		func() {
 			defer func() {

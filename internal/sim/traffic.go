@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"braidio/internal/rng"
 	"braidio/internal/units"
 )
 
@@ -13,13 +12,6 @@ type Arrival struct {
 	Time units.Second
 	// Bytes of payload.
 	Bytes int
-}
-
-// Traffic generates arrivals. Implementations must be deterministic
-// given their seed.
-type Traffic interface {
-	// Next returns the next arrival after time t.
-	Next(t units.Second) Arrival
 }
 
 // CBR is constant-bitrate traffic: fixed-size messages at a fixed
@@ -39,7 +31,7 @@ func NewCBR(period units.Second, bytes int) CBR {
 	return CBR{Period: period, Bytes: bytes}
 }
 
-// Next implements Traffic.
+// Next returns the arrival that follows one at time t.
 func (c CBR) Next(t units.Second) Arrival {
 	return Arrival{Time: t + c.Period, Bytes: c.Bytes}
 }
@@ -54,45 +46,8 @@ func VideoStream(fps float64, frameBytes int) CBR {
 	return NewCBR(units.Second(1/fps), frameBytes)
 }
 
-// Bursty is exponential (Poisson) inter-arrival traffic with fixed-size
-// messages — notification-style workloads.
-type Bursty struct {
-	// MeanInterval between messages.
-	MeanInterval units.Second
-	// Bytes per message.
-	Bytes int
-
-	stream *rng.Stream
-}
-
-// NewBursty returns a Poisson source drawing jitter from the stream.
-func NewBursty(mean units.Second, bytes int, stream *rng.Stream) *Bursty {
-	if mean <= 0 || bytes <= 0 {
-		panic(fmt.Sprintf("sim: invalid bursty mean=%v bytes=%d", float64(mean), bytes))
-	}
-	if stream == nil {
-		panic("sim: nil stream")
-	}
-	return &Bursty{MeanInterval: mean, Bytes: bytes, stream: stream}
-}
-
-// Next implements Traffic.
-func (b *Bursty) Next(t units.Second) Arrival {
-	return Arrival{
-		Time:  t + units.Second(b.stream.Exp(float64(b.MeanInterval))),
-		Bytes: b.Bytes,
-	}
-}
-
 // OfferedLoad returns a source's average offered load in bits per
 // second.
-func OfferedLoad(tr Traffic) units.BitRate {
-	switch s := tr.(type) {
-	case CBR:
-		return units.BitRate(float64(8*s.Bytes) / float64(s.Period))
-	case *Bursty:
-		return units.BitRate(float64(8*s.Bytes) / float64(s.MeanInterval))
-	default:
-		panic(fmt.Sprintf("sim: unknown traffic type %T", tr))
-	}
+func OfferedLoad(c CBR) units.BitRate {
+	return units.BitRate(float64(8*c.Bytes) / float64(c.Period))
 }
