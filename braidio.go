@@ -166,8 +166,10 @@ var (
 	// ErrMemberQuarantined reports a hub member removed from the
 	// round-robin after repeated failed rounds.
 	ErrMemberQuarantined = hub.ErrMemberQuarantined
-	// ErrSessionExhausted reports a SendFrame on a session whose
-	// battery already died.
+	// ErrSessionExhausted reports a session whose battery died:
+	// NewSession and NewDuplex return it when a battery runs out during
+	// the session handshake, and SendFrame on a session whose battery
+	// already died.
 	ErrSessionExhausted = mac.ErrExhausted
 	// ErrBadDevice reports a device whose capacity is not positive and
 	// finite. The Pair methods and the gain matrices return it before

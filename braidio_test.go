@@ -449,3 +449,31 @@ func TestBadDeviceIsAnError(t *testing.T) {
 		})
 	}
 }
+
+// TestHandshakeExhaustionIsErrSessionExhausted gives NewSession and
+// NewDuplex a device too small to finish the session handshake (the
+// battery exchange and the first probes), on either side, and demands an
+// error wrapping ErrSessionExhausted, not the allocator's "non-positive
+// budgets" error, which wraps no exported value.
+func TestHandshakeExhaustionIsErrSessionExhausted(t *testing.T) {
+	watch := mustDevice(t, "Apple Watch")
+	entries := []struct {
+		name string
+		call func(tx, rx Device) error
+	}{
+		{"NewSession", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).NewSession(1); return err }},
+		{"NewDuplex", func(tx, rx Device) error { _, err := NewPair(tx, rx, 0.5).NewDuplex(1); return err }},
+	}
+	for _, entry := range entries {
+		t.Run(entry.name, func(t *testing.T) {
+			for _, c := range []WattHour{1e-300, 1e-8} {
+				tiny := CustomDevice("tiny", c)
+				for _, side := range [][2]Device{{tiny, watch}, {watch, tiny}} {
+					if err := entry.call(side[0], side[1]); !errors.Is(err, ErrSessionExhausted) {
+						t.Errorf("capacity %v Wh, %s→%s: err = %v, want %v", float64(c), side[0].Name, side[1].Name, err, ErrSessionExhausted)
+					}
+				}
+			}
+		})
+	}
+}

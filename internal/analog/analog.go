@@ -12,7 +12,6 @@
 package analog
 
 import (
-	"fmt"
 	"math"
 
 	"braidio/internal/units"
@@ -38,12 +37,10 @@ type Comparator struct {
 	// Hysteresis is the additional margin required to flip an already
 	// latched output, suppressing chatter around the threshold.
 	Hysteresis float64
-	// Power is the supply draw while enabled.
-	Power units.Watt
 }
 
 // DefaultComparator matches the TS881-class parts cited by the paper.
-var DefaultComparator = Comparator{Threshold: 5e-3, Hysteresis: 1e-3, Power: 1e-6}
+var DefaultComparator = Comparator{Threshold: 5e-3, Hysteresis: 1e-3}
 
 // Decide returns the comparator output for a differential input given the
 // previous output state. Inputs inside the hysteresis band hold the
@@ -53,12 +50,6 @@ func (c Comparator) Decide(diff float64, prev bool) bool {
 		return diff > -c.Hysteresis
 	}
 	return diff > c.Hysteresis
-}
-
-// Detects reports whether a signal swing of the given amplitude is large
-// enough for reliable decisions.
-func (c Comparator) Detects(amplitude float64) bool {
-	return amplitude >= c.Threshold
 }
 
 // InstAmp models the instrumentation amplifier (INA2331 class) inserted
@@ -76,8 +67,6 @@ type InstAmp struct {
 	InputCapacitance float64
 	// InputNoiseDensity is the input-referred noise in V/√Hz.
 	InputNoiseDensity float64
-	// Power is the supply draw while enabled.
-	Power units.Watt
 }
 
 // DefaultInstAmp matches the INA2331 parameters the paper cites.
@@ -86,7 +75,6 @@ var DefaultInstAmp = InstAmp{
 	Bandwidth:         2 * units.Megahertz,
 	InputCapacitance:  1.8e-12,
 	InputNoiseDensity: 46e-9,
-	Power:             15e-6,
 }
 
 // EffectiveGain returns the amplifier gain at a signal frequency f when
@@ -117,53 +105,15 @@ func (a InstAmp) NoiseVoltage(bw units.Hertz) float64 {
 }
 
 // SAWFilter models the passive band filter at the radio front end
-// (SF2049E class: 902–928 MHz passband, 50 dB suppression in the 800 MHz
-// band, >30 dB at 2.4 GHz). It consumes no power.
+// (SF2049E class, 902–928 MHz passband). It consumes no power; the
+// chain's sensitivity pays its passband insertion loss.
 type SAWFilter struct {
-	// PassLow and PassHigh bound the passband.
-	PassLow, PassHigh units.Hertz
 	// InsertionLoss inside the passband.
 	InsertionLoss units.DB
-	// NearRejection applies to out-of-band signals within an octave of
-	// the passband (e.g. the 800 MHz cellular band).
-	NearRejection units.DB
-	// FarRejection applies beyond an octave (e.g. 2.4 GHz WiFi).
-	FarRejection units.DB
 }
 
 // DefaultSAW matches the SF2049E used on the Braidio board.
-var DefaultSAW = SAWFilter{
-	PassLow:       902 * units.Megahertz,
-	PassHigh:      928 * units.Megahertz,
-	InsertionLoss: 2,
-	NearRejection: 50,
-	FarRejection:  30,
-}
-
-// Attenuation returns the filter loss at a given frequency.
-func (s SAWFilter) Attenuation(f units.Hertz) units.DB {
-	if f <= 0 {
-		panic("analog: non-positive frequency")
-	}
-	if f >= s.PassLow && f <= s.PassHigh {
-		return s.InsertionLoss
-	}
-	centre := (s.PassLow + s.PassHigh) / 2
-	ratio := float64(f / centre)
-	if ratio < 1 {
-		ratio = 1 / ratio
-	}
-	if ratio < 2 {
-		return s.NearRejection
-	}
-	return s.FarRejection
-}
-
-// Rejects reports whether an interferer at frequency f and power p is
-// suppressed below the given tolerable level at the detector.
-func (s SAWFilter) Rejects(f units.Hertz, p units.DBm, tolerable units.DBm) bool {
-	return p.Sub(s.Attenuation(f)) <= tolerable
-}
+var DefaultSAW = SAWFilter{InsertionLoss: 2}
 
 // AntennaSwitch models the SPDT switch (SKY13267 class) that selects
 // between the two diversity antennas.
@@ -262,37 +212,4 @@ func (c Chain) Sensitivity(rate units.BitRate) units.DBm {
 	vin := math.Max(vinComp, vinNoise)
 	p := PowerForAmplitude(vin)
 	return p.DBm().Add(units.DB(c.SAW.InsertionLoss))
-}
-
-// PowerDraw returns the chain's total supply power: SAW and pump are
-// passive; amplifier and comparator draw.
-func (c Chain) PowerDraw() units.Watt {
-	p := c.Comparator.Power
-	if c.Amp != nil {
-		p += c.Amp.Power
-	}
-	return p
-}
-
-// RejectsSelfInterference reports whether a self-interference drift
-// process with the given maximum rate (rad/s normalized, as returned by
-// fading.SelfInterference.MaxDriftRate) is suppressed at least `margin`
-// (linear) relative to a signal at the bit rate.
-func (c Chain) RejectsSelfInterference(driftRate float64, rate units.BitRate, margin float64) bool {
-	driftHz := units.Hertz(driftRate / (2 * math.Pi))
-	sig := c.HighPass.Gain(units.Hertz(float64(rate)))
-	si := c.HighPass.Gain(driftHz)
-	if si == 0 {
-		return true
-	}
-	return sig/si >= margin
-}
-
-// String summarizes the chain configuration.
-func (c Chain) String() string {
-	amp := "no amp"
-	if c.Amp != nil {
-		amp = fmt.Sprintf("amp ×%g", c.Amp.Gain)
-	}
-	return fmt.Sprintf("chain{pump ×%g, %s, comparator %v mV}", c.PumpBoost, amp, c.Comparator.Threshold*1e3)
 }

@@ -3,11 +3,7 @@
 // Table 2, and the best-single-mode baseline of Fig. 16.
 package baseline
 
-import (
-	"fmt"
-
-	"braidio/internal/units"
-)
+import "braidio/internal/units"
 
 // Bluetooth models a symmetric active radio as the paper's baseline.
 type Bluetooth struct {
@@ -116,11 +112,6 @@ func LowestPowerReader() Reader {
 		}
 	}
 	return best
-}
-
-// String implements fmt.Stringer.
-func (r Reader) String() string {
-	return fmt.Sprintf("%s (%v @ %g dBm, $%g)", r.Model, r.Power, float64(r.TXOut), r.CostUSD)
 }
 
 // DutyCycled models the classic low-power listening alternative the

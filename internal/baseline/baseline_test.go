@@ -120,12 +120,6 @@ func TestLowestPowerReaderIsAS3993(t *testing.T) {
 	}
 }
 
-func TestReaderString(t *testing.T) {
-	if s := Readers[0].String(); s == "" {
-		t.Error("empty reader description")
-	}
-}
-
 func TestDefaultGoodputFactorCalibrated(t *testing.T) {
 	// The Fig. 15 diagonal calibration (EXPERIMENTS.md) depends on this
 	// value; pin it so accidental changes fail loudly.

@@ -329,22 +329,3 @@ func BestSingleMode(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, erro
 	}
 	return best, nil
 }
-
-// SingleMode returns the pure allocation for one specific mode, if
-// available in links.
-func SingleMode(links []phy.ModeLink, m phy.Mode, e1, e2 units.Joule) (*Allocation, error) {
-	if err := validateInputs(links, e1, e2); err != nil {
-		return nil, err
-	}
-	for i, l := range links {
-		if l.Mode != m {
-			continue
-		}
-		a := &Allocation{Links: links, P: make([]float64, len(links))}
-		a.P[i] = 1
-		a.TX, a.RX = l.T, l.R
-		a.Bits = bitsFor(l.T, l.R, e1, e2)
-		return a, nil
-	}
-	return nil, fmt.Errorf("core: mode %v not available", m)
-}

@@ -177,20 +177,6 @@ func TestFig16DiagonalGain(t *testing.T) {
 	}
 }
 
-func TestSingleMode(t *testing.T) {
-	links := linksAt(t, 0.3)
-	a, err := SingleMode(links, phy.ModePassive, 3600, 3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := a.Fraction(phy.ModePassive); f != 1 {
-		t.Errorf("passive fraction = %v, want 1", f)
-	}
-	if _, err := SingleMode(links[:1], phy.ModeBackscatter, 1, 1); err == nil {
-		t.Error("requesting an absent mode should error")
-	}
-}
-
 // TestValidation pins bad inputs as errors. NaN budgets and costs are
 // among them: NaN fails every ordered comparison, so a `<= 0` check
 // lets it through, and past validation a NaN budget makes no candidate

@@ -115,41 +115,6 @@ func (s *Scene) SNRAt(p, rx Vec2) units.DB {
 // "without antenna diversity" curve of Fig. 6).
 func (s *Scene) SNR(p Vec2) units.DB { return s.SNRAt(p, s.RX) }
 
-// SINRAt returns the envelope-detected signal-to-(noise+interference)
-// ratio, in dB, of a tag at p received at rx while additional carriers
-// at the interferer positions are concurrently on the air. Each
-// interferer radiates with the same unit amplitude scale as the scene's
-// own carrier (power 1/d² at distance d, the scale at which a tag with
-// unit path product hits RefSNR), so its power relative to the noise
-// floor is 10^(RefSNR/10)/d². The combined floor lifts the tag's ratio:
-//
-//	SINR = SNR − 10·log10(1 + Σ_k I_k/N)
-//
-// With no interferers this returns SNRAt(p, rx) verbatim — the
-// zero-interferer path is gated, not recomputed, so it is bit-identical
-// to the single-TX helper (SNRAt, SNR, SNRDiversity remain single-TX by
-// contract; multi-source callers come through here). Interferers
-// coincident with the receive antenna are clamped to the same 1 cm
-// near-field floor SNRAt applies.
-func (s *Scene) SINRAt(p, rx Vec2, interferers []Vec2) units.DB {
-	snr := s.SNRAt(p, rx)
-	if len(interferers) == 0 {
-		return snr
-	}
-	const nearField = 0.01
-	overN := 0.0 // Σ interferer power / noise power
-	for _, q := range interferers {
-		d := math.Max(q.Dist(rx), nearField)
-		overN += math.Pow(10, float64(s.RefSNR)/10) / (d * d)
-	}
-	return snr - units.DB(10*math.Log10(1+overN))
-}
-
-// SINR is SINRAt on the primary receive antenna.
-func (s *Scene) SINR(p Vec2, interferers []Vec2) units.DB {
-	return s.SINRAt(p, s.RX, interferers)
-}
-
 // SNRDiversity returns the best SNR over the available receive antennas
 // (the "with antenna diversity" curve of Fig. 6). With no diversity
 // antenna configured it equals SNR.

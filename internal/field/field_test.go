@@ -202,3 +202,18 @@ func TestFiniteBackgroundSaturatesNear(t *testing.T) {
 		t.Errorf("exact model did not saturate near the antenna: exact %v vs asymptote %v", e, a)
 	}
 }
+
+// TestSNRAtDegenerateGeometry: a tag on the TX antenna, on the RX antenna
+// or on the diversity antenna stays finite (clamped to the 1 cm near
+// field) or −Inf, never NaN or +Inf.
+func TestSNRAtDegenerateGeometry(t *testing.T) {
+	s := PaperScene()
+	for _, p := range []Vec2{s.TX, s.RX, *s.RXDiv} {
+		if v := s.SNRAt(p, s.RX); math.IsNaN(float64(v)) || math.IsInf(float64(v), 1) {
+			t.Errorf("SNRAt(%v) = %v, want finite or −Inf", p, v)
+		}
+		if v := s.SNRDiversity(p); math.IsNaN(float64(v)) || math.IsInf(float64(v), 1) {
+			t.Errorf("SNRDiversity(%v) = %v, want finite or −Inf", p, v)
+		}
+	}
+}

@@ -12,7 +12,6 @@
 package harvest
 
 import (
-	"fmt"
 	"math"
 
 	"braidio/internal/phy"
@@ -138,18 +137,6 @@ func Uptime(h Harvester, m *phy.Model, d units.Meter, r units.BitRate) float64 {
 	return math.Min(duty, 1)
 }
 
-// String formats a budget line.
-func (b Budget) String() string {
-	state := "duty-cycled"
-	if b.SelfSustaining() {
-		state = "perpetual"
-	} else if b.Harvested == 0 {
-		state = "dead"
-	}
-	return fmt.Sprintf("%.2f m @ %v: incident %v, harvested %v, draw %v (%s)",
-		float64(b.Distance), b.Rate, b.Incident, b.Harvested, b.Draw, state)
-}
-
 // FreeSpaceCheck confirms the harvester threshold corresponds to the
 // free-space turn-on distance implied by [33]'s 16.7 µW at the
 // calibrated carrier: useful as a sanity anchor in tests.
@@ -164,30 +151,4 @@ func FreeSpaceCheck(m *phy.Model) units.Meter {
 		return 0
 	}
 	return d
-}
-
-// AdjustLinks returns a copy of the characterized links in which the
-// backscatter transmitter's per-bit cost is offset by harvested carrier
-// power: while the reader's carrier is up for the tag's slots, the tag
-// banks h.Output(incident) continuously, so its *net* drain is
-// max(0, draw − harvested). Inside the perpetual radius the tag's cost
-// reaches zero and the offload optimizer will lean on backscatter even
-// harder than power-proportionality alone suggests.
-func AdjustLinks(h Harvester, m *phy.Model, d units.Meter, links []phy.ModeLink) []phy.ModeLink {
-	in := IncidentPower(m, d)
-	harvested := h.Output(in)
-	out := make([]phy.ModeLink, len(links))
-	copy(out, links)
-	for i, l := range out {
-		if l.Mode != phy.ModeBackscatter {
-			continue
-		}
-		draw := phy.BackscatterTXPower(l.Rate)
-		net := draw - harvested
-		if net < 0 {
-			net = 0
-		}
-		out[i].T = units.PerBit(net+1e-15, l.Good)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package harvest
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"braidio/internal/phy"
@@ -135,63 +134,11 @@ func TestUptime(t *testing.T) {
 	}
 }
 
-func TestBudgetString(t *testing.T) {
-	m := phy.NewModel()
-	s := BudgetAt(Default, m, 0.3, units.Rate10k).String()
-	if !strings.Contains(s, "perpetual") {
-		t.Errorf("budget string %q missing state", s)
-	}
-	far := BudgetAt(Default, m, 5, units.Rate10k).String()
-	if !strings.Contains(far, "dead") {
-		t.Errorf("far budget string %q missing state", far)
-	}
-}
-
 func TestFreeSpaceCheck(t *testing.T) {
 	// The [33] threshold of 16.7 µW at our carrier/antennas corresponds
 	// to a turn-on distance of roughly 0.5–0.8 m.
 	d := FreeSpaceCheck(phy.NewModel())
 	if d < 0.3 || d > 1.2 {
 		t.Errorf("turn-on distance = %v m, want ≈0.5–0.8", d)
-	}
-}
-
-func TestAdjustLinks(t *testing.T) {
-	m := phy.NewModel()
-	links := m.Characterize(0.3)
-	adj := AdjustLinks(Default, m, 0.3, links)
-	if len(adj) != len(links) {
-		t.Fatal("link count changed")
-	}
-	for i, l := range adj {
-		switch l.Mode {
-		case phy.ModeBackscatter:
-			if l.T >= links[i].T {
-				t.Errorf("backscatter cost not reduced: %v vs %v", l.T, links[i].T)
-			}
-		default:
-			if l.T != links[i].T || l.R != links[i].R {
-				t.Errorf("%v costs changed", l.Mode)
-			}
-		}
-	}
-	// At 0.3 m and 1 Mbps the tag draws 36.4 µW but harvests ~17 µW:
-	// roughly half the cost disappears.
-	var bs, bsAdj float64
-	for i := range links {
-		if links[i].Mode == phy.ModeBackscatter {
-			bs, bsAdj = float64(links[i].T), float64(adj[i].T)
-		}
-	}
-	if ratio := bsAdj / bs; ratio < 0.3 || ratio > 0.8 {
-		t.Errorf("adjusted/raw tag cost = %v, want ≈0.5", ratio)
-	}
-	// Far away: no harvest, no change.
-	far := m.Characterize(2.0)
-	farAdj := AdjustLinks(Default, m, 2.0, far)
-	for i := range far {
-		if far[i].Mode == phy.ModeBackscatter && farAdj[i].T < far[i].T*0.999 {
-			t.Error("cost reduced beyond harvest range")
-		}
 	}
 }

@@ -184,7 +184,3 @@ func clampQ(q float64) float64 {
 	}
 	return q
 }
-
-// TheoreticalMinSlots returns the oracle-frame lower bound on expected
-// slots: n·e (slotted ALOHA at peak efficiency).
-func TheoreticalMinSlots(n int) float64 { return float64(n) * math.E }

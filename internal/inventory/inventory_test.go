@@ -123,12 +123,6 @@ func TestClampQ(t *testing.T) {
 	}
 }
 
-func TestTheoreticalMinSlots(t *testing.T) {
-	if got := TheoreticalMinSlots(100); math.Abs(got-100*math.E) > 1e-9 {
-		t.Errorf("min slots = %v", got)
-	}
-}
-
 func TestEmptyResultAccessors(t *testing.T) {
 	var r Result
 	if r.Efficiency() != 0 || r.SlotsPerTag() != 0 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"testing/quick"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -16,41 +15,6 @@ func TestFromPolarRoundTrip(t *testing.T) {
 	}
 	if ph := cmplx.Phase(complex128(p)); !approx(ph, math.Pi/3, 1e-12) {
 		t.Errorf("phase = %v, want π/3", ph)
-	}
-}
-
-func TestFromPower(t *testing.T) {
-	p := FromPower(4, 0)
-	if !approx(p.Power(), 4, 1e-12) {
-		t.Errorf("Power = %v, want 4", p.Power())
-	}
-	if !approx(p.Mag(), 2, 1e-12) {
-		t.Errorf("Mag = %v, want 2", p.Mag())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("FromPower(-1, 0) did not panic")
-		}
-	}()
-	FromPower(-1, 0)
-}
-
-func TestIQComponents(t *testing.T) {
-	p := FromPolar(1, math.Pi/2)
-	if !approx(p.I(), 0, 1e-12) || !approx(p.Q(), 1, 1e-12) {
-		t.Errorf("I/Q = %v/%v, want 0/1", p.I(), p.Q())
-	}
-}
-
-func TestRotatePreservesMagnitude(t *testing.T) {
-	f := func(mag, phase, rot float64) bool {
-		m := math.Abs(math.Mod(mag, 1e6))
-		p := FromPolar(m, math.Mod(phase, math.Pi))
-		q := p.Rotate(math.Mod(rot, 10*math.Pi))
-		return approx(q.Mag(), m, 1e-6*(1+m))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -103,35 +67,4 @@ func TestEnvelopeDeltaCosineLaw(t *testing.T) {
 			t.Errorf("θ=%v: delta = %v, want ≈ %v", theta, got, want)
 		}
 	}
-}
-
-func TestPathPhase(t *testing.T) {
-	// Integer wavelengths come back to zero phase.
-	if got := PathPhase(3*0.3277, 0.3277); !approx(got, 0, 1e-9) {
-		t.Errorf("3λ path phase = %v, want 0", got)
-	}
-	// Half wavelength is π.
-	if got := PathPhase(0.3277/2, 0.3277); !approx(got, math.Pi, 1e-9) {
-		t.Errorf("λ/2 path phase = %v, want π", got)
-	}
-}
-
-func TestPathPhaseRange(t *testing.T) {
-	f := func(d float64) bool {
-		dist := math.Abs(math.Mod(d, 1000))
-		ph := PathPhase(dist, 0.3277)
-		return ph >= 0 && ph < 2*math.Pi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPathPhasePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("PathPhase with zero wavelength did not panic")
-		}
-	}()
-	PathPhase(1, 0)
 }

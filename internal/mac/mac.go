@@ -37,7 +37,9 @@ import (
 	"braidio/internal/units"
 )
 
-// ErrExhausted reports a SendFrame on a session whose battery already
+// ErrExhausted reports a session whose battery died: NewSession returns
+// it when the handshake (the battery exchange and the first probes)
+// empties a battery, and SendFrame on a session whose battery already
 // died.
 var ErrExhausted = errors.New("mac: session battery exhausted")
 
@@ -202,7 +204,8 @@ type Session struct {
 // NewSession creates a session, performs the active-mode battery
 // exchange, probes the links, and computes the initial allocation. It
 // returns an error if no mode works at the configured distance or the
-// configuration is invalid.
+// configuration is invalid, and one wrapping ErrExhausted if a battery
+// runs out during the exchange or the probes.
 func NewSession(cfg Config, txBatt, rxBatt *energy.Battery) (*Session, error) {
 	if cfg.Model == nil || txBatt == nil || rxBatt == nil {
 		return nil, errors.New("mac: session needs a model and two batteries")
@@ -234,6 +237,9 @@ func NewSession(cfg Config, txBatt, rxBatt *energy.Battery) (*Session, error) {
 	}
 	s.exchangeBattery()
 	s.probeAll()
+	if s.dead {
+		return nil, fmt.Errorf("mac: session handshake: %w", ErrExhausted)
+	}
 	if err := s.recompute(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -223,6 +224,13 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(DefaultConfig(m, 9000, 1), energy.NewBattery(1), energy.NewBattery(1)); err == nil {
 		t.Error("out-of-range session accepted")
+	}
+	// A battery the handshake empties, on either side, is ErrExhausted,
+	// not the allocator's zero-budget error.
+	for _, caps := range [][2]units.WattHour{{1e-300, 1}, {1, 1e-300}} {
+		if _, err := NewSession(DefaultConfig(m, 0.3, 1), energy.NewBattery(caps[0]), energy.NewBattery(caps[1])); !errors.Is(err, ErrExhausted) {
+			t.Errorf("capacities %v Wh: err = %v, want %v", caps, err, ErrExhausted)
+		}
 	}
 	s := newSession(t, 0.3, 0.01, 0.01)
 	if _, err := s.SendFrame(10000); err == nil {

@@ -1,7 +1,9 @@
-// Package modem implements the modulation and detection layer: OOK/ASK
-// (what the backscatter tag and envelope detector speak), binary FSK
-// (what the tag uses at higher rates), and the bit-error-rate models that
-// the link characterization (Figs. 12 and 13) is built on.
+// Package modem holds the bit-error-rate models that the link
+// characterization (Figs. 12 and 13) is built on, one per detection
+// scheme: non-coherent OOK (what the backscatter tag and the envelope
+// detector speak), non-coherent binary FSK (what the tag uses at higher
+// rates), coherent PSK (the active radio) and coherent 16-QAM, and
+// their inverse, the SNR that reaches a target error rate.
 //
 // Analytic BER expressions for non-coherent detection are the standard
 // ones from digital-communications texts:
@@ -114,97 +116,6 @@ func SNRForBER(s Scheme, target float64) float64 {
 	default:
 		panic(fmt.Sprintf("modem: unknown scheme %d", int(s)))
 	}
-}
-
-// Waveform synthesis: the tag's view of a bit stream as envelope samples.
-
-// OOKWaveform expands bits into an envelope waveform with the given
-// samples per bit and high/low levels (e.g. the two reflection states of
-// the RF transistor).
-func OOKWaveform(bits []byte, samplesPerBit int, low, high float64) []float64 {
-	return OOKWaveformInto(nil, bits, samplesPerBit, low, high)
-}
-
-// OOKWaveformInto is OOKWaveform writing into dst's storage: the result
-// reuses dst's capacity when it suffices (zero allocations steady-state)
-// and is freshly allocated otherwise. Pass the previous return value back
-// in to amortize the buffer across frames.
-func OOKWaveformInto(dst []float64, bits []byte, samplesPerBit int, low, high float64) []float64 {
-	if samplesPerBit < 1 {
-		panic("modem: samplesPerBit must be ≥ 1")
-	}
-	n := len(bits) * samplesPerBit
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i, b := range bits {
-		level := low
-		if b != 0 {
-			level = high
-		}
-		period := dst[i*samplesPerBit : (i+1)*samplesPerBit]
-		for s := range period {
-			period[s] = level
-		}
-	}
-	return dst
-}
-
-// DetectOOK integrates each bit period of a (possibly noisy) envelope
-// waveform and slices against the midpoint threshold, returning the
-// recovered bits.
-//
-// Truncation contract: only complete bit periods are decoded. A trailing
-// partial period (the last len(wave) % samplesPerBit samples) carries no
-// decidable bit and is silently discarded; callers that need to resume
-// mid-stream should use DetectOOKInto, which reports how many samples
-// were consumed so the remainder can be carried into the next call.
-func DetectOOK(wave []float64, samplesPerBit int, low, high float64) []byte {
-	bits, _ := DetectOOKInto(nil, wave, samplesPerBit, low, high)
-	return bits
-}
-
-// DetectOOKInto is DetectOOK writing into dst's storage, returning the
-// recovered bits and the number of samples consumed (always a multiple
-// of samplesPerBit; the unconsumed tail wave[consumed:] is a partial bit
-// period awaiting more samples). The result reuses dst's capacity when
-// it suffices and is freshly allocated otherwise.
-func DetectOOKInto(dst []byte, wave []float64, samplesPerBit int, low, high float64) (bits []byte, consumed int) {
-	if samplesPerBit < 1 {
-		panic("modem: samplesPerBit must be ≥ 1")
-	}
-	n := len(wave) / samplesPerBit
-	threshold := (low + high) / 2
-	if cap(dst) < n {
-		dst = make([]byte, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := 0; i < n; i++ {
-		period := wave[i*samplesPerBit : (i+1)*samplesPerBit]
-		sum := 0.0
-		for _, v := range period {
-			sum += v
-		}
-		if sum/float64(samplesPerBit) > threshold {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst, n * samplesPerBit
-}
-
-// SchemeForMode returns the detection scheme each Braidio mode uses:
-// the active link is a coherent radio; both envelope-detected links are
-// non-coherent OOK.
-func SchemeForMode(passiveOrBackscatter bool) Scheme {
-	if passiveOrBackscatter {
-		return OOKNonCoherent
-	}
-	return PSKCoherent
 }
 
 // QAM16Coherent is 16-QAM with coherent detection — the high-order

@@ -88,68 +88,6 @@ func TestBERFromDB(t *testing.T) {
 	_ = units.DB(0)
 }
 
-func TestOOKWaveformRoundTrip(t *testing.T) {
-	bits := []byte{1, 0, 1, 1, 0, 0, 1, 0}
-	wave := OOKWaveform(bits, 8, 0.1, 1.0)
-	if len(wave) != len(bits)*8 {
-		t.Fatalf("waveform length %d, want %d", len(wave), len(bits)*8)
-	}
-	got := DetectOOK(wave, 8, 0.1, 1.0)
-	for i := range bits {
-		if got[i] != bits[i] {
-			t.Fatalf("noiseless round trip corrupted bit %d", i)
-		}
-	}
-}
-
-func TestOOKWaveformRoundTripNoisy(t *testing.T) {
-	r := rng.New(1)
-	bits := make([]byte, 512)
-	for i := range bits {
-		bits[i] = r.Bit()
-	}
-	wave := OOKWaveform(bits, 16, 0, 1)
-	for i := range wave {
-		wave[i] += 0.15 * r.Norm()
-	}
-	got := DetectOOK(wave, 16, 0, 1)
-	errs := 0
-	for i := range bits {
-		if got[i] != bits[i] {
-			errs++
-		}
-	}
-	// Integration over 16 samples cuts the effective noise to σ/4;
-	// errors should be essentially zero.
-	if errs > 2 {
-		t.Errorf("%d errors out of %d at high SNR", errs, len(bits))
-	}
-}
-
-func TestOOKRoundTripProperty(t *testing.T) {
-	f := func(raw []byte, spbRaw uint8) bool {
-		spb := int(spbRaw%8) + 1
-		bits := make([]byte, len(raw))
-		for i, b := range raw {
-			bits[i] = b & 1
-		}
-		wave := OOKWaveform(bits, spb, 0, 1)
-		got := DetectOOK(wave, spb, 0, 1)
-		if len(got) != len(bits) {
-			return false
-		}
-		for i := range bits {
-			if got[i] != bits[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMonteCarloValidatesAnalytic runs the simulated detector against the
 // analytic expressions in the regime the experiments use.
 func TestMonteCarloValidatesAnalytic(t *testing.T) {
@@ -215,24 +153,6 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
-func TestSchemeForMode(t *testing.T) {
-	if SchemeForMode(true) != OOKNonCoherent {
-		t.Error("passive/backscatter should use OOK envelope detection")
-	}
-	if SchemeForMode(false) != PSKCoherent {
-		t.Error("active should use coherent detection")
-	}
-}
-
-func TestWaveformPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("samplesPerBit=0 did not panic")
-		}
-	}()
-	OOKWaveform([]byte{1}, 0, 0, 1)
-}
-
 func BenchmarkAnalyticBER(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = BER(OOKNonCoherent, 12.3)
@@ -262,86 +182,5 @@ func TestQAM16(t *testing.T) {
 	}
 	if got := BER(QAM16Coherent, 0); got != 0.5 {
 		t.Errorf("zero-SNR BER = %v", got)
-	}
-}
-
-// TestDetectOOKTruncatesPartialBit pins the truncation contract: a
-// trailing partial bit period decodes no bit, and DetectOOKInto reports
-// exactly the whole-period sample count as consumed.
-func TestDetectOOKTruncatesPartialBit(t *testing.T) {
-	bits := []byte{1, 0, 1}
-	wave := OOKWaveform(bits, 8, 0, 1)
-	// Append 5 samples of a fourth, partial bit period.
-	partial := append(append([]float64{}, wave...), 1, 1, 1, 1, 1)
-	got := DetectOOK(partial, 8, 0, 1)
-	if len(got) != len(bits) {
-		t.Fatalf("decoded %d bits from %d samples, want %d (partial period discarded)", len(got), len(partial), len(bits))
-	}
-	for i := range bits {
-		if got[i] != bits[i] {
-			t.Fatalf("bit %d corrupted", i)
-		}
-	}
-	dec, consumed := DetectOOKInto(nil, partial, 8, 0, 1)
-	if consumed != len(bits)*8 {
-		t.Errorf("consumed %d samples, want %d", consumed, len(bits)*8)
-	}
-	if len(partial)-consumed != 5 {
-		t.Errorf("unconsumed tail %d samples, want the 5 partial-period samples", len(partial)-consumed)
-	}
-	if len(dec) != len(bits) {
-		t.Errorf("DetectOOKInto decoded %d bits, want %d", len(dec), len(bits))
-	}
-	// An exact multiple consumes everything.
-	if _, consumed := DetectOOKInto(nil, wave, 8, 0, 1); consumed != len(wave) {
-		t.Errorf("full periods: consumed %d of %d", consumed, len(wave))
-	}
-	// Fewer samples than one period: nothing decoded, nothing consumed.
-	if dec, consumed := DetectOOKInto(nil, wave[:7], 8, 0, 1); len(dec) != 0 || consumed != 0 {
-		t.Errorf("sub-period input decoded %d bits, consumed %d", len(dec), consumed)
-	}
-}
-
-// TestIntoVariantsMatchAndReuse: the Into variants produce identical
-// results to the allocating functions and reuse caller buffers.
-func TestIntoVariantsMatchAndReuse(t *testing.T) {
-	r := rng.New(3)
-	bits := make([]byte, 257)
-	for i := range bits {
-		bits[i] = r.Bit()
-	}
-	want := OOKWaveform(bits, 8, 0.1, 0.9)
-	waveBuf := make([]float64, 0, len(bits)*8)
-	got := OOKWaveformInto(waveBuf, bits, 8, 0.1, 0.9)
-	if len(got) != len(want) {
-		t.Fatalf("length %d vs %d", len(got), len(want))
-	}
-	if &got[0] != &waveBuf[:1][0] {
-		t.Error("OOKWaveformInto did not reuse the caller's buffer")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d differs", i)
-		}
-	}
-	for i := range got {
-		got[i] += 0.02 * r.Norm()
-	}
-	wantBits := DetectOOK(got, 8, 0.1, 0.9)
-	bitBuf := make([]byte, 0, len(bits))
-	gotBits, consumed := DetectOOKInto(bitBuf, got, 8, 0.1, 0.9)
-	if consumed != len(got) {
-		t.Fatalf("consumed %d of %d", consumed, len(got))
-	}
-	if len(gotBits) != len(wantBits) {
-		t.Fatalf("bit count %d vs %d", len(gotBits), len(wantBits))
-	}
-	if &gotBits[0] != &bitBuf[:1][0] {
-		t.Error("DetectOOKInto did not reuse the caller's buffer")
-	}
-	for i := range wantBits {
-		if gotBits[i] != wantBits[i] {
-			t.Fatalf("bit %d differs", i)
-		}
 	}
 }

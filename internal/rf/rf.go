@@ -1,8 +1,7 @@
 // Package rf implements the radio-frequency propagation and link-budget
 // models underlying the Braidio simulator: free-space (Friis) and
-// log-distance path loss, thermal noise, and the one-way and round-trip
-// (backscatter) budgets that determine each mode's SNR at a given
-// distance.
+// log-distance path loss, and the one-way and round-trip (backscatter)
+// budgets that determine each mode's SNR at a given distance.
 //
 // Braidio operates in the 915 MHz UHF license-free band (the SAW filter in
 // the prototype is an SF2049E centred there); all defaults assume that
@@ -18,12 +17,6 @@ import (
 
 // DefaultFrequency is Braidio's operating band centre.
 const DefaultFrequency = 915 * units.Megahertz
-
-// BoltzmannConstant in J/K.
-const BoltzmannConstant = 1.380649e-23
-
-// RoomTemperature in kelvin, used for thermal noise floors.
-const RoomTemperature = 290.0
 
 // FreeSpacePathLoss returns the Friis free-space path loss in dB at
 // distance d and frequency f: 20·log10(4πd/λ). It panics for
@@ -65,16 +58,6 @@ func (m LogDistance) Loss(d units.Meter) units.DB {
 // space at frequency f (exponent 2, referenced at 1 m).
 func FreeSpaceLogDistance(f units.Hertz) LogDistance {
 	return LogDistance{D0: 1, PL0: FreeSpacePathLoss(1, f), N: 2}
-}
-
-// NoiseFloor returns the thermal noise power in dBm over the given
-// bandwidth, with the given receiver noise figure: kTB plus NF.
-func NoiseFloor(bandwidth units.Hertz, noiseFigure units.DB) units.DBm {
-	if bandwidth <= 0 {
-		panic(fmt.Sprintf("rf: non-positive bandwidth %v", float64(bandwidth)))
-	}
-	kTB := units.Watt(BoltzmannConstant * RoomTemperature * float64(bandwidth))
-	return kTB.DBm().Add(units.DB(noiseFigure))
 }
 
 // Antenna describes one antenna of a link.
@@ -225,50 +208,4 @@ func RangeForSensitivity(rx func(units.Meter) units.DBm, sensitivity units.DBm, 
 		}
 	}
 	return lo, true
-}
-
-// TwoRay is the two-ray ground-reflection model: free-space falloff up
-// to the crossover distance d_c = 4π·h_t·h_r/λ, then the steeper
-// 40·log10(d) ground-bounce regime. With Braidio's table-top antenna
-// heights the crossover sits beyond the operating ranges, which is why
-// the paper's free-space characterization holds indoors at short range —
-// this model quantifies where that stops being true.
-type TwoRay struct {
-	// Frequency of the carrier.
-	Frequency units.Hertz
-	// HeightTX and HeightRX are the antenna heights above ground, in
-	// meters.
-	HeightTX, HeightRX float64
-}
-
-// Crossover returns the distance where the model transitions from
-// free-space to fourth-power falloff.
-func (m TwoRay) Crossover() units.Meter {
-	if m.HeightTX <= 0 || m.HeightRX <= 0 {
-		panic("rf: two-ray model needs positive antenna heights")
-	}
-	f := m.Frequency
-	if f == 0 {
-		f = DefaultFrequency
-	}
-	lambda := float64(f.Wavelength())
-	return units.Meter(4 * math.Pi * m.HeightTX * m.HeightRX / lambda)
-}
-
-// Loss returns the two-ray path loss at distance d.
-func (m TwoRay) Loss(d units.Meter) units.DB {
-	if d <= 0 {
-		panic(fmt.Sprintf("rf: non-positive distance %v", float64(d)))
-	}
-	f := m.Frequency
-	if f == 0 {
-		f = DefaultFrequency
-	}
-	dc := m.Crossover()
-	if d <= dc {
-		return FreeSpacePathLoss(d, f)
-	}
-	// Beyond crossover: PL = 40·log10(d) − 20·log10(h_t·h_r),
-	// continuous with free space at d_c.
-	return FreeSpacePathLoss(dc, f) + units.DB(40*math.Log10(float64(d/dc)))
 }

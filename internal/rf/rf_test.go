@@ -65,19 +65,6 @@ func TestLogDistanceExponent(t *testing.T) {
 	}
 }
 
-func TestNoiseFloor(t *testing.T) {
-	// kTB at 290 K, 1 MHz = -113.98 dBm; +10 dB NF ≈ -103.98 dBm.
-	got := NoiseFloor(1*units.Megahertz, 10)
-	if !approx(float64(got), -103.98, 0.05) {
-		t.Errorf("NoiseFloor(1 MHz, NF 10) = %v, want ≈ -103.98", got)
-	}
-	// Narrower bandwidth is quieter: 10 kHz is 20 dB below 1 MHz.
-	nb := NoiseFloor(10*units.Kilohertz, 10)
-	if !approx(float64(got-nb), 20, 0.01) {
-		t.Errorf("bandwidth scaling = %v dB, want 20", got-nb)
-	}
-}
-
 func TestLinkReceived(t *testing.T) {
 	l := NewLink()
 	// 13 dBm TX, two -2 dBi antennas, FSPL(1 m) = 31.67:
@@ -176,55 +163,4 @@ func TestRangeBracketPanics(t *testing.T) {
 		}
 	}()
 	RangeForSensitivity(func(units.Meter) units.DBm { return 0 }, 0, 1, 1)
-}
-
-func TestTwoRayCrossover(t *testing.T) {
-	// Table-top antennas at 1 m: d_c = 4π·1·1/0.3276 ≈ 38.4 m — far
-	// beyond every Braidio operating range, validating the free-space
-	// characterization indoors.
-	m := TwoRay{HeightTX: 1, HeightRX: 1}
-	dc := m.Crossover()
-	if math.Abs(float64(dc)-38.35) > 0.5 {
-		t.Errorf("crossover = %v m, want ≈38.4", dc)
-	}
-	if dc < 6 {
-		t.Error("crossover inside the paper's 6 m arena — free-space assumption would break")
-	}
-}
-
-func TestTwoRayPiecewise(t *testing.T) {
-	m := TwoRay{HeightTX: 1, HeightRX: 1}
-	dc := m.Crossover()
-	// Inside the crossover: identical to free space.
-	if got, want := m.Loss(dc/2), FreeSpacePathLoss(dc/2, DefaultFrequency); got != want {
-		t.Errorf("near-field loss = %v, want free space %v", got, want)
-	}
-	// Continuous at the knee.
-	a := m.Loss(dc * 0.999)
-	b := m.Loss(dc * 1.001)
-	if math.Abs(float64(b-a)) > 0.1 {
-		t.Errorf("discontinuity at crossover: %v vs %v", a, b)
-	}
-	// Beyond: 12 dB per doubling (fourth power).
-	far := m.Loss(4 * dc)
-	farther := m.Loss(8 * dc)
-	if got := float64(farther - far); math.Abs(got-12.04) > 0.1 {
-		t.Errorf("far-regime doubling cost = %v dB, want ≈12", got)
-	}
-}
-
-func TestTwoRayValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero heights": func() { TwoRay{}.Crossover() },
-		"zero d":       func() { TwoRay{HeightTX: 1, HeightRX: 1}.Loss(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
 }

@@ -6,61 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestRunningBasics(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Errorf("N = %d, want 8", r.N())
-	}
-	if got := r.Mean(); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	// population variance is 4; sample variance is 32/7.
-	if got := r.Variance(); math.Abs(got-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", got, 32.0/7)
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if !math.IsNaN(r.Mean()) || !math.IsNaN(r.Min()) || !math.IsNaN(r.Max()) {
-		t.Error("empty Running should report NaN")
-	}
-	r.Add(1)
-	if !math.IsNaN(r.Variance()) {
-		t.Error("variance of single observation should be NaN")
-	}
-}
-
-func TestRunningMeanWithinBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		var r Running
-		any := false
-		for _, x := range xs {
-			// Welford's update overflows for magnitudes near MaxFloat64;
-			// restrict the property to the physically meaningful range.
-			if math.IsNaN(x) || math.Abs(x) > 1e150 {
-				continue
-			}
-			r.Add(x)
-			any = true
-		}
-		if !any {
-			return true
-		}
-		m := r.Mean()
-		return m >= r.Min()-1e-9 && m <= r.Max()+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	if got := Percentile(xs, 0); got != 15 {
@@ -120,35 +65,6 @@ func TestPercentilePanics(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5.5, 9.99, -1, 10, 12} {
-		h.Add(x)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], c)
-		}
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d/%d, want 1/2", under, over)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-}
-
-func TestHistogramEdgeRounding(t *testing.T) {
-	h := NewHistogram(0, 0.3, 3)
-	// 0.3 - tiny epsilon can round to bin index 3 without the guard.
-	h.Add(math.Nextafter(0.3, 0))
-	if h.Counts[2] != 1 {
-		t.Errorf("edge value landed in %v", h.Counts)
-	}
-}
-
 func TestSeriesInterpolate(t *testing.T) {
 	s := Series{{0, 0}, {1, 10}, {2, 40}}
 	cases := []struct{ x, want float64 }{
@@ -158,22 +74,6 @@ func TestSeriesInterpolate(t *testing.T) {
 		if got := s.Interpolate(c.x); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Interpolate(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestCrossBelow(t *testing.T) {
-	// Monotone decreasing curve like SNR vs distance.
-	s := Series{{0, 30}, {1, 20}, {2, 10}, {3, 0}}
-	x, ok := s.CrossBelow(15)
-	if !ok || math.Abs(x-1.5) > 1e-12 {
-		t.Errorf("CrossBelow(15) = %v,%v, want 1.5,true", x, ok)
-	}
-	if _, ok := s.CrossBelow(-5); ok {
-		t.Error("CrossBelow below the series range should fail")
-	}
-	x, ok = s.CrossBelow(30)
-	if !ok || x != 0 {
-		t.Errorf("CrossBelow at first point = %v,%v", x, ok)
 	}
 }
 
@@ -190,30 +90,18 @@ func TestCrossAbove(t *testing.T) {
 }
 
 func TestCrossConsistencyProperty(t *testing.T) {
-	// For any decreasing series, the crossing point interpolates back to
+	// For any increasing series, the crossing point interpolates back to
 	// approximately the threshold.
-	s := Series{{0, 100}, {0.5, 71}, {1.1, 38}, {2, 11}, {4, 2}}
+	s := Series{{0, 2}, {0.5, 11}, {1.1, 38}, {2, 71}, {4, 100}}
 	f := func(raw uint8) bool {
 		th := 3 + float64(raw%97)
-		x, ok := s.CrossBelow(th)
+		x, ok := s.CrossAbove(th)
 		if !ok {
-			return th < 2
+			return th > 100
 		}
 		return math.Abs(s.Interpolate(x)-th) < 1e-9 || x == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean(1,100) = %v, want 10", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean with zero did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
 }
